@@ -18,22 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geodesy, matcore, states
-
-_RANGE_SLACK = 1e-12
-
-
-def _interpolants(s: float, s_star: float) -> tuple[float, float]:
-    """Transport coefficients f, g with f(0)=1, f(s*)=0, g(0)=0, g(s*)=1."""
-    sin_star = np.sin(s_star)
-    return (float(np.sin(s_star - s) / sin_star),
-            float(np.sin(s) / sin_star))
-
-
-def _check_range(s: float, s_star: float) -> float:
-    if s < -_RANGE_SLACK or s > s_star + _RANGE_SLACK:
-        raise ValueError(f"s = {s!r} outside [0, {s_star!r}]")
-    return min(max(float(s), 0.0), s_star)
+from . import geodesy, matcore, states, sun
 
 
 def maxmixed_to_pure(n: int, psi, s: float) -> np.ndarray:
@@ -48,9 +33,7 @@ def maxmixed_to_pure(n: int, psi, s: float) -> np.ndarray:
     proj = states.pure_density(psi)
     if proj.shape[0] != n:
         raise ValueError(f"psi has dimension {proj.shape[0]}, expected {n}")
-    s_star = float(np.arccos(1.0 / np.sqrt(n)))
-    s = _check_range(s, s_star)
-    f, g = _interpolants(s, s_star)
+    f, g = geodesy.transport_coefficients(s, float(np.arccos(1.0 / np.sqrt(n))))
     return (f * f / n) * np.eye(n, dtype=np.complex128) + \
         (g * g + 2.0 * f * g / np.sqrt(n)) * proj
 
@@ -160,8 +143,8 @@ def orthogonal_pure_geodesic(psi1, psi2, s: float) -> tuple[np.ndarray, np.ndarr
     overlap = abs(np.vdot(v1, v2))
     if overlap > 1e-10:
         raise ValueError(f"states are not orthogonal: |<psi1|psi2>| = {overlap:.3e}")
-    s = _check_range(s, np.pi / 2)
-    a = np.cos(s) * v1 + np.sin(s) * v2
+    f, g = geodesy.transport_coefficients(s, np.pi / 2)
+    a = f * v1 + g * v2
     return a, np.outer(a, a.conj())
 
 
@@ -169,13 +152,8 @@ def orthogonal_pure_geodesic(psi1, psi2, s: float) -> tuple[np.ndarray, np.ndarr
 # Qubit closed forms
 # ---------------------------------------------------------------------------
 
-_PAULI = (np.array([[0, 1], [1, 0]], dtype=np.complex128),
-          np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-          np.array([[1, 0], [0, -1]], dtype=np.complex128))
-
-
 def _dot_sigma(v: np.ndarray) -> np.ndarray:
-    return v[0] * _PAULI[0] + v[1] * _PAULI[1] + v[2] * _PAULI[2]
+    return np.tensordot(v, sun.generator_basis(2).sigmas, axes=1)
 
 
 def _as_bloch3(v, name: str) -> np.ndarray:
@@ -323,11 +301,9 @@ def qubit_orbit(x, y, s: float) -> np.ndarray:
     tau = qubit_tau(x, y)
     sf = qubit_fidelity(x, y)
     s_star = float(np.arccos(sf))
+    f, g = geodesy.transport_coefficients(s, s_star)
     if s_star < 1e-8:
-        _check_range(s, s_star)
         return x.copy()
-    s = _check_range(s, s_star)
-    f, g = _interpolants(s, s_star)
     xn = float(np.linalg.norm(x))
     xhat = _direction(x, fallback=y)
     stretch = 1.0 / np.sqrt(1.0 - xn * xn)

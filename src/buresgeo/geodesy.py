@@ -168,24 +168,31 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
                         s_star=s_star)
 
 
+def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
+    """Coefficients f(s) = sin(s* - s)/sin(s*), g(s) = sin(s)/sin(s*) of M(s).
+
+    f(0) = g(s*) = 1, f(s*) = g(0) = 0, and s* = 0 gives (1, 0). s is clamped
+    onto [0, s*] within RANGE_SLACK and refused farther out.
+    """
+    s = float(s)
+    if s < -RANGE_SLACK or s > s_star + RANGE_SLACK:
+        raise ValueError(f"s = {s!r} outside the geodesic range [0, {s_star!r}]")
+    s = min(max(s, 0.0), s_star)
+    sin_star = np.sin(s_star)
+    if sin_star == 0.0:
+        return 1.0, 0.0
+    return float(np.sin(s_star - s) / sin_star), float(np.sin(s) / sin_star)
+
+
 def transport_operator(path: GeodesicPath, s: float) -> np.ndarray:
     """Transport operator M(s) = f(s) I + g(s) M* on 0 <= s <= s*.
 
-    f(s) = sin(s* - s)/sin(s*) = cos(s) (1 - tan(s)/tan(s*)) and
-    g(s) = sin(s)/sin(s*), so M(0) = I and M(s*) = M*. For orthogonal
-    endpoints (s* = pi/2) these reduce to cos(s) and sin(s). A degenerate
-    path returns the identity.
+    M(0) = I and M(s*) = M*; a degenerate path returns the identity.
     """
     n = path.dim
     if path.degenerate:
         return np.eye(n, dtype=np.complex128)
-    s = float(s)
-    if s < -RANGE_SLACK or s > path.s_star + RANGE_SLACK:
-        raise ValueError(f"s = {s!r} outside the geodesic range [0, {path.s_star!r}]")
-    s = min(max(s, 0.0), path.s_star)
-    sin_star = np.sin(path.s_star)
-    f = np.sin(path.s_star - s) / sin_star
-    g = np.sin(s) / sin_star
+    f, g = transport_coefficients(s, path.s_star)
     return f * np.eye(n, dtype=np.complex128) + g * path.m_star
 
 
@@ -243,9 +250,10 @@ def hlc_residual(a, adot) -> float:
 def hubner_metric(rho, drho, clamp: float = SUPPORT_CLAMP) -> float:
     """Infinitesimal squared Bures distance (1/2) sum |<i|drho|j>|^2 / (l_i + l_j).
 
-    Evaluated in the eigenbasis of rho; eigenvalue pairs with l_i + l_j below
-    the clamp are skipped, which restricts the sum to the support. The
-    variation must be traceless.
+    Evaluated in the eigenbasis of rho by :func:`matcore.lyapunov_eigenbasis`,
+    the kernel that also solves for the tangent generator in :mod:`sun`;
+    eigenvalue pairs with l_i + l_j below the clamp are skipped, which
+    restricts the sum to the support. The variation must be traceless.
     """
     r = states.validate_density(rho)
     d = matcore.require_hermitian(drho)
@@ -254,13 +262,8 @@ def hubner_metric(rho, drho, clamp: float = SUPPORT_CLAMP) -> float:
     tr = float(np.trace(d).real)
     if abs(tr) > 1e-10 * scale:
         raise ValueError(f"variation must be traceless: Tr[drho] = {tr!r}")
-    dec = matcore.spectral_decompose(r)
-    lam = dec.eigenvalues
-    v = dec.eigenvectors
-    dmat = v.conj().T @ d @ v
-    denom = lam[:, None] + lam[None, :]
-    keep = denom > clamp * float(lam[-1])
-    return float(0.5 * np.sum(np.abs(dmat[keep]) ** 2 / denom[keep]))
+    d_eig, x_eig = matcore.lyapunov_eigenbasis(matcore.spectral_decompose(r), d, clamp)
+    return float(0.5 * np.vdot(d_eig, x_eig).real)
 
 
 def uhlmann_unitary(rho1, rho2, clamp: float = SUPPORT_CLAMP) -> np.ndarray:

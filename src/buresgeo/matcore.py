@@ -14,6 +14,7 @@ idealized counterparts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,22 +40,19 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(a) -> float:
-    """Max-entry magnitude of A - A^dagger."""
-    m = as_complex_matrix(a)
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
 def require_hermitian(a, tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
     """Validate Hermiticity and return the symmetrized matrix (H + H^dag)/2.
 
     Symmetrization absorbs the roundoff asymmetry accumulated by repeated
     matrix products; an asymmetry larger than ``tol`` (relative to the
-    largest entry, with a floor of 1) is rejected.
+    largest entry, with a floor of 1) is rejected, and so are NaN or inf
+    entries, which make that scale itself non-finite.
     """
     m = as_complex_matrix(a)
-    defect = float(np.max(np.abs(m - m.conj().T)))
     scale = max(float(np.max(np.abs(m))), 1.0)
+    if not math.isfinite(scale):
+        raise ValueError("matrix has non-finite entries (NaN or inf)")
+    defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > tol * scale:
         raise NotHermitianError(
             f"matrix is not Hermitian: max |H - H^dagger| = {defect:.3e} "
@@ -96,6 +94,23 @@ def spectral_decompose(h, tol: float = DEFAULT_HERMITICITY_TOL) -> SpectralDecom
     m = require_hermitian(h, tol)
     w, v = np.linalg.eigh(m)
     return SpectralDecomposition(w, v)
+
+
+def lyapunov_eigenbasis(dec: SpectralDecomposition, h,
+                        clamp: float = DEFAULT_CLAMP) -> tuple[np.ndarray, np.ndarray]:
+    """Solve X rho + rho X = H in the eigenbasis of rho = V diag(l) V^dag.
+
+    Returns (H', X'), H' = V^dag H V and X'_ij = H'_ij / (l_i + l_j), zero where
+    l_i + l_j <= clamp * l_max (off the support), so X = V X' V^dag. The Bures
+    metric (1/2) Tr[X H] and the tangent generator share this kernel.
+    """
+    lam, v = dec.eigenvalues, dec.eigenvectors
+    h_eig = v.conj().T @ h @ v
+    denom = lam[:, None] + lam[None, :]
+    keep = denom > clamp * float(lam[-1])
+    x_eig = np.zeros_like(h_eig)
+    x_eig[keep] = h_eig[keep] / denom[keep]
+    return h_eig, x_eig
 
 
 def hermitian_function(h, f: Callable[[np.ndarray], np.ndarray],

@@ -5,23 +5,19 @@ Hermitian generator expand as
 
     rho = (1/N) (I + x . sigma),      G = (1/N) (g0 I + g . sigma),
 
-with real coordinate vectors of length N^2 - 1. The structure-constant
-tensors f (totally antisymmetric) and d (totally symmetric) are built once
-per dimension from the trace formulas
-
-    f_ijk = Tr([sigma_i, sigma_j] sigma_k) / (4 i),
-    d_ijk = Tr({sigma_i, sigma_j} sigma_k) / 4,
-
-and the module solves the linear systems that determine the Hermitian
-generator G of the flow  drho/dt = G rho + rho G  from (x, dx/dt), plus the
-unitary-evolution specialization and the characteristic-polynomial invariants
-of a state (which need no diagonalization).
+with real coordinate vectors of length N^2 - 1. The module solves for the
+Hermitian generator G of the flow  drho/dt = G rho + rho G  from (x, dx/dt)
+through the eigenbasis kernel it shares with the Bures metric, gives the
+unitary-evolution specialization as commutator products, and computes the
+characteristic-polynomial invariants of a state (which need no
+diagonalization). The structure constants f and d of :class:`GeneratorBasis`
+are built only on request, as oracles for the tests and the identity report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,21 +29,46 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """Traceless Hermitian generators of su(N) with structure constants.
+    """Traceless Hermitian generators of su(N).
 
     Generator ordering: all symmetric off-diagonal pairs first (lexicographic
     in (j, k)), then all antisymmetric pairs, then the diagonal ladder. The
-    ordering is part of the coordinate contract; f and d are stored dense.
+    ordering is part of the coordinate contract. The dense structure
+    constants ``f`` and ``d`` (m x m x m with m = N^2 - 1) are read-only
+    oracles built on first access; the solvers never read them.
     """
 
     dim: int
     sigmas: np.ndarray  # (N^2 - 1, N, N)
-    f: np.ndarray       # antisymmetric structure constants
-    d: np.ndarray       # symmetric structure constants
 
     @property
     def size(self) -> int:
         return self.dim * self.dim - 1
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        """Antisymmetric structure constants f_ijk = Tr([s_i, s_j] s_k) / (4 i)."""
+        return _structure_constants(self.sigmas, lambda t: (t - t.T).imag / 4.0)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """Symmetric structure constants d_ijk = Tr({s_i, s_j} s_k) / 4."""
+        return _structure_constants(self.sigmas, lambda t: (t + t.T).real / 4.0)
+
+
+def _structure_constants(sig: np.ndarray, combine) -> np.ndarray:
+    """Stack combine(t_i), t_i[j, k] = Tr[s_i s_j s_k], one i at a time.
+
+    Cyclicity gives Tr[s_j s_i s_k] = t_i[k, j], so t_i -+ t_i^T are the
+    (anti)commutator traces and temporaries stay at O(m N^2).
+    """
+    m, n = sig.shape[0], sig.shape[1]
+    sig_flat_t = np.ascontiguousarray(sig.transpose(0, 2, 1).reshape(m, n * n))
+    out = np.empty((m, m, m))
+    for i in range(m):
+        out[i] = combine((sig[i] @ sig).reshape(m, n * n) @ sig_flat_t.T)
+    out.setflags(write=False)
+    return out
 
 
 def _generator_matrices(n: int) -> np.ndarray:
@@ -82,27 +103,24 @@ def generator_basis(n: int) -> GeneratorBasis:
     if not (2 <= n <= MAX_DIM):
         raise ValueError(f"dimension must be between 2 and {MAX_DIM}, got {n}")
     sig = _generator_matrices(n)
-    m = sig.shape[0]
-    # t[i, j, k] = Tr[sigma_i sigma_j sigma_k]; one BLAS product per i keeps
-    # memory at O(m N^2) even when the full tensor is large.
-    sig_flat_t = np.ascontiguousarray(sig.transpose(0, 2, 1).reshape(m, n * n))
-    t = np.empty((m, m, m), dtype=np.complex128)
-    for i in range(m):
-        prod = sig[i] @ sig
-        t[i] = prod.reshape(m, n * n) @ sig_flat_t.T
-    f = (t - t.transpose(1, 0, 2)).imag / 4.0
-    d = (t + t.transpose(1, 0, 2)).real / 4.0
-    for arr in (sig, f, d):
-        arr.setflags(write=False)
-    return GeneratorBasis(dim=n, sigmas=sig, f=f, d=d)
+    sig.setflags(write=False)
+    return GeneratorBasis(dim=n, sigmas=sig)
+
+
+def _coordinates(basis: GeneratorBasis, *vectors) -> tuple[np.ndarray, ...]:
+    """Validate real coordinate vectors: length N^2 - 1 and finite entries."""
+    out = tuple(np.asarray(v, dtype=float) for v in vectors)
+    for v in out:
+        if v.shape != (basis.size,):
+            raise ValueError(f"coordinate vectors must have length {basis.size}, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("coordinate vectors must be finite (NaN or inf entry)")
+    return out
 
 
 def expand(coeff0: float, coeffs, basis: GeneratorBasis) -> np.ndarray:
     """Assemble (1/N) (coeff0 I + coeffs . sigma) as a matrix."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (basis.size,):
-        raise ValueError(
-            f"coefficient vector must have length {basis.size}, got {c.shape}")
+    (c,) = _coordinates(basis, coeffs)
     n = basis.dim
     out = np.tensordot(c, basis.sigmas, axes=(0, 0)).astype(np.complex128)
     out += coeff0 * np.eye(n)
@@ -129,54 +147,42 @@ class TangentGenerator:
     matrix: np.ndarray
 
 
-def _coupling_matrix(x: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
-    """I + X(x) + D(x) with X_kj = -(2/N) x_k x_j and D_kj = sum_i x_i d_ikj."""
-    n = basis.dim
-    big_x = -(2.0 / n) * np.outer(x, x)
-    big_d = np.einsum('i,ikj->kj', x, basis.d)
-    return np.eye(basis.size) + big_x + big_d
-
-
 def solve_tangent_G(x, xdot, basis: GeneratorBasis,
                     psd_tol: float = 1e-10) -> TangentGenerator:
-    """Solve (I + X + D) g = (N/2) dx/dt for the generator of drho = G rho + rho G.
+    """Solve drho = G rho + rho G for G, with rho = expand(1, x).
 
-    The trace part follows from g0 = -(2/N) x . g. The coupling matrix is
-    invertible for interior (full-rank) states; a condition number beyond
-    1e12 is reported as an error, which happens when x sits on the pure-state
-    boundary.
+    One eigendecomposition of rho feeds the kernel shared with the Bures
+    metric, G_ij = drho_ij / (l_i + l_j) in the eigenbasis. This solves
+    (I + X + D) g = (N/2) dx/dt without forming it; g0 = -(2/N) x . g. The
+    condition number of G -> G rho + rho G is l_max / l_min; beyond 1e12 (x
+    on or near the pure-state boundary) the solve is refused.
     """
-    x = np.asarray(x, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    if x.shape != (basis.size,) or xdot.shape != (basis.size,):
-        raise ValueError(f"coordinate vectors must have length {basis.size}")
-    rho = expand(1.0, x, basis)
-    min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
-    if min_eig < -psd_tol:
-        raise ValueError(f"not a state: most negative eigenvalue {min_eig:.6e}")
-    a = _coupling_matrix(x, basis)
-    cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    x, xdot = _coordinates(basis, x, xdot)
+    dec = matcore.spectral_decompose(expand(1.0, x, basis))
+    lam = dec.eigenvalues
+    if lam[0] < -psd_tol:
+        raise ValueError(f"not a state: most negative eigenvalue {float(lam[0]):.6e}")
+    cond = float(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
+    if cond > CONDITION_LIMIT:
         raise ValueError(
             f"tangent system is singular beyond the conditioning threshold "
             f"(cond = {cond:.3e}); the state is on or beyond the boundary")
-    g = np.linalg.solve(a, 0.5 * basis.dim * xdot)
+    _, g_eig = matcore.lyapunov_eigenbasis(dec, expand(0.0, xdot, basis))
+    v = dec.eigenvectors
+    _, g = coefficients(v @ g_eig @ v.conj().T, basis)
     g0 = float(-(2.0 / basis.dim) * (x @ g) + 0.0)
     return TangentGenerator(g0=g0, g=g, matrix=expand(g0, g, basis))
 
 
 def unitary_tangent(y, x, basis: GeneratorBasis) -> TangentGenerator:
-    """Generator coordinates for unitary evolution driven by y.
+    """Generator G = [X, Y] / (2 i N) of unitary evolution driven by y.
 
-    g = Dt y with Dt_kj = sum_i x_i f_ijk and g0 = 0; antisymmetry of f makes
-    x . g vanish identically.
+    With X = x . sigma and Y = y . sigma this is g = Dt y with
+    Dt_kj = sum_i x_i f_ijk and g0 = 0; x . g vanishes identically.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (basis.size,) or y.shape != (basis.size,):
-        raise ValueError(f"coordinate vectors must have length {basis.size}")
-    dt = np.einsum('i,ijk->kj', x, basis.f)
-    g = dt @ y
+    x, y = _coordinates(basis, x, y)
+    xm, ym = expand(0.0, x, basis), expand(0.0, y, basis)  # X / N, Y / N
+    _, g = coefficients((basis.dim / 2j) * (xm @ ym - ym @ xm), basis)
     return TangentGenerator(g0=0.0, g=g, matrix=expand(0.0, g, basis))
 
 
@@ -184,15 +190,16 @@ def hamiltonian_from_Y(y, x, basis: GeneratorBasis
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Effective field B = [I + X(x) + D(x)] y and its split along x.
 
-    Returns (B, B_parallel, B_perp). The parallel part generates rotations
-    about x (a dynamical phase); the perpendicular part drives the orbit.
-    For x = 0 the split is (0, B).
+    B = y - (2/N) x (x . y) + coefficients({X, Y} / (2N)) with X = x . sigma
+    and Y = y . sigma. Returns (B, B_parallel, B_perp). The parallel part
+    generates rotations about x (a dynamical phase); the perpendicular part
+    drives the orbit. For x = 0 the split is (0, B).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (basis.size,) or y.shape != (basis.size,):
-        raise ValueError(f"coordinate vectors must have length {basis.size}")
-    b = _coupling_matrix(x, basis) @ y
+    x, y = _coordinates(basis, x, y)
+    n = basis.dim
+    xm, ym = expand(0.0, x, basis), expand(0.0, y, basis)  # X / N, Y / N
+    _, dy = coefficients((n / 2.0) * (xm @ ym + ym @ xm), basis)
+    b = y - (2.0 / n) * x * (x @ y) + dy
     norm = float(np.linalg.norm(x))
     if norm < 1e-12:
         return b, np.zeros_like(b), b
