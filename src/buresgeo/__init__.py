@@ -10,11 +10,11 @@ GHZ/W Werner mixtures, and general qubit endpoints).
 
 from .matcore import (SpectralDecomposition, hermitian_function,
                       inv_sqrtm_psd, polar_positive, spectral_decompose,
-                      sqrtm_psd)
+                      spectral_function, sqrtm_psd)
 from .states import (Purification, bloch_from_density, canonical_purification,
-                     density_from_bloch, ghz_state, maximally_mixed, project,
-                     pure_density, snap_to_state, validate_density, w_state,
-                     werner)
+                     decompose_density, density_from_bloch, ghz_state,
+                     maximally_mixed, project, pure_density, snap_to_state,
+                     validate_density, w_state, werner)
 from .geodesy import (BuresSummary, GeodesicPath, GeodesicUndefinedError,
                       bures, geodesic_point, geometric_mean_operator,
                       hlc_residual, horizontal_lift, hubner_metric,

@@ -160,6 +160,8 @@ def _as_bloch3(v, name: str) -> np.ndarray:
     out = np.asarray(v, dtype=float).reshape(-1)
     if out.shape != (3,):
         raise ValueError(f"{name} must be a real 3-vector, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} has non-finite entries (NaN or inf): {out.tolist()}")
     return out
 
 

@@ -5,8 +5,10 @@ Given endpoints rho1 and rho2, the positive operator
     M* = rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}
 
 satisfies M* rho1 M* = rho2 and Tr[M* rho1] = sqrt(F), the Uhlmann root
-fidelity. With the total arclength s* = arccos(sqrt(F)), the one-parameter
-family
+fidelity. Each endpoint is decomposed once, and one SVD of
+B = sqrt(rho1) sqrt(rho2) = U S V^dag gives both sqrt(F) = sum(S) and, since
+tau = rho1^{1/2} rho2 rho1^{1/2} = B B^dag, sqrt(tau) = U S U^dag. With the
+total arclength s* = arccos(sqrt(F)), the one-parameter family
 
     M(s) = (sin(s* - s) I + sin(s) M*) / sin(s*)
 
@@ -73,6 +75,16 @@ def _check_same_dims(r1: np.ndarray, r2: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {r1.shape} vs {r2.shape}")
 
 
+def _decompose_pair(rho1, rho2):
+    (r1, dec1), (r2, dec2) = states.decompose_density(rho1), states.decompose_density(rho2)
+    _check_same_dims(r1, r2)
+    return r1, dec1, r2, dec2
+
+
+def _sqrt(dec: matcore.SpectralDecomposition) -> np.ndarray:
+    return matcore.spectral_function(dec, np.sqrt, nonnegative=True)
+
+
 def root_fidelity(rho1, rho2) -> float:
     """Uhlmann root fidelity Tr sqrt(rho1^{1/2} rho2 rho1^{1/2}).
 
@@ -81,13 +93,10 @@ def root_fidelity(rho1, rho2) -> float:
     endpoints give exactly 1 and states with orthogonal supports give
     exactly 0. The result is clamped to [0, 1].
     """
-    r1 = states.validate_density(rho1)
-    r2 = states.validate_density(rho2)
-    _check_same_dims(r1, r2)
+    r1, dec1, r2, dec2 = _decompose_pair(rho1, rho2)
     if np.array_equal(r1, r2):
         return 1.0
-    b = matcore.sqrtm_psd(r1) @ matcore.sqrtm_psd(r2)
-    sigma = np.linalg.svd(b, compute_uv=False)
+    sigma = np.linalg.svd(_sqrt(dec1) @ _sqrt(dec2), compute_uv=False)
     return float(min(max(float(sigma.sum()), 0.0), 1.0))
 
 
@@ -99,17 +108,16 @@ def bures(rho1, rho2) -> BuresSummary:
                         bures_distance=float(np.sqrt(max(2.0 - 2.0 * sf, 0.0))))
 
 
-def _phase_fixed_top_eigenvector(rho: np.ndarray) -> np.ndarray:
+def _phase_fixed_top_eigenvector(dec: matcore.SpectralDecomposition) -> np.ndarray:
     """Dominant eigenvector with its first nonzero component made real positive."""
-    dec = matcore.spectral_decompose(rho)
     v = dec.eigenvectors[:, -1].copy()
     idx = int(np.argmax(np.abs(v) > 1e-12))
     phase = v[idx] / abs(v[idx])
     return v * phase.conj()
 
 
-def _rank(rho: np.ndarray) -> int:
-    w = np.linalg.eigvalsh(rho)
+def _rank(dec: matcore.SpectralDecomposition) -> int:
+    w = dec.eigenvalues
     return int(np.count_nonzero(w > SUPPORT_CLAMP * max(w[-1], 0.0)))
 
 
@@ -125,22 +133,19 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
     real positive. Orthogonal mixed endpoints are refused, since infinitely
     many geodesics connect them and picking one silently would be arbitrary.
     """
-    r1 = states.validate_density(rho1)
-    r2 = states.validate_density(rho2)
-    _check_same_dims(r1, r2)
-    n = r1.shape[0]
-
-    sf = root_fidelity(r1, r2)
+    r1, dec1, r2, dec2 = _decompose_pair(rho1, rho2)
+    u, sigma, _ = np.linalg.svd(_sqrt(dec1) @ _sqrt(dec2))
+    sf = 1.0 if np.array_equal(r1, r2) else float(min(max(float(sigma.sum()), 0.0), 1.0))
     s_star = float(np.arccos(sf))
 
     if float(np.max(np.abs(r1 - r2))) <= DEGENERATE_ENTRY_TOL or s_star < DEGENERATE_S_TOL:
-        return GeodesicPath(rho1=r1, rho2=r2, m_star=np.eye(n, dtype=np.complex128),
+        return GeodesicPath(rho1=r1, rho2=r2, m_star=np.eye(len(r1), dtype=np.complex128),
                             s_star=0.0, degenerate=True)
 
     if sf < ORTHOGONAL_COS_TOL:
-        if _rank(r1) == 1 and _rank(r2) == 1:
-            psi1 = _phase_fixed_top_eigenvector(r1)
-            psi2 = _phase_fixed_top_eigenvector(r2)
+        if _rank(dec1) == 1 and _rank(dec2) == 1:
+            psi1 = _phase_fixed_top_eigenvector(dec1)
+            psi2 = _phase_fixed_top_eigenvector(dec2)
             m = np.outer(psi2, psi1.conj()) + np.outer(psi1, psi2.conj())
             return GeodesicPath(rho1=r1, rho2=r2, m_star=(m + m.conj().T) / 2,
                                 s_star=np.pi / 2, orthogonal=True)
@@ -148,9 +153,7 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
             "M singular at s*=pi/2: orthogonal mixed endpoints admit "
             "infinitely many geodesics; only the pure-pure case is constructed")
 
-    dec1 = matcore.spectral_decompose(r1)
-    threshold = SUPPORT_CLAMP * float(dec1.eigenvalues[-1])
-    kept = dec1.eigenvalues > threshold
+    kept = dec1.eigenvalues > SUPPORT_CLAMP * float(dec1.eigenvalues[-1])
     if not np.all(kept):
         v_sup = dec1.eigenvectors[:, kept]
         proj = v_sup @ v_sup.conj().T
@@ -160,10 +163,9 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
                 f"geodesic undefined through rank-deficient start: the final "
                 f"state leaks outside the initial support by {residual:.3e}")
 
-    sqrt1 = matcore.sqrtm_psd(r1)
-    inv_sqrt1 = matcore.inv_sqrtm_psd(r1)
-    tau = matcore.require_hermitian(sqrt1 @ r2 @ sqrt1)
-    m = inv_sqrt1 @ matcore.sqrtm_psd(tau) @ inv_sqrt1
+    inv_sqrt1 = matcore.spectral_function(dec1, lambda w: 1.0 / np.sqrt(w),
+                                          nonnegative=True, support_only=True)
+    m = inv_sqrt1 @ ((u * sigma) @ u.conj().T) @ inv_sqrt1
     return GeodesicPath(rho1=r1, rho2=r2, m_star=(m + m.conj().T) / 2,
                         s_star=s_star)
 
@@ -255,36 +257,33 @@ def hubner_metric(rho, drho, clamp: float = SUPPORT_CLAMP) -> float:
     eigenvalue pairs with l_i + l_j below the clamp are skipped, which
     restricts the sum to the support. The variation must be traceless.
     """
-    r = states.validate_density(rho)
+    r, dec = states.decompose_density(rho)
     d = matcore.require_hermitian(drho)
     _check_same_dims(r, d)
     scale = max(float(np.max(np.abs(d))), 1.0)
     tr = float(np.trace(d).real)
     if abs(tr) > 1e-10 * scale:
         raise ValueError(f"variation must be traceless: Tr[drho] = {tr!r}")
-    d_eig, x_eig = matcore.lyapunov_eigenbasis(matcore.spectral_decompose(r), d, clamp)
+    d_eig, x_eig = matcore.lyapunov_eigenbasis(dec, d, clamp)
     return float(0.5 * np.vdot(d_eig, x_eig).real)
 
 
 def uhlmann_unitary(rho1, rho2, clamp: float = SUPPORT_CLAMP) -> np.ndarray:
     """The unitary U = sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2} rho2^{-1/2}.
 
-    Both inputs must be invertible (full rank within the clamp). U satisfies
-    U^dag U = U U^dag = I and Tr[U sqrt(rho2) sqrt(rho1)] equals the root
-    fidelity, which exhibits the optimal relative gauge between the two
-    canonical purifications.
+    Both inputs must be invertible (full rank within the clamp). With
+    sqrt(rho1) sqrt(rho2) = W S V^dag, sqrt(tau) = W S W^dag and
+    rho1^{-1/2} rho2^{-1/2} = W S^{-1} V^dag, so U is the polar factor W V^dag.
+    U satisfies U^dag U = U U^dag = I and Tr[U sqrt(rho2) sqrt(rho1)] equals
+    the root fidelity, which exhibits the optimal relative gauge between the
+    two canonical purifications.
     """
-    r1 = states.validate_density(rho1)
-    r2 = states.validate_density(rho2)
-    _check_same_dims(r1, r2)
-    for name, r in (("rho1", r1), ("rho2", r2)):
-        w = np.linalg.eigvalsh(r)
+    r1, dec1, r2, dec2 = _decompose_pair(rho1, rho2)
+    for name, dec in (("rho1", dec1), ("rho2", dec2)):
+        w = dec.eigenvalues
         if w[0] <= clamp * w[-1]:
             raise ValueError(
                 f"construction requires invertible inputs: {name} has "
                 f"min eigenvalue {w[0]:.3e}")
-    sqrt1 = matcore.sqrtm_psd(r1)
-    tau = matcore.require_hermitian(sqrt1 @ r2 @ sqrt1)
-    return (matcore.sqrtm_psd(tau)
-            @ matcore.inv_sqrtm_psd(r1)
-            @ matcore.inv_sqrtm_psd(r2))
+    left, _, right_h = np.linalg.svd(_sqrt(dec1) @ _sqrt(dec2))
+    return left @ right_h

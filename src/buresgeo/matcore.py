@@ -81,13 +81,8 @@ class SpectralDecomposition:
 def spectral_decompose(h, tol: float = DEFAULT_HERMITICITY_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with ascending eigenvalues.
 
-    Parameters
-    ----------
-    h : array_like
-        Square matrix, Hermitian within ``tol``.
-    tol : float
-        Hermiticity tolerance; must be positive. Non-Hermitian input is
-        rejected with the measured asymmetry in the message.
+    ``h`` must be Hermitian within the positive tolerance ``tol``; other input
+    is rejected with the measured asymmetry in the message.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -113,33 +108,20 @@ def lyapunov_eigenbasis(dec: SpectralDecomposition, h,
     return h_eig, x_eig
 
 
-def hermitian_function(h, f: Callable[[np.ndarray], np.ndarray],
-                       clamp: float = DEFAULT_CLAMP, *,
-                       nonnegative: bool = False,
-                       support_only: bool = False) -> np.ndarray:
-    """Apply a scalar function to the spectrum of a Hermitian matrix.
+def spectral_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray],
+                      clamp: float = DEFAULT_CLAMP, *,
+                      nonnegative: bool = False,
+                      support_only: bool = False) -> np.ndarray:
+    """Apply a scalar function f to the spectrum of an existing decomposition.
 
     Returns V diag(f(w')) V^dag where w' are the eigenvalues after the clamp
     policy: eigenvalues with |w| <= clamp * max|w| are snapped to exact zero.
-
-    Parameters
-    ----------
-    h : array_like
-        Hermitian matrix.
-    f : callable
-        Vectorized scalar function applied to the (clamped) eigenvalues.
-    clamp : float
-        Relative zero threshold for the spectrum.
-    nonnegative : bool
-        The function requires a nonnegative spectrum (square roots and other
-        fractional powers). Eigenvalues below ``-clamp * max|w|`` are
-        rejected; small negatives inside the band are treated as zero.
-    support_only : bool
-        Apply ``f`` only on the nonzero part of the spectrum and keep exact
-        zeros untouched. This gives pseudo-inverse semantics for inverse
-        powers on rank-deficient input.
+    ``nonnegative`` is for square roots and other fractional powers:
+    eigenvalues below ``-clamp * max|w|`` are rejected, and small negatives
+    inside the band are treated as zero. ``support_only`` applies f only on
+    the nonzero part of the spectrum and keeps exact zeros untouched, which
+    gives pseudo-inverse semantics for inverse powers on rank-deficient input.
     """
-    dec = spectral_decompose(h)
     w = dec.eigenvalues.copy()
     scale = float(np.max(np.abs(w)))
     threshold = clamp * scale
@@ -160,6 +142,15 @@ def hermitian_function(h, f: Callable[[np.ndarray], np.ndarray],
     v = dec.eigenvectors
     out = (v * fw) @ v.conj().T
     return (out + out.conj().T) / 2
+
+
+def hermitian_function(h, f: Callable[[np.ndarray], np.ndarray],
+                       clamp: float = DEFAULT_CLAMP, *,
+                       nonnegative: bool = False,
+                       support_only: bool = False) -> np.ndarray:
+    """Decompose a Hermitian matrix, then apply :func:`spectral_function`."""
+    return spectral_function(spectral_decompose(h), f, clamp,
+                             nonnegative=nonnegative, support_only=support_only)
 
 
 def sqrtm_psd(h, clamp: float = DEFAULT_CLAMP) -> np.ndarray:

@@ -20,9 +20,10 @@ PSD_TOL = 1e-10
 PURIFICATION_TOL = 1e-10
 
 
-def validate_density(rho, trace_tol: float = TRACE_TOL,
-                     psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Check the density-matrix invariants and return the symmetrized state.
+def decompose_density(rho, trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL
+                      ) -> tuple[np.ndarray, matcore.SpectralDecomposition]:
+    """Check the density-matrix invariants; return the symmetrized state and
+    the eigendecomposition that decided positivity, for reuse by the caller.
 
     Rejects non-Hermitian input, a trace away from 1 by more than
     ``trace_tol``, or an eigenvalue below ``-psd_tol``.
@@ -32,10 +33,16 @@ def validate_density(rho, trace_tol: float = TRACE_TOL,
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"not normalized: trace = {tr!r} differs from 1 "
                          f"by {abs(tr - 1.0):.3e}")
-    min_eig = float(np.linalg.eigvalsh(r)[0])
-    if min_eig < -psd_tol:
-        raise ValueError(f"not a state: most negative eigenvalue {min_eig:.6e}")
-    return r
+    w, v = np.linalg.eigh(r)
+    if w[0] < -psd_tol:
+        raise ValueError(f"not a state: most negative eigenvalue {float(w[0]):.6e}")
+    return r, matcore.SpectralDecomposition(w, v)
+
+
+def validate_density(rho, trace_tol: float = TRACE_TOL,
+                     psd_tol: float = PSD_TOL) -> np.ndarray:
+    """The symmetrized state checked by :func:`decompose_density`."""
+    return decompose_density(rho, trace_tol, psd_tol)[0]
 
 
 def snap_to_state(rho) -> np.ndarray:
@@ -149,8 +156,8 @@ def canonical_purification(rho, gauge=None) -> Purification:
     The gauge must be unitary within tolerance; every gauge choice projects
     back to the same state.
     """
-    r = validate_density(rho)
-    a = matcore.sqrtm_psd(r)
+    r, dec = decompose_density(rho)
+    a = matcore.spectral_function(dec, np.sqrt, nonnegative=True)
     if gauge is not None:
         u = matcore.as_complex_matrix(gauge)
         if u.shape != r.shape:

@@ -45,30 +45,34 @@ class GeneratorBasis:
     def size(self) -> int:
         return self.dim * self.dim - 1
 
-    @cached_property
+    @property
     def f(self) -> np.ndarray:
         """Antisymmetric structure constants f_ijk = Tr([s_i, s_j] s_k) / (4 i)."""
-        return _structure_constants(self.sigmas, lambda t: (t - t.T).imag / 4.0)
+        return self._structure_constants[0]
 
-    @cached_property
+    @property
     def d(self) -> np.ndarray:
         """Symmetric structure constants d_ijk = Tr({s_i, s_j} s_k) / 4."""
-        return _structure_constants(self.sigmas, lambda t: (t + t.T).real / 4.0)
+        return self._structure_constants[1]
 
+    @cached_property
+    def _structure_constants(self) -> tuple[np.ndarray, np.ndarray]:
+        """(f, d) from one pass over t_i[j, k] = Tr[s_i s_j s_k], one i at a time.
 
-def _structure_constants(sig: np.ndarray, combine) -> np.ndarray:
-    """Stack combine(t_i), t_i[j, k] = Tr[s_i s_j s_k], one i at a time.
-
-    Cyclicity gives Tr[s_j s_i s_k] = t_i[k, j], so t_i -+ t_i^T are the
-    (anti)commutator traces and temporaries stay at O(m N^2).
-    """
-    m, n = sig.shape[0], sig.shape[1]
-    sig_flat_t = np.ascontiguousarray(sig.transpose(0, 2, 1).reshape(m, n * n))
-    out = np.empty((m, m, m))
-    for i in range(m):
-        out[i] = combine((sig[i] @ sig).reshape(m, n * n) @ sig_flat_t.T)
-    out.setflags(write=False)
-    return out
+        Cyclicity gives Tr[s_j s_i s_k] = t_i[k, j], so t_i -+ t_i^T are the
+        (anti)commutator traces and temporaries stay at O(m N^2).
+        """
+        sig = self.sigmas
+        m, n = sig.shape[0], sig.shape[1]
+        sig_flat_t = np.ascontiguousarray(sig.transpose(0, 2, 1).reshape(m, n * n))
+        f, d = np.empty((m, m, m)), np.empty((m, m, m))
+        for i in range(m):
+            t = (sig[i] @ sig).reshape(m, n * n) @ sig_flat_t.T
+            f[i] = (t - t.T).imag / 4.0
+            d[i] = (t + t.T).real / 4.0
+        for out in (f, d):
+            out.setflags(write=False)
+        return f, d
 
 
 def _generator_matrices(n: int) -> np.ndarray:

@@ -7,7 +7,7 @@ false for NaN) and surfaced later as an SVD that did not converge.
 import numpy as np
 import pytest
 
-from buresgeo import geodesy, matcore, states, sun
+from buresgeo import closedform, geodesy, matcore, states, sun
 
 MIXED = states.maximally_mixed(2)
 
@@ -39,3 +39,14 @@ def test_coordinate_entry_points(solver, value, position):
     vectors[position][2] = value
     with pytest.raises(ValueError, match="finite"):
         getattr(sun, solver)(*vectors, basis)
+
+
+@pytest.mark.parametrize("closed_form", ["qubit_tau", "qubit_fidelity", "qubit_orbit"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, position", [("x", 0), ("y", 1)])
+def test_qubit_closed_forms_name_the_vector(closed_form, value, name, position):
+    vectors = [np.array([0.1, 0.2, 0.1]), np.array([0.3, -0.1, 0.2])]
+    vectors[position][0] = value
+    extra = (0.1,) if closed_form == "qubit_orbit" else ()
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+        getattr(closedform, closed_form)(*vectors, *extra)
