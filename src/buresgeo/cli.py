@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import closedform, geodesy, states, sun
+from . import closedform, geodesy, matcore, states, sun
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -57,8 +57,8 @@ def state_from_json(data: dict, tol: float) -> np.ndarray:
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"re/im arrays must be {dim}x{dim}, got {re.shape} "
                          f"and {im.shape}")
-    return states.snap_to_state(
-        states.validate_density(re + 1j * im, trace_tol=tol, psd_tol=tol))
+    return states.snap_decomposed(
+        *states.decompose_density(re + 1j * im, trace_tol=tol, psd_tol=tol))
 
 
 def load_state(path: str, tol: float) -> np.ndarray:
@@ -153,7 +153,6 @@ def cmd_geodesic(args) -> int:
 def cmd_werner_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
-    gate = args.tol if args.tol is not None else 1e-10
     rows = []
     worst = 0.0
     for p in np.linspace(0.0, 1.0, args.steps):
@@ -172,9 +171,9 @@ def cmd_werner_sweep(args) -> int:
         header = ["p", "root_fidelity", "s_star_over_half_pi",
                   "root_fidelity_closed_form"]
         _emit(_csv(header, [[r[h] for h in header] for r in rows]), args.out)
-    if worst > gate:
+    if not worst <= args.tol:
         print(f"numerical gate failed: spectral vs closed-form root fidelity "
-              f"differ by {worst:.3e} > {gate:.1e}", file=sys.stderr)
+              f"differ by {worst:.3e} > {args.tol:.1e}", file=sys.stderr)
         return EXIT_GATE
     return EXIT_OK
 
@@ -182,7 +181,6 @@ def cmd_werner_sweep(args) -> int:
 def cmd_qubit_orbit(args) -> int:
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
-    gate = args.tol if args.tol is not None else 1e-9
     x = _parse_vector(args.x, 3, "--x")
     y = _parse_vector(args.y, 3, "--y")
     basis = sun.generator_basis(2)
@@ -203,15 +201,14 @@ def cmd_qubit_orbit(args) -> int:
     else:
         header = ["s", "r_x", "r_y", "r_z", "pipeline_deviation"]
         _emit(_csv(header, [[r[h] for h in header] for r in rows]), args.out)
-    if worst > gate:
+    if not worst <= args.tol:
         print(f"numerical gate failed: closed-form orbit deviates from the "
-              f"transport pipeline by {worst:.3e} > {gate:.1e}", file=sys.stderr)
+              f"transport pipeline by {worst:.3e} > {args.tol:.1e}", file=sys.stderr)
         return EXIT_GATE
     return EXIT_OK
 
 
 def cmd_solve_g(args) -> int:
-    gate = args.tol if args.tol is not None else 1e-8
     size = args.dim * args.dim - 1
     x = _parse_vector(args.x, size, "--x")
     xdot = _parse_vector(args.xdot, size, "--xdot")
@@ -223,9 +220,9 @@ def cmd_solve_g(args) -> int:
     payload = {"dim": args.dim, "g0": gen.g0, "g": [float(v) for v in gen.g],
                "residual": residual}
     _emit(json.dumps(payload) + "\n", args.out)
-    if residual > gate:
+    if not residual <= args.tol:
         print(f"numerical gate failed: reconstruction residual {residual:.3e} "
-              f"> {gate:.1e}", file=sys.stderr)
+              f"> {args.tol:.1e}", file=sys.stderr)
         return EXIT_GATE
     return EXIT_OK
 
@@ -270,7 +267,6 @@ def _sun_residuals(basis: sun.GeneratorBasis) -> dict:
 
 
 def cmd_sun_check(args) -> int:
-    gate = args.tol if args.tol is not None else 1e-12
     basis = sun.generator_basis(args.dim)
     residuals = _sun_residuals(basis)
     payload = {"dim": args.dim, **residuals}
@@ -293,12 +289,13 @@ def cmd_sun_check(args) -> int:
             gen.matrix @ rho + rho @ gen.matrix - rhodot))))
     payload["reconstruction_max_residual"] = worst
     algebra_worst = max(residuals.values())
-    payload["tolerance"] = gate
-    payload["pass"] = bool(algebra_worst <= gate and worst <= 1e-9)
+    recon_gate = matcore.GATE_TOL["reconstruction"]
+    payload["tolerance"] = args.tol
+    payload["pass"] = bool(algebra_worst <= args.tol and worst <= recon_gate)
     _emit(json.dumps(payload) + "\n", args.out)
     if not payload["pass"]:
         print(f"numerical gate failed: worst algebra residual {algebra_worst:.3e} "
-              f"(gate {gate:.1e}), reconstruction {worst:.3e} (gate 1e-09)",
+              f"(gate {args.tol:.1e}), reconstruction {worst:.3e} (gate {recon_gate!r})",
               file=sys.stderr)
         return EXIT_GATE
     return EXIT_OK
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "geometric-mean transport operator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_tol=None):
+    def add_common(p, default_tol):
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write output to FILE instead of stdout")
         p.add_argument("--tol", type=float, default=default_tol,
@@ -320,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fidelity", help="root fidelity, Bures angle and distance")
     p.add_argument("state1")
     p.add_argument("state2")
-    add_common(p, default_tol=1e-10)
+    add_common(p, default_tol=matcore.ADMIT_TOL)
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("geodesic", help="sample states along the geodesic")
@@ -328,14 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state2")
     p.add_argument("--samples", type=int, default=11)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p, default_tol=1e-10)
+    add_common(p, default_tol=matcore.ADMIT_TOL)
     p.set_defaults(func=cmd_geodesic)
 
     p = sub.add_parser("werner-sweep",
                        help="GHZ/W Werner root-fidelity sweep over p")
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p)
+    add_common(p, default_tol=matcore.GATE_TOL["werner-sweep"])
     p.set_defaults(func=cmd_werner_sweep)
 
     p = sub.add_parser("qubit-orbit",
@@ -347,20 +344,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="end Bloch vector a,b,c")
     p.add_argument("--samples", type=int, default=11)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p)
+    add_common(p, default_tol=matcore.GATE_TOL["qubit-orbit"])
     p.set_defaults(func=cmd_qubit_orbit)
 
     p = sub.add_parser("solve-g", help="solve for the flow generator from (x, xdot)")
     p.add_argument("--dim", type=int, required=True, metavar="N")
     p.add_argument("--x", required=True, help="N^2-1 comma-separated coordinates")
     p.add_argument("--xdot", required=True, help="N^2-1 comma-separated rates")
-    add_common(p)
+    add_common(p, default_tol=matcore.GATE_TOL["solve-g"])
     p.set_defaults(func=cmd_solve_g)
 
     p = sub.add_parser("invariants",
                        help="characteristic-polynomial invariants of a state")
     p.add_argument("state")
-    add_common(p, default_tol=1e-10)
+    add_common(p, default_tol=matcore.ADMIT_TOL)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("sun-check", help="generator-algebra identity report")
@@ -368,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the random reconstruction trials")
     p.add_argument("--trials", type=int, default=10)
-    add_common(p)
+    add_common(p, default_tol=matcore.GATE_TOL["sun-check"])
     p.set_defaults(func=cmd_sun_check)
 
     return parser

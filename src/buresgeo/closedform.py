@@ -111,6 +111,12 @@ def werner_cross_term(p: float) -> np.ndarray:
                    + (1.0 - p) * _middle_projectors())
 
 
+def _check_orthogonal(v1: np.ndarray, v2: np.ndarray) -> None:
+    overlap = abs(np.vdot(v1, v2))
+    if not overlap <= matcore.ADMIT_TOL:
+        raise ValueError(f"states are not orthogonal: |<psi1|psi2>| = {overlap:.3e}")
+
+
 def orthogonal_mean_operator(psi1, psi2) -> np.ndarray:
     """Transport endpoint |psi1><psi2| + |psi2><psi1| for orthogonal pure states.
 
@@ -119,9 +125,7 @@ def orthogonal_mean_operator(psi1, psi2) -> np.ndarray:
     """
     v1 = np.asarray(psi1, dtype=np.complex128).reshape(-1)
     v2 = np.asarray(psi2, dtype=np.complex128).reshape(-1)
-    overlap = abs(np.vdot(v1, v2))
-    if overlap > 1e-10:
-        raise ValueError(f"states are not orthogonal: |<psi1|psi2>| = {overlap:.3e}")
+    _check_orthogonal(v1, v2)
     return np.outer(v1, v2.conj()) + np.outer(v2, v1.conj())
 
 
@@ -138,11 +142,9 @@ def orthogonal_pure_geodesic(psi1, psi2, s: float) -> tuple[np.ndarray, np.ndarr
     v2 = np.asarray(psi2, dtype=np.complex128).reshape(-1)
     for name, v in (("psi1", v1), ("psi2", v2)):
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= matcore.ADMIT_TOL:
             raise ValueError(f"{name} is not normalized: |{name}| = {norm!r}")
-    overlap = abs(np.vdot(v1, v2))
-    if overlap > 1e-10:
-        raise ValueError(f"states are not orthogonal: |<psi1|psi2>| = {overlap:.3e}")
+    _check_orthogonal(v1, v2)
     f, g = geodesy.transport_coefficients(s, np.pi / 2)
     a = f * v1 + g * v2
     return a, np.outer(a, a.conj())
@@ -168,11 +170,11 @@ def _as_bloch3(v, name: str) -> np.ndarray:
 def _direction(x: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
     """Unit vector along x; ill-defined directions fall back to y-hat or z-hat."""
     norm = float(np.linalg.norm(x))
-    if norm >= 1e-12:
+    if norm >= matcore.ROUNDOFF:
         return x / norm
     if fallback is not None:
         fnorm = float(np.linalg.norm(fallback))
-        if fnorm >= 1e-12:
+        if fnorm >= matcore.ROUNDOFF:
             return fallback / fnorm
     return np.array([0.0, 0.0, 1.0])
 
@@ -230,7 +232,7 @@ def qubit_tau(x, y) -> QubitTau:
     yn = float(np.linalg.norm(y))
     if xn >= 1.0:
         raise ValueError(f"|x| = {xn!r} must be below 1")
-    if yn > 1.0 + 1e-12:
+    if not yn <= 1.0 + matcore.ROUNDOFF:
         raise ValueError(f"|y| = {yn!r} must be at most 1")
     xhat = _direction(x, fallback=y)
     y_par = float(y @ xhat)
@@ -239,10 +241,14 @@ def qubit_tau(x, y) -> QubitTau:
     tau_vec = 0.25 * ((xn + y_par) * xhat + np.sqrt(1.0 - xn * xn) * y_perp)
     tnorm = float(np.linalg.norm(tau_vec))
     lam_minus = tau0 - tnorm
-    if lam_minus < -1e-12:
+    if not lam_minus >= -matcore.ROUNDOFF:
         raise ValueError(f"tau is not PSD: lambda_minus = {lam_minus!r}")
     return QubitTau(tau0=tau0, tau_vec=tau_vec,
                     lambda_plus=tau0 + tnorm, lambda_minus=max(lam_minus, 0.0))
+
+
+def _fidelity_from_tau(tau: QubitTau) -> float:
+    return float(min(np.sqrt(tau.lambda_plus) + np.sqrt(max(tau.lambda_minus, 0.0)), 1.0))
 
 
 def qubit_fidelity(x, y) -> float:
@@ -251,8 +257,7 @@ def qubit_fidelity(x, y) -> float:
     Equals sqrt(Tr[rho1 rho2] + 2 sqrt(det rho1 det rho2)) and matches the
     general spectral route.
     """
-    tau = qubit_tau(x, y)
-    return float(min(np.sqrt(tau.lambda_plus) + np.sqrt(max(tau.lambda_minus, 0.0)), 1.0))
+    return _fidelity_from_tau(qubit_tau(x, y))
 
 
 def _tau_eigenvector_bloch(tau: QubitTau) -> list[np.ndarray]:
@@ -265,8 +270,9 @@ def _tau_eigenvector_bloch(tau: QubitTau) -> list[np.ndarray]:
     """
     t1, t2, t3 = tau.tau_vec
     tnorm = float(np.linalg.norm(tau.tau_vec))
-    scale = max(tau.tau0, tnorm, 1e-300)
-    degenerate = tnorm <= 1e-14 * scale or min(tnorm + t3, tnorm - t3) <= 1e-14 * tnorm
+    scale = max(tau.tau0, tnorm, matcore.TINY)
+    degenerate = (tnorm <= matcore.EIGENVECTOR_CUT * scale
+                  or min(tnorm + t3, tnorm - t3) <= matcore.EIGENVECTOR_CUT * tnorm)
     if degenerate:
         mat = tau.tau0 * np.eye(2, dtype=np.complex128) + _dot_sigma(tau.tau_vec)
         dec = matcore.spectral_decompose(mat)
@@ -301,10 +307,9 @@ def qubit_orbit(x, y, s: float) -> np.ndarray:
     x = _as_bloch3(x, "x")
     y = _as_bloch3(y, "y")
     tau = qubit_tau(x, y)
-    sf = qubit_fidelity(x, y)
-    s_star = float(np.arccos(sf))
+    s_star = float(np.arccos(_fidelity_from_tau(tau)))
     f, g = geodesy.transport_coefficients(s, s_star)
-    if s_star < 1e-8:
+    if s_star < matcore.DEGENERATE_S_TOL:
         return x.copy()
     xn = float(np.linalg.norm(x))
     xhat = _direction(x, fallback=y)

@@ -26,13 +26,6 @@ import numpy as np
 
 from . import matcore, states
 
-DEGENERATE_S_TOL = 1e-8
-DEGENERATE_ENTRY_TOL = 1e-12
-ORTHOGONAL_COS_TOL = 1e-8
-SUPPORT_CLAMP = 1e-12
-SUPPORT_RESIDUAL_TOL = 1e-9
-RANGE_SLACK = 1e-12
-
 
 class GeodesicUndefinedError(ValueError):
     """The geodesic construction is not defined for the given endpoints."""
@@ -111,14 +104,14 @@ def bures(rho1, rho2) -> BuresSummary:
 def _phase_fixed_top_eigenvector(dec: matcore.SpectralDecomposition) -> np.ndarray:
     """Dominant eigenvector with its first nonzero component made real positive."""
     v = dec.eigenvectors[:, -1].copy()
-    idx = int(np.argmax(np.abs(v) > 1e-12))
+    idx = int(np.argmax(np.abs(v) > matcore.ROUNDOFF))
     phase = v[idx] / abs(v[idx])
     return v * phase.conj()
 
 
 def _rank(dec: matcore.SpectralDecomposition) -> int:
     w = dec.eigenvalues
-    return int(np.count_nonzero(w > SUPPORT_CLAMP * max(w[-1], 0.0)))
+    return int(np.count_nonzero(w > matcore.CLAMP * max(w[-1], 0.0)))
 
 
 def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
@@ -138,11 +131,11 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
     sf = 1.0 if np.array_equal(r1, r2) else float(min(max(float(sigma.sum()), 0.0), 1.0))
     s_star = float(np.arccos(sf))
 
-    if float(np.max(np.abs(r1 - r2))) <= DEGENERATE_ENTRY_TOL or s_star < DEGENERATE_S_TOL:
+    if float(np.max(np.abs(r1 - r2))) <= matcore.ROUNDOFF or s_star < matcore.DEGENERATE_S_TOL:
         return GeodesicPath(rho1=r1, rho2=r2, m_star=np.eye(len(r1), dtype=np.complex128),
                             s_star=0.0, degenerate=True)
 
-    if sf < ORTHOGONAL_COS_TOL:
+    if sf < matcore.ORTHOGONAL_COS_TOL:
         if _rank(dec1) == 1 and _rank(dec2) == 1:
             psi1 = _phase_fixed_top_eigenvector(dec1)
             psi2 = _phase_fixed_top_eigenvector(dec2)
@@ -153,12 +146,12 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
             "M singular at s*=pi/2: orthogonal mixed endpoints admit "
             "infinitely many geodesics; only the pure-pure case is constructed")
 
-    kept = dec1.eigenvalues > SUPPORT_CLAMP * float(dec1.eigenvalues[-1])
+    kept = dec1.eigenvalues > matcore.CLAMP * float(dec1.eigenvalues[-1])
     if not np.all(kept):
         v_sup = dec1.eigenvectors[:, kept]
         proj = v_sup @ v_sup.conj().T
         residual = float(np.max(np.abs(r2 - proj @ r2 @ proj)))
-        if residual > SUPPORT_RESIDUAL_TOL:
+        if not residual <= matcore.SUPPORT_RESIDUAL_TOL:
             raise GeodesicUndefinedError(
                 f"geodesic undefined through rank-deficient start: the final "
                 f"state leaks outside the initial support by {residual:.3e}")
@@ -174,10 +167,10 @@ def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
     """Coefficients f(s) = sin(s* - s)/sin(s*), g(s) = sin(s)/sin(s*) of M(s).
 
     f(0) = g(s*) = 1, f(s*) = g(0) = 0, and s* = 0 gives (1, 0). s is clamped
-    onto [0, s*] within RANGE_SLACK and refused farther out.
+    onto [0, s*] within matcore.ROUNDOFF and refused farther out, or when NaN.
     """
     s = float(s)
-    if s < -RANGE_SLACK or s > s_star + RANGE_SLACK:
+    if not -matcore.ROUNDOFF <= s <= s_star + matcore.ROUNDOFF:
         raise ValueError(f"s = {s!r} outside the geodesic range [0, {s_star!r}]")
     s = min(max(s, 0.0), s_star)
     sin_star = np.sin(s_star)
@@ -226,7 +219,7 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
     """
     a0m = a0.matrix if isinstance(a0, states.Purification) else matcore.as_complex_matrix(a0)
     defect = float(np.max(np.abs(a0m @ a0m.conj().T - path.rho1)))
-    if defect > states.PURIFICATION_TOL:
+    if not defect <= matcore.ADMIT_TOL:
         raise ValueError(
             f"purification does not project to the initial state: max entry "
             f"defect {defect:.3e}")
@@ -249,7 +242,7 @@ def hlc_residual(a, adot) -> float:
     return float(np.max(np.abs(k - k.conj().T)))
 
 
-def hubner_metric(rho, drho, clamp: float = SUPPORT_CLAMP) -> float:
+def hubner_metric(rho, drho) -> float:
     """Infinitesimal squared Bures distance (1/2) sum |<i|drho|j>|^2 / (l_i + l_j).
 
     Evaluated in the eigenbasis of rho by :func:`matcore.lyapunov_eigenbasis`,
@@ -262,13 +255,13 @@ def hubner_metric(rho, drho, clamp: float = SUPPORT_CLAMP) -> float:
     _check_same_dims(r, d)
     scale = max(float(np.max(np.abs(d))), 1.0)
     tr = float(np.trace(d).real)
-    if abs(tr) > 1e-10 * scale:
+    if not abs(tr) <= matcore.ADMIT_TOL * scale:
         raise ValueError(f"variation must be traceless: Tr[drho] = {tr!r}")
-    d_eig, x_eig = matcore.lyapunov_eigenbasis(dec, d, clamp)
+    d_eig, x_eig = matcore.lyapunov_eigenbasis(dec, d)
     return float(0.5 * np.vdot(d_eig, x_eig).real)
 
 
-def uhlmann_unitary(rho1, rho2, clamp: float = SUPPORT_CLAMP) -> np.ndarray:
+def uhlmann_unitary(rho1, rho2) -> np.ndarray:
     """The unitary U = sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2} rho2^{-1/2}.
 
     Both inputs must be invertible (full rank within the clamp). With
@@ -281,7 +274,7 @@ def uhlmann_unitary(rho1, rho2, clamp: float = SUPPORT_CLAMP) -> np.ndarray:
     r1, dec1, r2, dec2 = _decompose_pair(rho1, rho2)
     for name, dec in (("rho1", dec1), ("rho2", dec2)):
         w = dec.eigenvalues
-        if w[0] <= clamp * w[-1]:
+        if not w[0] > matcore.CLAMP * w[-1]:
             raise ValueError(
                 f"construction requires invertible inputs: {name} has "
                 f"min eigenvalue {w[0]:.3e}")

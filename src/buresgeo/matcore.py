@@ -6,10 +6,13 @@ functions of those matrices, and the polar absolute value |A| = sqrt(A A^dag).
 All functions are pure, operate on immutable inputs, and return fresh arrays,
 so they are safe for unrestricted concurrent use.
 
-Tolerance policy: eigenvalues within ``clamp * max|eigenvalue|`` of zero are
-treated as exact zeros before square roots or inverse powers are taken, so
-boundary (rank-deficient) states reached through roundoff behave like their
-idealized counterparts.
+Tolerance policy: every numerical threshold is named once, in the table
+below, which every module reads; the only per-call override is the admission
+tolerance of ``states.decompose_density``/``validate_density`` (the CLI
+``--tol``). Eigenvalues within ``CLAMP * max|eigenvalue|`` of zero count as
+exact zeros before square roots or inverse powers are taken, so boundary
+(rank-deficient) states reached through roundoff behave like their idealized
+counterparts. Every refusal is written so that a NaN measurement triggers it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,22 @@ from typing import Callable
 
 import numpy as np
 
-DEFAULT_CLAMP = 1e-12
-DEFAULT_HERMITICITY_TOL = 1e-10
+# One name per numerical decision.
+CLAMP = 1e-12                 # relative spectral zero: |l| <= CLAMP * max|l| counts as 0
+ADMIT_TOL = 1e-10             # invariants of outside input: Hermiticity, PSD, norms,
+                              # gauge, purification, orthogonality, traceless variation
+TRACE_TOL = 1e-12             # strict unit trace of a density matrix
+ROUNDOFF = 1e-12              # absolute slack: s range, identical entries, direction
+                              # and phase cuts, qubit tau's |y| <= 1 and l_minus >= 0
+DEGENERATE_S_TOL = 1e-8       # s* below this: identical endpoints, M(s) = I
+ORTHOGONAL_COS_TOL = 1e-8     # sqrt(F) below this: orthogonal endpoints, s* = pi/2
+SUPPORT_RESIDUAL_TOL = 1e-9   # rho2 leaking outside a rank-deficient rho1's support
+CONDITION_LIMIT = 1e12        # l_max / l_min beyond which the tangent solve is refused
+EIGENVECTOR_CUT = 1e-14       # relative cut of the closed-form qubit tau eigenvectors
+TINY = 1e-300                 # scale guard against dividing by an exact zero
+# Default ``--tol`` of the CLI gates, and the fixed sun-check reconstruction gate.
+GATE_TOL = {"werner-sweep": 1e-10, "qubit-orbit": 1e-9, "solve-g": 1e-8,
+            "sun-check": 1e-12, "reconstruction": 1e-9}
 
 
 class NotHermitianError(ValueError):
@@ -40,11 +57,11 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def require_hermitian(a, tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     """Validate Hermiticity and return the symmetrized matrix (H + H^dag)/2.
 
     Symmetrization absorbs the roundoff asymmetry accumulated by repeated
-    matrix products; an asymmetry larger than ``tol`` (relative to the
+    matrix products; an asymmetry larger than ``ADMIT_TOL`` (relative to the
     largest entry, with a floor of 1) is rejected, and so are NaN or inf
     entries, which make that scale itself non-finite.
     """
@@ -53,10 +70,10 @@ def require_hermitian(a, tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
     if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries (NaN or inf)")
     defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > tol * scale:
+    if not defect <= ADMIT_TOL * scale:
         raise NotHermitianError(
             f"matrix is not Hermitian: max |H - H^dagger| = {defect:.3e} "
-            f"exceeds tolerance {tol:.1e} (scale {scale:.3e})")
+            f"exceeds tolerance {ADMIT_TOL:.1e} (scale {scale:.3e})")
     return (m + m.conj().T) / 2
 
 
@@ -78,54 +95,50 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def spectral_decompose(h, tol: float = DEFAULT_HERMITICITY_TOL) -> SpectralDecomposition:
+def spectral_decompose(h) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with ascending eigenvalues.
 
-    ``h`` must be Hermitian within the positive tolerance ``tol``; other input
-    is rejected with the measured asymmetry in the message.
+    ``h`` must be Hermitian within ``ADMIT_TOL``; other input is rejected
+    with the measured asymmetry in the message.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    m = require_hermitian(h, tol)
+    m = require_hermitian(h)
     w, v = np.linalg.eigh(m)
     return SpectralDecomposition(w, v)
 
 
-def lyapunov_eigenbasis(dec: SpectralDecomposition, h,
-                        clamp: float = DEFAULT_CLAMP) -> tuple[np.ndarray, np.ndarray]:
+def lyapunov_eigenbasis(dec: SpectralDecomposition, h) -> tuple[np.ndarray, np.ndarray]:
     """Solve X rho + rho X = H in the eigenbasis of rho = V diag(l) V^dag.
 
     Returns (H', X'), H' = V^dag H V and X'_ij = H'_ij / (l_i + l_j), zero where
-    l_i + l_j <= clamp * l_max (off the support), so X = V X' V^dag. The Bures
+    l_i + l_j <= CLAMP * l_max (off the support), so X = V X' V^dag. The Bures
     metric (1/2) Tr[X H] and the tangent generator share this kernel.
     """
     lam, v = dec.eigenvalues, dec.eigenvectors
     h_eig = v.conj().T @ h @ v
     denom = lam[:, None] + lam[None, :]
-    keep = denom > clamp * float(lam[-1])
+    keep = denom > CLAMP * float(lam[-1])
     x_eig = np.zeros_like(h_eig)
     x_eig[keep] = h_eig[keep] / denom[keep]
     return h_eig, x_eig
 
 
-def spectral_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray],
-                      clamp: float = DEFAULT_CLAMP, *,
+def spectral_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], *,
                       nonnegative: bool = False,
                       support_only: bool = False) -> np.ndarray:
     """Apply a scalar function f to the spectrum of an existing decomposition.
 
     Returns V diag(f(w')) V^dag where w' are the eigenvalues after the clamp
-    policy: eigenvalues with |w| <= clamp * max|w| are snapped to exact zero.
+    policy: eigenvalues with |w| <= CLAMP * max|w| are snapped to exact zero.
     ``nonnegative`` is for square roots and other fractional powers:
-    eigenvalues below ``-clamp * max|w|`` are rejected, and small negatives
+    eigenvalues below ``-CLAMP * max|w|`` are rejected, and small negatives
     inside the band are treated as zero. ``support_only`` applies f only on
     the nonzero part of the spectrum and keeps exact zeros untouched, which
     gives pseudo-inverse semantics for inverse powers on rank-deficient input.
     """
     w = dec.eigenvalues.copy()
     scale = float(np.max(np.abs(w)))
-    threshold = clamp * scale
-    if nonnegative and w[0] < -threshold:
+    threshold = CLAMP * scale
+    if nonnegative and not w[0] >= -threshold:
         raise NotPositiveSemidefiniteError(
             f"not positive semidefinite: min eigenvalue {w[0]:.6e} is below "
             f"-{threshold:.1e}")
@@ -144,27 +157,26 @@ def spectral_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.n
     return (out + out.conj().T) / 2
 
 
-def hermitian_function(h, f: Callable[[np.ndarray], np.ndarray],
-                       clamp: float = DEFAULT_CLAMP, *,
+def hermitian_function(h, f: Callable[[np.ndarray], np.ndarray], *,
                        nonnegative: bool = False,
                        support_only: bool = False) -> np.ndarray:
     """Decompose a Hermitian matrix, then apply :func:`spectral_function`."""
-    return spectral_function(spectral_decompose(h), f, clamp,
+    return spectral_function(spectral_decompose(h), f,
                              nonnegative=nonnegative, support_only=support_only)
 
 
-def sqrtm_psd(h, clamp: float = DEFAULT_CLAMP) -> np.ndarray:
+def sqrtm_psd(h) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix."""
-    return hermitian_function(h, np.sqrt, clamp, nonnegative=True)
+    return hermitian_function(h, np.sqrt, nonnegative=True)
 
 
-def inv_sqrtm_psd(h, clamp: float = DEFAULT_CLAMP) -> np.ndarray:
+def inv_sqrtm_psd(h) -> np.ndarray:
     """Inverse square root on the support of a PSD matrix.
 
     Eigenvalues inside the clamp band count as exact zeros and stay zero,
     so rank-deficient input yields the pseudo-inverse square root.
     """
-    return hermitian_function(h, lambda w: 1.0 / np.sqrt(w), clamp,
+    return hermitian_function(h, lambda w: 1.0 / np.sqrt(w),
                               nonnegative=True, support_only=True)
 
 

@@ -15,12 +15,9 @@ import numpy as np
 
 from . import matcore, sun
 
-TRACE_TOL = 1e-12
-PSD_TOL = 1e-10
-PURIFICATION_TOL = 1e-10
 
-
-def decompose_density(rho, trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL
+def decompose_density(rho, trace_tol: float = matcore.TRACE_TOL,
+                      psd_tol: float = matcore.ADMIT_TOL
                       ) -> tuple[np.ndarray, matcore.SpectralDecomposition]:
     """Check the density-matrix invariants; return the symmetrized state and
     the eigendecomposition that decided positivity, for reuse by the caller.
@@ -30,17 +27,17 @@ def decompose_density(rho, trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TO
     """
     r = matcore.require_hermitian(rho)
     tr = float(np.trace(r).real)
-    if abs(tr - 1.0) > trace_tol:
+    if not abs(tr - 1.0) <= trace_tol:
         raise ValueError(f"not normalized: trace = {tr!r} differs from 1 "
                          f"by {abs(tr - 1.0):.3e}")
     w, v = np.linalg.eigh(r)
-    if w[0] < -psd_tol:
+    if not w[0] >= -psd_tol:
         raise ValueError(f"not a state: most negative eigenvalue {float(w[0]):.6e}")
     return r, matcore.SpectralDecomposition(w, v)
 
 
-def validate_density(rho, trace_tol: float = TRACE_TOL,
-                     psd_tol: float = PSD_TOL) -> np.ndarray:
+def validate_density(rho, trace_tol: float = matcore.TRACE_TOL,
+                     psd_tol: float = matcore.ADMIT_TOL) -> np.ndarray:
     """The symmetrized state checked by :func:`decompose_density`."""
     return decompose_density(rho, trace_tol, psd_tol)[0]
 
@@ -55,10 +52,15 @@ def snap_to_state(rho) -> np.ndarray:
     than the downstream clamp policy.
     """
     r = matcore.require_hermitian(rho)
-    w, v = np.linalg.eigh(r)
+    return snap_decomposed(r, matcore.SpectralDecomposition(*np.linalg.eigh(r)))
+
+
+def snap_decomposed(r: np.ndarray, dec: matcore.SpectralDecomposition) -> np.ndarray:
+    """:func:`snap_to_state` of the pair (r, dec) that :func:`decompose_density` returns."""
+    w, v = dec.eigenvalues, dec.eigenvectors
     tr = float(np.trace(r).real)
-    clipped = w[0] < -matcore.DEFAULT_CLAMP * max(float(w[-1]), 0.0)
-    if not clipped and abs(tr - 1.0) <= TRACE_TOL:
+    clipped = w[0] < -matcore.CLAMP * max(float(w[-1]), 0.0)
+    if not clipped and abs(tr - 1.0) <= matcore.TRACE_TOL:
         return r
     if clipped:
         r = (v * np.maximum(w, 0.0)) @ v.conj().T
@@ -78,7 +80,7 @@ def pure_density(psi) -> np.ndarray:
     """Rank-1 projector |psi><psi| for a unit vector psi."""
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= matcore.ADMIT_TOL:
         raise ValueError(f"state vector is not normalized: |psi| = {norm!r}")
     return np.outer(v, v.conj())
 
@@ -124,7 +126,7 @@ def density_from_bloch(x, basis: sun.GeneratorBasis) -> np.ndarray:
     tolerance band are snapped onto the cone.
     """
     rho = sun.expand(1.0, x, basis)
-    return snap_to_state(validate_density(rho, trace_tol=1e-10, psd_tol=PSD_TOL))
+    return snap_decomposed(*decompose_density(rho, trace_tol=matcore.ADMIT_TOL))
 
 
 def bloch_from_density(rho, basis: sun.GeneratorBasis) -> np.ndarray:
@@ -144,7 +146,7 @@ class Purification:
     def __post_init__(self):
         a = matcore.as_complex_matrix(self.matrix)
         defect = float(np.max(np.abs(a @ a.conj().T - self.target)))
-        if defect > PURIFICATION_TOL:
+        if not defect <= matcore.ADMIT_TOL:
             raise ValueError(
                 f"matrix does not purify the target state: max entry defect "
                 f"{defect:.3e}")
@@ -164,7 +166,7 @@ def canonical_purification(rho, gauge=None) -> Purification:
             raise ValueError(f"gauge shape {u.shape} does not match state "
                              f"shape {r.shape}")
         defect = float(np.max(np.abs(u.conj().T @ u - np.eye(r.shape[0]))))
-        if defect > 1e-10:
+        if not defect <= matcore.ADMIT_TOL:
             raise ValueError(f"gauge is not unitary: max |U^dag U - I| = {defect:.3e}")
         a = a @ u
     return Purification(matrix=a, target=r)
@@ -173,11 +175,7 @@ def canonical_purification(rho, gauge=None) -> Purification:
 def project(a) -> np.ndarray:
     """Projection pi(A) = A A^dagger, validated as a density matrix."""
     m = matcore.as_complex_matrix(a)
-    rho = m @ m.conj().T
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"not normalized: Tr[A A^dagger] = {tr!r}")
-    return validate_density(rho, trace_tol=1e-10)
+    return validate_density(m @ m.conj().T, trace_tol=matcore.ADMIT_TOL)
 
 
 def purification_vector(a) -> np.ndarray:

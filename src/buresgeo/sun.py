@@ -24,7 +24,6 @@ import numpy as np
 from . import matcore
 
 MAX_DIM = 16
-CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -151,23 +150,23 @@ class TangentGenerator:
     matrix: np.ndarray
 
 
-def solve_tangent_G(x, xdot, basis: GeneratorBasis,
-                    psd_tol: float = 1e-10) -> TangentGenerator:
+def solve_tangent_G(x, xdot, basis: GeneratorBasis) -> TangentGenerator:
     """Solve drho = G rho + rho G for G, with rho = expand(1, x).
 
     One eigendecomposition of rho feeds the kernel shared with the Bures
     metric, G_ij = drho_ij / (l_i + l_j) in the eigenbasis. This solves
     (I + X + D) g = (N/2) dx/dt without forming it; g0 = -(2/N) x . g. The
-    condition number of G -> G rho + rho G is l_max / l_min; beyond 1e12 (x
-    on or near the pure-state boundary) the solve is refused.
+    condition number of G -> G rho + rho G is l_max / l_min; beyond
+    ``matcore.CONDITION_LIMIT`` (x on or near the pure-state boundary) the
+    solve is refused.
     """
     x, xdot = _coordinates(basis, x, xdot)
     dec = matcore.spectral_decompose(expand(1.0, x, basis))
     lam = dec.eigenvalues
-    if lam[0] < -psd_tol:
+    if not lam[0] >= -matcore.ADMIT_TOL:
         raise ValueError(f"not a state: most negative eigenvalue {float(lam[0]):.6e}")
     cond = float(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
-    if cond > CONDITION_LIMIT:
+    if not cond <= matcore.CONDITION_LIMIT:
         raise ValueError(
             f"tangent system is singular beyond the conditioning threshold "
             f"(cond = {cond:.3e}); the state is on or beyond the boundary")
@@ -205,7 +204,7 @@ def hamiltonian_from_Y(y, x, basis: GeneratorBasis
     _, dy = coefficients((n / 2.0) * (xm @ ym + ym @ xm), basis)
     b = y - (2.0 / n) * x * (x @ y) + dy
     norm = float(np.linalg.norm(x))
-    if norm < 1e-12:
+    if norm < matcore.ROUNDOFF:
         return b, np.zeros_like(b), b
     xhat = x / norm
     b_par = (b @ xhat) * xhat

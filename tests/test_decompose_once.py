@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from buresgeo import geodesy, matcore, states, sun
+from buresgeo import cli, closedform, geodesy, matcore, states, sun
 from conftest import random_density, random_traceless_hermitian, random_unitary
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
@@ -60,6 +60,59 @@ def test_hubner_metric_decomposes_once(solver_counts):
 def test_canonical_purification_decomposes_once(solver_counts):
     states.canonical_purification(_pair()[0])
     assert solver_counts == {"eigh": 1, "eigvalsh": 0, "svd": 0}
+
+
+def _load_bloch(rho):
+    """(matrix admitted, loaded state) for the Bloch vector of rho."""
+    basis = sun.generator_basis(rho.shape[0])
+    _, x = sun.coefficients(rho, basis)
+    return sun.expand(1.0, x, basis), states.density_from_bloch(x, basis)
+
+
+def _load_json(rho):
+    return rho, cli.state_from_json(cli.state_to_json(rho), 1e-10)
+
+
+LOADERS = {"density_from_bloch": _load_bloch, "state_from_json": _load_json}
+BAND = np.diag([0.7, 0.3 + 5e-11, -5e-11]).astype(np.complex128)
+
+
+def _admitted_states():
+    """Strict states, and states inside the admission band: a negative
+    eigenvalue to clip (BAND, also rotated) and a trace to renormalize."""
+    rng = np.random.default_rng(101)
+    u = random_unitary(rng, 3)
+    out = [BAND, u @ BAND @ u.conj().T, np.diag([0.6, 0.4 + 5e-11]).astype(np.complex128)]
+    out += [random_density(rng, n, floor=fl) for n in (2, 3, 4, 8) for fl in (0.1, 1e-9)]
+    return out
+
+
+@pytest.mark.parametrize("load", sorted(LOADERS))
+def test_admission_decomposes_once(solver_counts, load):
+    LOADERS[load](BAND)
+    assert solver_counts == {"eigh": 1, "eigvalsh": 0, "svd": 0}
+
+
+@pytest.mark.parametrize("load", sorted(LOADERS))
+def test_admission_snaps_like_snap_to_state(load):
+    for rho in _admitted_states():
+        admitted, loaded = LOADERS[load](rho)
+        expected = states.snap_to_state(
+            states.validate_density(admitted, trace_tol=1e-10, psd_tol=1e-10))
+        assert np.array_equal(loaded, expected)
+
+
+def test_qubit_orbit_builds_tau_once(monkeypatch):
+    calls = []
+    qubit_tau = closedform.qubit_tau
+
+    def counted(x, y):
+        calls.append((x, y))
+        return qubit_tau(x, y)
+
+    monkeypatch.setattr(closedform, "qubit_tau", counted)
+    closedform.qubit_orbit([0.1, -0.2, 0.3], [-0.4, 0.1, 0.2], 0.1)
+    assert len(calls) == 1
 
 
 def test_decompose_density_matches_validate_density():

@@ -39,10 +39,6 @@ class TestSpectralDecompose:
         with pytest.raises(matcore.NotHermitianError, match="1.000e"):
             matcore.spectral_decompose(bad)
 
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError, match="positive"):
-            matcore.spectral_decompose(np.eye(2), tol=0.0)
-
 
 class TestHermitianFunction:
     def test_sqrt_identity(self):

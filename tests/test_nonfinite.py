@@ -1,13 +1,14 @@
 """NaN and infinite input is refused at the entry points with a named defect.
 
 Without the check a NaN entry slipped through every comparison (all are
-false for NaN) and surfaced later as an SVD that did not converge.
+false for NaN) and surfaced later as an SVD that did not converge. Each
+tolerance check is written so that a NaN measurement fails it.
 """
 
 import numpy as np
 import pytest
 
-from buresgeo import closedform, geodesy, matcore, states, sun
+from buresgeo import cli, closedform, geodesy, matcore, states, sun
 
 MIXED = states.maximally_mixed(2)
 
@@ -50,3 +51,49 @@ def test_qubit_closed_forms_name_the_vector(closed_form, value, name, position):
     extra = (0.1,) if closed_form == "qubit_orbit" else ()
     with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
         getattr(closedform, closed_form)(*vectors, *extra)
+
+
+PATH = geodesy.geometric_mean_operator(MIXED, states.pure_density([1.0, 0.0]))
+NAN_2X2 = np.full((2, 2), np.nan)
+
+NAN_ENTRY_POINTS = {
+    "transport_coefficients": lambda: geodesy.transport_coefficients(np.nan, 0.5),
+    "geodesic_point": lambda: geodesy.geodesic_point(PATH, np.nan),
+    "horizontal_lift_s": lambda: geodesy.horizontal_lift(
+        states.canonical_purification(MIXED), PATH, np.nan),
+    "horizontal_lift_a0": lambda: geodesy.horizontal_lift(NAN_2X2, PATH, 0.1),
+    "maxmixed_to_pure": lambda: closedform.maxmixed_to_pure(2, [1.0, 0.0], np.nan),
+    "orthogonal_pure_geodesic": lambda: closedform.orthogonal_pure_geodesic(
+        [1.0, 0.0], [0.0, 1.0], np.nan),
+    "qubit_orbit": lambda: closedform.qubit_orbit([0.1, 0.2, 0.1], [0.3, -0.1, 0.2], np.nan),
+    "pure_density": lambda: states.pure_density([np.nan, 0.0]),
+    "canonical_purification_gauge": lambda: states.canonical_purification(MIXED, gauge=NAN_2X2),
+    "Purification": lambda: states.Purification(matrix=NAN_2X2, target=MIXED),
+    "orthogonal_mean_operator": lambda: closedform.orthogonal_mean_operator(
+        [np.nan, 0.0], [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAN_ENTRY_POINTS))
+def test_tolerance_checks_fail_closed_on_nan(entry):
+    with pytest.raises(ValueError, match="nan"):
+        NAN_ENTRY_POINTS[entry]()
+
+
+@pytest.mark.parametrize("rho, kwargs, message", [
+    (np.diag([0.9, 0.6]), {"trace_tol": np.nan}, "not normalized"),
+    (np.diag([1.1, -0.1]), {"psd_tol": np.nan}, "not a state"),
+])
+def test_nan_admission_tolerance_refuses(rho, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        states.validate_density(rho, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["werner-sweep", "--steps", "3"],
+    ["qubit-orbit", "--x=0.1,-0.2,0.3", "--y=-0.4,0.1,0.2", "--samples", "3"],
+    ["solve-g", "--dim", "2", "--x", "0.1,0.2,0.3", "--xdot", "0.01,-0.02,0.03"],
+], ids=lambda argv: argv[0])
+def test_cli_gates_fail_closed_on_nan_tolerance(argv, capsys):
+    assert cli.main([*argv, "--tol", "nan"]) == cli.EXIT_GATE
+    assert "> nan" in capsys.readouterr().err

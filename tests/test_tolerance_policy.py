@@ -1,0 +1,70 @@
+"""Every numerical threshold of the package is named once, in matcore's table.
+
+The guard reads the syntax tree of each package module. A float literal
+small or large enough to be a tolerance (0 < |v| < 1e-3 or |v| > 1e6) may
+appear only in a module-level assignment of ``matcore``; no other module
+binds a float constant, or an alias of one, at module level; and no
+function takes a per-call tolerance except the admission tolerances of the
+density checks and the CLI loaders that pass ``--tol`` to them.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import buresgeo
+
+MODULES = sorted(pathlib.Path(buresgeo.__file__).parent.glob("*.py"))
+TOLERANCE_PARAMETERS = {("states", "decompose_density"), ("states", "validate_density"),
+                        ("cli", "state_from_json"), ("cli", "load_state"),
+                        ("cli", "add_common")}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _is_tolerance(value):
+    return isinstance(value, float) and (0.0 < abs(value) < 1e-3 or abs(value) > 1e6)
+
+
+def _module_assignments(tree):
+    return [stmt for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_tolerance_literal_outside_the_table(path):
+    tree = _tree(path)
+    table = set()
+    if path.stem == "matcore":
+        table = {id(node) for stmt in _module_assignments(tree) for node in ast.walk(stmt)}
+    found = [(node.lineno, node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and _is_tolerance(node.value)
+             and id(node) not in table]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "matcore"],
+                         ids=lambda p: p.stem)
+def test_no_other_module_defines_a_tolerance_constant(path):
+    found = []
+    for stmt in _module_assignments(_tree(path)):
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)) or \
+                    (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id == "matcore"):
+                found.append((stmt.lineno, ast.unparse(stmt)))
+    assert found == []
+
+
+def test_only_the_admission_checks_take_a_tolerance():
+    found = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if arg.arg in ("tol", "clamp") or arg.arg.endswith("_tol"):
+                        found.add((path.stem, node.name))
+    assert found == TOLERANCE_PARAMETERS
