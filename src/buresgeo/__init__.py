@@ -1,10 +1,10 @@
 """Bures geodesics between density matrices via the geometric-mean operator.
 
 The package computes Uhlmann fidelities, Bures distances and angles,
-geodesic interpolation between arbitrary full-rank mixed states, horizontal
-lifts of those geodesics through the purification bundle, the su(N)
-generator algebra with its tangent solvers, and oracle-gated closed forms
-for the standard worked families (maximally mixed to pure, three-qubit
+geodesic interpolation between mixed or pure states in the polar form,
+horizontal lifts of those geodesics through the purification bundle, the
+su(N) generator algebra with its tangent solvers, and oracle-gated closed
+forms for the standard worked families (maximally mixed to pure, three-qubit
 GHZ/W Werner mixtures, and general qubit endpoints).
 """
 

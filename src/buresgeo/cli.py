@@ -84,6 +84,14 @@ def _csv(header: list[str], rows: list[list[float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _admission_tol(text: str) -> float:
+    """argparse type of a state-loading ``--tol``: a finite number >= 0."""
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
+
+
 def _parse_vector(text: str, length: int, name: str) -> np.ndarray:
     try:
         vec = np.array([float(tok) for tok in text.split(",")])
@@ -308,10 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "geometric-mean transport operator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_tol):
+    # A gate --tol stays a plain float: a NaN gate fails closed with exit 3.
+    def add_common(p, default_tol, tol_type=_admission_tol):
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write output to FILE instead of stdout")
-        p.add_argument("--tol", type=float, default=default_tol,
+        p.add_argument("--tol", type=tol_type, default=default_tol,
                        help="validation / gate tolerance override")
 
     p = sub.add_parser("fidelity", help="root fidelity, Bures angle and distance")
@@ -332,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="GHZ/W Werner root-fidelity sweep over p")
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p, default_tol=matcore.GATE_TOL["werner-sweep"])
+    add_common(p, default_tol=matcore.GATE_TOL["werner-sweep"], tol_type=float)
     p.set_defaults(func=cmd_werner_sweep)
 
     p = sub.add_parser("qubit-orbit",
@@ -344,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="end Bloch vector a,b,c")
     p.add_argument("--samples", type=int, default=11)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p, default_tol=matcore.GATE_TOL["qubit-orbit"])
+    add_common(p, default_tol=matcore.GATE_TOL["qubit-orbit"], tol_type=float)
     p.set_defaults(func=cmd_qubit_orbit)
 
     p = sub.add_parser("solve-g", help="solve for the flow generator from (x, xdot)")
     p.add_argument("--dim", type=int, required=True, metavar="N")
     p.add_argument("--x", required=True, help="N^2-1 comma-separated coordinates")
     p.add_argument("--xdot", required=True, help="N^2-1 comma-separated rates")
-    add_common(p, default_tol=matcore.GATE_TOL["solve-g"])
+    add_common(p, default_tol=matcore.GATE_TOL["solve-g"], tol_type=float)
     p.set_defaults(func=cmd_solve_g)
 
     p = sub.add_parser("invariants",
@@ -365,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the random reconstruction trials")
     p.add_argument("--trials", type=int, default=10)
-    add_common(p, default_tol=matcore.GATE_TOL["sun-check"])
+    add_common(p, default_tol=matcore.GATE_TOL["sun-check"], tol_type=float)
     p.set_defaults(func=cmd_sun_check)
 
     return parser

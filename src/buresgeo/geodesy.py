@@ -1,21 +1,19 @@
 """Bures geodesics between density matrices via the geometric-mean operator.
 
-Given endpoints rho1 and rho2, the positive operator
+Each endpoint is decomposed once, and one SVD of B = sqrt(rho1) sqrt(rho2) =
+U S V^dag gives the root fidelity sqrt(F) = sum(S) and the gauge W = V U^dag
+that makes the purifications A1 = sqrt(rho1) and A2 = sqrt(rho2) W parallel,
+A1^dag A2 = U S U^dag >= 0 (Uhlmann's purification picture). The geodesic is
+the projection of the great circle through them,
 
-    M* = rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}
+    rho(s) = f(s)^2 rho1 + f(s) g(s) C + g(s)^2 rho2,   C = A1 A2^dag + A2 A1^dag,
 
-satisfies M* rho1 M* = rho2 and Tr[M* rho1] = sqrt(F), the Uhlmann root
-fidelity. Each endpoint is decomposed once, and one SVD of
-B = sqrt(rho1) sqrt(rho2) = U S V^dag gives both sqrt(F) = sum(S) and, since
-tau = rho1^{1/2} rho2 rho1^{1/2} = B B^dag, sqrt(tau) = U S U^dag. With the
-total arclength s* = arccos(sqrt(F)), the one-parameter family
-
-    M(s) = (sin(s* - s) I + sin(s) M*) / sin(s*)
-
-transports rho1 along the geodesic, rho(s) = M(s) rho1 M(s), and lifts any
-purification horizontally through the bundle, A(s) = M(s) A(0). The affine
-parameter s is always the Bures angle in radians, so the root fidelity from
-the start decays as cos(s) along the path.
+with f(s) = sin(s* - s)/sin(s*), g(s) = sin(s)/sin(s*) and the Bures angle
+s* = 2 arcsin(|A1 - A2|_F / 2); no inverse root is taken. The paper's operator
+M* solves M* rho1 + rho1 M* = C (for invertible rho1 it is
+rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}) and maps A1 to A2, so
+M(s) = f(s) I + g(s) M* gives rho(s) = M(s) rho1 M(s) and the horizontal lift
+A(s) = M(s) A(0). The root fidelity from the start decays as cos(s).
 """
 
 from __future__ import annotations
@@ -42,18 +40,19 @@ class BuresSummary:
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """Endpoints with the cached transport data for geodesic sampling.
+    """Endpoints with the cached data for geodesic sampling.
 
-    ``s_star`` is the total Bures angle. ``degenerate`` marks endpoints that
-    are identical within tolerance (the path is constant and M(s) = I);
-    ``orthogonal`` marks s* = pi/2 endpoints, where M* comes from the rank-1
-    construction for pure states. Instances are immutable and safe to share
-    across concurrent samplers.
+    ``s_star`` is the total Bures angle, ``cross`` the cross term C and
+    ``m_star`` the solution of M* rho1 + rho1 M* = C. ``degenerate`` marks
+    s* = 0 (a constant path); ``orthogonal`` marks orthogonal pure endpoints,
+    joined through the gauge A2 = |psi2><psi1|. Instances are immutable and
+    safe to share across concurrent samplers.
     """
 
     rho1: np.ndarray
     rho2: np.ndarray
     m_star: np.ndarray
+    cross: np.ndarray
     s_star: float
     degenerate: bool = False
     orthogonal: bool = False
@@ -114,53 +113,51 @@ def _rank(dec: matcore.SpectralDecomposition) -> int:
     return int(np.count_nonzero(w > matcore.CLAMP * max(w[-1], 0.0)))
 
 
-def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
-    """Construct the geodesic cache (M*, s*) for the given endpoints.
-
-    The start state may be rank deficient only if the support of rho2 lies
-    inside the support of rho1 (checked through the support-projector
-    residual); rho1^{-1/2} is then the pseudo-inverse root on the support.
-    Orthogonal endpoints (cos s* below tolerance) are admitted only when both
-    are pure: the transport operator is then |psi2><psi1| + |psi1><psi2| with
-    the vector phases fixed by making the first nonzero component of each
-    real positive. Orthogonal mixed endpoints are refused, since infinitely
-    many geodesics connect them and picking one silently would be arbitrary.
-    """
+def _polar_pair(rho1, rho2):
+    """Each endpoint decomposed once, its root, and the SVD of sqrt(rho1) sqrt(rho2)."""
     r1, dec1, r2, dec2 = _decompose_pair(rho1, rho2)
-    u, sigma, _ = np.linalg.svd(_sqrt(dec1) @ _sqrt(dec2))
-    sf = 1.0 if np.array_equal(r1, r2) else float(min(max(float(sigma.sum()), 0.0), 1.0))
-    s_star = float(np.arccos(sf))
+    sqrt1, sqrt2 = _sqrt(dec1), _sqrt(dec2)
+    return r1, dec1, sqrt1, r2, dec2, sqrt2, np.linalg.svd(sqrt1 @ sqrt2)
 
-    if float(np.max(np.abs(r1 - r2))) <= matcore.ROUNDOFF or s_star < matcore.DEGENERATE_S_TOL:
-        return GeodesicPath(rho1=r1, rho2=r2, m_star=np.eye(len(r1), dtype=np.complex128),
-                            s_star=0.0, degenerate=True)
 
-    if sf < matcore.ORTHOGONAL_COS_TOL:
-        if _rank(dec1) == 1 and _rank(dec2) == 1:
-            psi1 = _phase_fixed_top_eigenvector(dec1)
-            psi2 = _phase_fixed_top_eigenvector(dec2)
-            m = np.outer(psi2, psi1.conj()) + np.outer(psi1, psi2.conj())
-            return GeodesicPath(rho1=r1, rho2=r2, m_star=(m + m.conj().T) / 2,
-                                s_star=np.pi / 2, orthogonal=True)
+def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
+    """Construct the geodesic cache (M*, C, s*) for the given endpoints.
+
+    One rank rule admits a pair: rank B = rank rho2, the singular values of B
+    counted at CLAMP against their bound sqrt(l1_max l2_max). Then A2 vanishes
+    on the kernel of rho1 and M* exists, also for a singular rho1 whose
+    support is tilted against rho2's. Identical endpoints take W = I (s* = 0).
+    Orthogonal pure endpoints (rank B = 0) take the gauge A2 = |psi2><psi1|,
+    each vector's first nonzero component real positive, so that
+    M* = |psi1><psi2| + |psi2><psi1|. Other orthogonal endpoints admit
+    infinitely many geodesics and are refused, as is rank B < rank rho2.
+    """
+    r1, dec1, a1, r2, dec2, sqrt2, (u, sigma, vh) = _polar_pair(rho1, rho2)
+    scale = np.sqrt(dec1.eigenvalues[-1] * dec2.eigenvalues[-1])
+    rank_b, rank2 = int(np.count_nonzero(sigma > matcore.CLAMP * scale)), _rank(dec2)
+    orthogonal = rank_b == 0 and _rank(dec1) == rank2 == 1
+    if orthogonal:
+        a2 = np.outer(_phase_fixed_top_eigenvector(dec2),
+                      _phase_fixed_top_eigenvector(dec1).conj())
+    elif rank_b == 0:
         raise GeodesicUndefinedError(
             "M singular at s*=pi/2: orthogonal mixed endpoints admit "
             "infinitely many geodesics; only the pure-pure case is constructed")
-
-    kept = dec1.eigenvalues > matcore.CLAMP * float(dec1.eigenvalues[-1])
-    if not np.all(kept):
-        v_sup = dec1.eigenvectors[:, kept]
-        proj = v_sup @ v_sup.conj().T
-        residual = float(np.max(np.abs(r2 - proj @ r2 @ proj)))
-        if not residual <= matcore.SUPPORT_RESIDUAL_TOL:
-            raise GeodesicUndefinedError(
-                f"geodesic undefined through rank-deficient start: the final "
-                f"state leaks outside the initial support by {residual:.3e}")
-
-    inv_sqrt1 = matcore.spectral_function(dec1, lambda w: 1.0 / np.sqrt(w),
-                                          nonnegative=True, support_only=True)
-    m = inv_sqrt1 @ ((u * sigma) @ u.conj().T) @ inv_sqrt1
-    return GeodesicPath(rho1=r1, rho2=r2, m_star=(m + m.conj().T) / 2,
-                        s_star=s_star)
+    elif rank_b != rank2:
+        raise GeodesicUndefinedError(
+            f"geodesic undefined through rank-deficient start: sqrt(rho1) sqrt(rho2) "
+            f"has rank {rank_b} < rank rho2 = {rank2}, so no M* maps rho1 onto rho2")
+    else:
+        a2 = sqrt2 if np.array_equal(r1, r2) else sqrt2 @ (u @ vh).conj().T
+    half = a1 @ a2.conj().T
+    cross = half + half.conj().T
+    # The orthogonal gauge makes A1^dag A2 = 0, so |A1 - A2|_F = sqrt(2) exactly.
+    s_star = np.pi / 2 if orthogonal else 2.0 * float(np.arcsin(np.linalg.norm(a1 - a2) / 2.0))
+    _, m_eig = matcore.lyapunov_eigenbasis(dec1, cross)
+    v = dec1.eigenvectors
+    m = v @ m_eig @ v.conj().T
+    return GeodesicPath(rho1=r1, rho2=r2, m_star=(m + m.conj().T) / 2, cross=cross,
+                        s_star=s_star, degenerate=s_star == 0.0, orthogonal=orthogonal)
 
 
 def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
@@ -182,20 +179,16 @@ def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
 def transport_operator(path: GeodesicPath, s: float) -> np.ndarray:
     """Transport operator M(s) = f(s) I + g(s) M* on 0 <= s <= s*.
 
-    M(0) = I and M(s*) = M*; a degenerate path returns the identity.
+    M(0) = I and M(s*) = M*; on a degenerate path only s = 0 is in range.
     """
-    n = path.dim
-    if path.degenerate:
-        return np.eye(n, dtype=np.complex128)
     f, g = transport_coefficients(s, path.s_star)
-    return f * np.eye(n, dtype=np.complex128) + g * path.m_star
+    return f * np.eye(path.dim, dtype=np.complex128) + g * path.m_star
 
 
 def geodesic_point(path: GeodesicPath, s: float) -> np.ndarray:
-    """Intermediate state rho(s) = M(s) rho1 M(s)."""
-    m = transport_operator(path, s)
-    out = m @ path.rho1 @ m
-    return (out + out.conj().T) / 2
+    """Intermediate state rho(s) = f^2 rho1 + f g C + g^2 rho2, exactly rho2 at s*."""
+    f, g = transport_coefficients(s, path.s_star)
+    return (f * f) * path.rho1 + (f * g) * path.cross + (g * g) * path.rho2
 
 
 def initial_tangent(path: GeodesicPath) -> np.ndarray:
@@ -264,19 +257,16 @@ def hubner_metric(rho, drho) -> float:
 def uhlmann_unitary(rho1, rho2) -> np.ndarray:
     """The unitary U = sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2} rho2^{-1/2}.
 
-    Both inputs must be invertible (full rank within the clamp). With
-    sqrt(rho1) sqrt(rho2) = W S V^dag, sqrt(tau) = W S W^dag and
-    rho1^{-1/2} rho2^{-1/2} = W S^{-1} V^dag, so U is the polar factor W V^dag.
-    U satisfies U^dag U = U U^dag = I and Tr[U sqrt(rho2) sqrt(rho1)] equals
-    the root fidelity, which exhibits the optimal relative gauge between the
-    two canonical purifications.
+    Both inputs must be invertible (full rank within the clamp). U is the polar
+    factor L R^dag of sqrt(rho1) sqrt(rho2) = L S R^dag, the adjoint of the gauge
+    of :func:`geometric_mean_operator`: it is unitary, and
+    Tr[U sqrt(rho2) sqrt(rho1)] equals the root fidelity.
     """
-    r1, dec1, r2, dec2 = _decompose_pair(rho1, rho2)
+    _, dec1, _, _, dec2, _, (left, _, right_h) = _polar_pair(rho1, rho2)
     for name, dec in (("rho1", dec1), ("rho2", dec2)):
         w = dec.eigenvalues
         if not w[0] > matcore.CLAMP * w[-1]:
             raise ValueError(
                 f"construction requires invertible inputs: {name} has "
                 f"min eigenvalue {w[0]:.3e}")
-    left, _, right_h = np.linalg.svd(_sqrt(dec1) @ _sqrt(dec2))
     return left @ right_h

@@ -28,11 +28,9 @@ CLAMP = 1e-12                 # relative spectral zero: |l| <= CLAMP * max|l| co
 ADMIT_TOL = 1e-10             # invariants of outside input: Hermiticity, PSD, norms,
                               # gauge, purification, orthogonality, traceless variation
 TRACE_TOL = 1e-12             # strict unit trace of a density matrix
-ROUNDOFF = 1e-12              # absolute slack: s range, identical entries, direction
-                              # and phase cuts, qubit tau's |y| <= 1 and l_minus >= 0
-DEGENERATE_S_TOL = 1e-8       # s* below this: identical endpoints, M(s) = I
-ORTHOGONAL_COS_TOL = 1e-8     # sqrt(F) below this: orthogonal endpoints, s* = pi/2
-SUPPORT_RESIDUAL_TOL = 1e-9   # rho2 leaking outside a rank-deficient rho1's support
+ROUNDOFF = 1e-12              # absolute slack: s range, direction and phase cuts,
+                              # qubit tau's |y| <= 1 and l_minus >= 0
+DEGENERATE_S_TOL = 1e-8       # s* below this: closed-form qubit orbit stays at x
 CONDITION_LIMIT = 1e12        # l_max / l_min beyond which the tangent solve is refused
 EIGENVECTOR_CUT = 1e-14       # relative cut of the closed-form qubit tau eigenvectors
 TINY = 1e-300                 # scale guard against dividing by an exact zero

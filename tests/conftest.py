@@ -2,8 +2,8 @@
 
 All randomness is seeded per test through numpy Generators so the suite is
 deterministic. Full-rank ensembles mix in a fraction of the maximally mixed
-state; the spectral floor keeps the inverse roots well conditioned, matching
-the full-rank assumption of the geodesic construction.
+state as a spectral floor; ``conditioned_density`` fixes the conditioning
+instead.
 """
 
 from __future__ import annotations
@@ -25,6 +25,16 @@ def random_density(rng: np.random.Generator, n: int, floor: float = 0.0) -> np.n
     rho /= np.trace(rho).real
     if floor:
         rho = (1.0 - floor) * rho + floor * np.eye(n) / n
+    return (rho + rho.conj().T) / 2
+
+
+def conditioned_density(rng: np.random.Generator, n: int, ratio: float) -> np.ndarray:
+    """Random state whose spectrum has lambda_min / lambda_max = ratio."""
+    w = np.sort(rng.uniform(size=n))
+    w = ratio + (1.0 - ratio) * (w - w[0]) / (w[-1] - w[0])
+    w /= w.sum()
+    u = random_unitary(rng, n)
+    rho = (u * w) @ u.conj().T
     return (rho + rho.conj().T) / 2
 
 

@@ -55,6 +55,17 @@ class TestFidelity:
         assert code == 2
         assert "not normalized" in err
 
+    @pytest.mark.parametrize("command", ["fidelity", "geodesic", "invariants"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_admission_tol_exits_2(self, state_file, capsys, command, tol):
+        f = state_file("mm.json", states.maximally_mixed(2))
+        files = [f] if command == "invariants" else [f, f]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *files, f"--tol={tol}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tol" in err and "not normalized" not in err
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"dim\": 2}")

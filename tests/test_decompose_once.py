@@ -1,9 +1,10 @@
 """Each entry point decomposes each input state once.
 
 One ``eigh`` per endpoint and one SVD of B = sqrt(rho1) sqrt(rho2) = U S V^dag
-give sqrt(F) = sum(S) and sqrt(tau) = U S U^dag, since tau = B B^dag. The
-counts are pinned by wrapping ``numpy.linalg`` inside each test only, and the
-SVD route is held against the textbook operator
+give sqrt(F) = sum(S), the gauge of the geodesic and the gauge unitary, and
+sampling a built path takes no eigensolve at all. The counts are pinned by
+wrapping ``numpy.linalg`` inside each test only, and the polar route is held
+against the textbook operator
 
     M* = rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}
 
@@ -48,6 +49,16 @@ def test_pair_entry_points_decompose_each_state_once(solver_counts, entry, expec
     rho1, rho2 = _pair()
     getattr(geodesy, entry)(rho1, rho2)
     assert solver_counts == expected
+
+
+@pytest.mark.parametrize("entry", ["geodesic_point", "transport_operator", "horizontal_lift"])
+def test_sampling_a_built_path_takes_no_eigensolve(solver_counts, entry):
+    rho1, rho2 = _pair()
+    path = geodesy.geometric_mean_operator(rho1, rho2)
+    args = (states.canonical_purification(rho1),) if entry == "horizontal_lift" else ()
+    solver_counts.update(dict.fromkeys(solver_counts, 0))
+    getattr(geodesy, entry)(*args, path, path.s_star / 3)
+    assert solver_counts == {"eigh": 0, "eigvalsh": 0, "svd": 0}
 
 
 def test_hubner_metric_decomposes_once(solver_counts):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from buresgeo import closedform, geodesy, matcore, states, sun
-from conftest import (random_density, random_hermitian, random_state_vector,
-                      random_traceless_hermitian, random_unitary)
+from conftest import (conditioned_density, random_density, random_hermitian,
+                      random_state_vector, random_traceless_hermitian, random_unitary)
 
 
 def tau_trace_fidelity(r1, r2):
@@ -135,6 +135,59 @@ class TestGeometricMeanOperator:
         assert np.max(np.abs(path.m_star - expected)) < 1e-14
         assert np.max(np.abs(path.m_star @ g @ path.m_star - w)) < 1e-14
 
+    @staticmethod
+    def assert_geodesic(path, r1, r2, tol):
+        """Endpoint rho(s*) = rho2, M* rho1 M* = rho2, and the cos laws along s."""
+        assert np.max(np.abs(geodesy.geodesic_point(path, path.s_star) - r2)) < 1e-14
+        assert np.max(np.abs(path.m_star @ r1 @ path.m_star - r2)) < tol
+        for s in np.linspace(0, path.s_star, 7):
+            rho_s = geodesy.geodesic_point(path, s)
+            assert abs(geodesy.root_fidelity(r1, rho_s) - np.cos(s)) < 1e-9
+            assert abs(geodesy.root_fidelity(rho_s, r2) - np.cos(path.s_star - s)) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_non_orthogonal_pure_endpoints(self, n):
+        # Rank B = 1 = rank rho2: admitted, although rho1's support does not
+        # contain rho2's. The angle is the Fubini-Study angle.
+        rng = np.random.default_rng(60 + n)
+        psi1, psi2 = random_state_vector(rng, n), random_state_vector(rng, n)
+        p1, p2 = states.pure_density(psi1), states.pure_density(psi2)
+        path = geodesy.geometric_mean_operator(p1, p2)
+        assert abs(path.s_star - np.arccos(abs(np.vdot(psi1, psi2)))) < 1e-12
+        self.assert_geodesic(path, p1, p2, 1e-12)
+
+    def test_tilted_rank_deficient_supports(self):
+        # Two rank-2 states of C^4 on planes in general position: rank B = 2.
+        rng = np.random.default_rng(64)
+        r1, r2 = (u[:, :2] @ random_density(rng, 2, floor=0.2) @ u[:, :2].conj().T
+                  for u in (random_unitary(rng, 4), random_unitary(rng, 4)))
+        path = geodesy.geometric_mean_operator(r1, r2)
+        assert abs(np.cos(path.s_star) - geodesy.root_fidelity(r1, r2)) < 1e-12
+        self.assert_geodesic(path, r1, r2, 1e-10)
+
+    def test_ill_conditioned_start(self):
+        # lambda_min / lambda_max = 1e-6 at the start, N = 8.
+        for k in range(32):
+            rng = np.random.default_rng([65, k])
+            r1, r2 = conditioned_density(rng, 8, 1e-6), random_density(rng, 8, floor=0.1)
+            path = geodesy.geometric_mean_operator(r1, r2)
+            mid = geodesy.geodesic_point(path, path.s_star / 2)
+            assert abs(np.trace(mid).real - 1.0) <= 1e-12
+            assert abs(geodesy.root_fidelity(r1, mid) - np.cos(path.s_star / 2)) <= 1e-9
+            assert np.max(np.abs(geodesy.geodesic_point(path, path.s_star) - r2)) <= 1e-10
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-9])
+    def test_nearby_endpoints_length_matches_metric(self, eps):
+        # s* = sqrt(ds^2) to first order in |drho|_F = eps.
+        rng = np.random.default_rng(66)
+        for _ in range(5):
+            rho = random_density(rng, 4, floor=0.1)
+            drho = random_traceless_hermitian(rng, 4, norm=eps)
+            path = geodesy.geometric_mean_operator(rho, rho + drho)
+            expected = eps * np.sqrt(geodesy.hubner_metric(rho, drho / eps))
+            assert not path.degenerate
+            assert abs(path.s_star / expected - 1.0) < 1e-6
+
     def test_orthogonal_mixed_endpoints_refused(self):
         r1 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         r2 = np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex)
@@ -204,6 +257,16 @@ class TestTransportAndGeodesic:
                                    np.eye(3), atol=1e-15)
         np.testing.assert_allclose(geodesy.geodesic_point(path, 0.0), rho,
                                    atol=1e-15)
+
+    @pytest.mark.parametrize("s", [np.nan, 5.0, -0.1])
+    def test_degenerate_path_refuses_s_out_of_range(self, s):
+        rho = states.maximally_mixed(2)
+        path = geodesy.geometric_mean_operator(rho, rho)
+        a0 = states.canonical_purification(rho)
+        with pytest.raises(ValueError, match="outside the geodesic range"):
+            geodesy.geodesic_point(path, s)
+        with pytest.raises(ValueError, match="outside the geodesic range"):
+            geodesy.horizontal_lift(a0, path, s)
 
     def test_geodesic_endpoints(self):
         rng = np.random.default_rng(34)

@@ -5,17 +5,21 @@ small or large enough to be a tolerance (0 < |v| < 1e-3 or |v| > 1e6) may
 appear only in a module-level assignment of ``matcore``; no other module
 binds a float constant, or an alias of one, at module level; and no
 function takes a per-call tolerance except the admission tolerances of the
-density checks and the CLI loaders that pass ``--tol`` to them.
+density checks and the CLI loaders that pass ``--tol`` to them. Every name of
+the table governs a decision somewhere, and the README's tolerance table
+lists exactly the table's names.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 import buresgeo
 
 MODULES = sorted(pathlib.Path(buresgeo.__file__).parent.glob("*.py"))
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 TOLERANCE_PARAMETERS = {("states", "decompose_density"), ("states", "validate_density"),
                         ("cli", "state_from_json"), ("cli", "load_state"),
                         ("cli", "add_common")}
@@ -68,3 +72,28 @@ def test_only_the_admission_checks_take_a_tolerance():
                     if arg.arg in ("tol", "clamp") or arg.arg.endswith("_tol"):
                         found.add((path.stem, node.name))
     assert found == TOLERANCE_PARAMETERS
+
+
+def _table_names():
+    matcore = next(p for p in MODULES if p.stem == "matcore")
+    return {node.id for stmt in _module_assignments(_tree(matcore)) for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
+def test_every_table_name_is_read():
+    read = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "matcore":
+                read.add(node.attr)
+            elif path.stem == "matcore" and isinstance(node, ast.Name) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+    assert _table_names() - read == set()
+
+
+def test_readme_table_matches_the_table():
+    section = README.read_text(encoding="utf-8").split("## Tolerance policy", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M)) == _table_names()
