@@ -14,15 +14,23 @@ M* solves M* rho1 + rho1 M* = C (for invertible rho1 it is
 rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}) and maps A1 to A2, so
 M(s) = f(s) I + g(s) M* gives rho(s) = M(s) rho1 M(s) and the horizontal lift
 A(s) = M(s) A(0). The root fidelity from the start decays as cos(s).
+
+Endpoints are read as memoised ``states.State`` values, and a second LRU memo
+of fixed size ``PAIR_MEMO_SIZE``, keyed on the pair of States, keeps the SVD
+of B with its parallel root A2, so one pair costs one SVD across ``bures``,
+``geometric_mean_operator`` and ``uhlmann_unitary``. Its arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore, states
+
+PAIR_MEMO_SIZE = 16           # polar pairs of memoised States one process keeps
 
 
 class GeodesicUndefinedError(ValueError):
@@ -45,8 +53,9 @@ class GeodesicPath:
     ``s_star`` is the total Bures angle, ``cross`` the cross term C and
     ``m_star`` the solution of M* rho1 + rho1 M* = C. ``degenerate`` marks
     s* = 0 (a constant path); ``orthogonal`` marks orthogonal pure endpoints,
-    joined through the gauge A2 = |psi2><psi1|. Instances are immutable and
-    safe to share across concurrent samplers.
+    joined through the gauge A2 = |psi2><psi1|. Construction marks the arrays
+    read-only, so instances are immutable and safe to share across concurrent
+    samplers.
     """
 
     rho1: np.ndarray
@@ -56,6 +65,10 @@ class GeodesicPath:
     s_star: float
     degenerate: bool = False
     orthogonal: bool = False
+
+    def __post_init__(self):
+        for a in (self.rho1, self.rho2, self.m_star, self.cross):
+            a.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -67,14 +80,44 @@ def _check_same_dims(r1: np.ndarray, r2: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {r1.shape} vs {r2.shape}")
 
 
-def _decompose_pair(rho1, rho2):
-    (r1, dec1), (r2, dec2) = states.decompose_density(rho1), states.decompose_density(rho2)
-    _check_same_dims(r1, r2)
-    return r1, dec1, r2, dec2
+def _admit_pair(rho1, rho2) -> tuple[states.State, states.State]:
+    st1, st2 = states.admit(rho1), states.admit(rho2)
+    _check_same_dims(st1.matrix, st2.matrix)
+    return st1, st2
 
 
-def _sqrt(dec: matcore.SpectralDecomposition) -> np.ndarray:
-    return matcore.spectral_function(dec, np.sqrt, nonnegative=True)
+@dataclass(frozen=True, eq=False)
+class _PolarPair:
+    """The SVD sqrt(rho1) sqrt(rho2) = U S V^dag of a pair, rank B (the singular
+    values counted at CLAMP against their bound sqrt(l1_max l2_max)), the
+    parallel root A2 = sqrt(rho2) V U^dag (W = I for identical endpoints) and
+    the distance |A1 - A2|_F to A1 = sqrt(rho1). Construction marks the arrays
+    read-only."""
+
+    u: np.ndarray
+    sigma: np.ndarray
+    vh: np.ndarray
+    rank: int
+    a2: np.ndarray
+    distance: float
+
+    def __post_init__(self):
+        for a in (self.u, self.sigma, self.vh, self.a2):
+            a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=PAIR_MEMO_SIZE)
+def _polar_pair(st1: states.State, st2: states.State) -> _PolarPair:
+    """The polar data of a pair of memoised States, kept per pair (keyed by identity)."""
+    u, sigma, vh = np.linalg.svd(st1.sqrt @ st2.sqrt)
+    scale = np.sqrt(st1.dec.eigenvalues[-1] * st2.dec.eigenvalues[-1])
+    a2 = st2.sqrt if np.array_equal(st1.matrix, st2.matrix) else st2.sqrt @ (u @ vh).conj().T
+    return _PolarPair(u, sigma, vh, int(np.count_nonzero(sigma > matcore.CLAMP * scale)),
+                      a2, float(np.linalg.norm(st1.sqrt - a2)))
+
+
+def _unit(x) -> float:
+    return float(min(max(float(x), 0.0), 1.0))
 
 
 def root_fidelity(rho1, rho2) -> float:
@@ -85,19 +128,32 @@ def root_fidelity(rho1, rho2) -> float:
     endpoints give exactly 1 and states with orthogonal supports give
     exactly 0. The result is clamped to [0, 1].
     """
-    r1, dec1, r2, dec2 = _decompose_pair(rho1, rho2)
-    if np.array_equal(r1, r2):
+    st1, st2 = _admit_pair(rho1, rho2)
+    if np.array_equal(st1.matrix, st2.matrix):
         return 1.0
-    sigma = np.linalg.svd(_sqrt(dec1) @ _sqrt(dec2), compute_uv=False)
-    return float(min(max(float(sigma.sum()), 0.0), 1.0))
+    return _unit(np.linalg.svd(st1.sqrt @ st2.sqrt, compute_uv=False).sum())
 
 
 def bures(rho1, rho2) -> BuresSummary:
-    """Root fidelity, Bures angle arccos(sqrt F), and distance sqrt(2 - 2 sqrt F)."""
-    sf = root_fidelity(rho1, rho2)
-    return BuresSummary(root_fidelity=sf,
-                        bures_angle=float(np.arccos(sf)),
-                        bures_distance=float(np.sqrt(max(2.0 - 2.0 * sf, 0.0))))
+    """Root fidelity sum(S) with the Bures distance and angle of the parallel purifications.
+
+    The distance is d = |A1 - A2|_F with A1 = sqrt(rho1) and A2 = sqrt(rho2) V U^dag,
+    the angle 2 arcsin(d/2), the s* of :func:`geometric_mean_operator`. Unlike
+    arccos(sqrt F) and sqrt(2 - 2 sqrt F) they keep their digits for nearby
+    endpoints. Identical endpoints give (1, 0, 0), and orthogonal supports
+    (rank B = 0) give the angle pi/2 and the distance sqrt(2).
+    """
+    st1, st2 = _admit_pair(rho1, rho2)
+    if np.array_equal(st1.matrix, st2.matrix):
+        return BuresSummary(root_fidelity=1.0, bures_angle=0.0, bures_distance=0.0)
+    polar = _polar_pair(st1, st2)
+    if polar.rank == 0:
+        angle, distance = np.pi / 2, float(np.sqrt(2.0))
+    else:
+        distance = polar.distance
+        angle = 2.0 * float(np.arcsin(distance / 2.0))
+    return BuresSummary(root_fidelity=_unit(polar.sigma.sum()), bures_angle=angle,
+                        bures_distance=distance)
 
 
 def _phase_fixed_top_eigenvector(dec: matcore.SpectralDecomposition) -> np.ndarray:
@@ -113,13 +169,6 @@ def _rank(dec: matcore.SpectralDecomposition) -> int:
     return int(np.count_nonzero(w > matcore.CLAMP * max(w[-1], 0.0)))
 
 
-def _polar_pair(rho1, rho2):
-    """Each endpoint decomposed once, its root, and the SVD of sqrt(rho1) sqrt(rho2)."""
-    r1, dec1, r2, dec2 = _decompose_pair(rho1, rho2)
-    sqrt1, sqrt2 = _sqrt(dec1), _sqrt(dec2)
-    return r1, dec1, sqrt1, r2, dec2, sqrt2, np.linalg.svd(sqrt1 @ sqrt2)
-
-
 def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
     """Construct the geodesic cache (M*, C, s*) for the given endpoints.
 
@@ -132,13 +181,13 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
     M* = |psi1><psi2| + |psi2><psi1|. Other orthogonal endpoints admit
     infinitely many geodesics and are refused, as is rank B < rank rho2.
     """
-    r1, dec1, a1, r2, dec2, sqrt2, (u, sigma, vh) = _polar_pair(rho1, rho2)
-    scale = np.sqrt(dec1.eigenvalues[-1] * dec2.eigenvalues[-1])
-    rank_b, rank2 = int(np.count_nonzero(sigma > matcore.CLAMP * scale)), _rank(dec2)
-    orthogonal = rank_b == 0 and _rank(dec1) == rank2 == 1
+    st1, st2 = _admit_pair(rho1, rho2)
+    polar = _polar_pair(st1, st2)
+    rank_b, rank2 = polar.rank, _rank(st2.dec)
+    orthogonal = rank_b == 0 and _rank(st1.dec) == rank2 == 1
     if orthogonal:
-        a2 = np.outer(_phase_fixed_top_eigenvector(dec2),
-                      _phase_fixed_top_eigenvector(dec1).conj())
+        a2 = np.outer(_phase_fixed_top_eigenvector(st2.dec),
+                      _phase_fixed_top_eigenvector(st1.dec).conj())
     elif rank_b == 0:
         raise GeodesicUndefinedError(
             "M singular at s*=pi/2: orthogonal mixed endpoints admit "
@@ -148,16 +197,17 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
             f"geodesic undefined through rank-deficient start: sqrt(rho1) sqrt(rho2) "
             f"has rank {rank_b} < rank rho2 = {rank2}, so no M* maps rho1 onto rho2")
     else:
-        a2 = sqrt2 if np.array_equal(r1, r2) else sqrt2 @ (u @ vh).conj().T
-    half = a1 @ a2.conj().T
+        a2 = polar.a2
+    half = st1.sqrt @ a2.conj().T
     cross = half + half.conj().T
     # The orthogonal gauge makes A1^dag A2 = 0, so |A1 - A2|_F = sqrt(2) exactly.
-    s_star = np.pi / 2 if orthogonal else 2.0 * float(np.arcsin(np.linalg.norm(a1 - a2) / 2.0))
-    _, m_eig = matcore.lyapunov_eigenbasis(dec1, cross)
-    v = dec1.eigenvectors
+    s_star = np.pi / 2 if orthogonal else 2.0 * float(np.arcsin(polar.distance / 2.0))
+    _, m_eig = matcore.lyapunov_eigenbasis(st1.dec, cross)
+    v = st1.dec.eigenvectors
     m = v @ m_eig @ v.conj().T
-    return GeodesicPath(rho1=r1, rho2=r2, m_star=(m + m.conj().T) / 2, cross=cross,
-                        s_star=s_star, degenerate=s_star == 0.0, orthogonal=orthogonal)
+    return GeodesicPath(rho1=st1.matrix, rho2=st2.matrix, m_star=(m + m.conj().T) / 2,
+                        cross=cross, s_star=s_star, degenerate=s_star == 0.0,
+                        orthogonal=orthogonal)
 
 
 def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
@@ -243,14 +293,14 @@ def hubner_metric(rho, drho) -> float:
     eigenvalue pairs with l_i + l_j below the clamp are skipped, which
     restricts the sum to the support. The variation must be traceless.
     """
-    r, dec = states.decompose_density(rho)
+    st = states.admit(rho)
     d = matcore.require_hermitian(drho)
-    _check_same_dims(r, d)
+    _check_same_dims(st.matrix, d)
     scale = max(float(np.max(np.abs(d))), 1.0)
     tr = float(np.trace(d).real)
     if not abs(tr) <= matcore.ADMIT_TOL * scale:
         raise ValueError(f"variation must be traceless: Tr[drho] = {tr!r}")
-    d_eig, x_eig = matcore.lyapunov_eigenbasis(dec, d)
+    d_eig, x_eig = matcore.lyapunov_eigenbasis(st.dec, d)
     return float(0.5 * np.vdot(d_eig, x_eig).real)
 
 
@@ -262,11 +312,12 @@ def uhlmann_unitary(rho1, rho2) -> np.ndarray:
     of :func:`geometric_mean_operator`: it is unitary, and
     Tr[U sqrt(rho2) sqrt(rho1)] equals the root fidelity.
     """
-    _, dec1, _, _, dec2, _, (left, _, right_h) = _polar_pair(rho1, rho2)
-    for name, dec in (("rho1", dec1), ("rho2", dec2)):
-        w = dec.eigenvalues
+    st1, st2 = _admit_pair(rho1, rho2)
+    polar = _polar_pair(st1, st2)
+    for name, st in (("rho1", st1), ("rho2", st2)):
+        w = st.dec.eigenvalues
         if not w[0] > matcore.CLAMP * w[-1]:
             raise ValueError(
                 f"construction requires invertible inputs: {name} has "
                 f"min eigenvalue {w[0]:.3e}")
-    return left @ right_h
+    return polar.u @ polar.vh

@@ -3,8 +3,9 @@
 Everything downstream (fidelities, transport operators, metric evaluations)
 reduces to spectral decompositions of small Hermitian matrices, spectral
 functions of those matrices, and the polar absolute value |A| = sqrt(A A^dag).
-All functions are pure, operate on immutable inputs, and return fresh arrays,
-so they are safe for unrestricted concurrent use.
+All functions are pure, never write to their inputs, and return fresh arrays,
+so they are safe for unrestricted concurrent use. The memos of ``states`` and
+``geodesy`` keep some of those arrays and share them read-only.
 
 Tolerance policy: every numerical threshold is named once, in the table
 below, which every module reads; the only per-call override is the admission
@@ -64,15 +65,16 @@ def require_hermitian(a) -> np.ndarray:
     entries, which make that scale itself non-finite.
     """
     m = as_complex_matrix(a)
-    scale = max(float(np.max(np.abs(m))), 1.0)
+    scale = max(float(np.abs(m).max()), 1.0)
     if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries (NaN or inf)")
-    defect = float(np.max(np.abs(m - m.conj().T)))
+    mh = m.conj().T
+    defect = float(np.abs(m - mh).max())
     if not defect <= ADMIT_TOL * scale:
         raise NotHermitianError(
             f"matrix is not Hermitian: max |H - H^dagger| = {defect:.3e} "
             f"exceeds tolerance {ADMIT_TOL:.1e} (scale {scale:.3e})")
-    return (m + m.conj().T) / 2
+    return (m + mh) / 2
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def spectral_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.n
     gives pseudo-inverse semantics for inverse powers on rank-deficient input.
     """
     w = dec.eigenvalues.copy()
-    scale = float(np.max(np.abs(w)))
+    scale = float(np.abs(w).max())
     threshold = CLAMP * scale
     if nonnegative and not w[0] >= -threshold:
         raise NotPositiveSemidefiniteError(

@@ -5,15 +5,70 @@ Hermitian, unit trace, and positive semidefinite within tolerance. A
 purification is a square matrix A with A A^dag = rho; the projection back to
 the state is pi(A) = A A^dag and is invariant under the gauge freedom
 A -> A U for unitary U.
+
+Each distinct state is decomposed once per process. :func:`admit` and the
+density checks look the input up in a bounded LRU memo of :class:`State`
+values, keyed on the exact complex128 bytes and shape of the matrix, so a
+caller that changes an array in place is looked up afresh. The memo holds
+only what depends on the content alone (the Hermiticity check, the trace and
+the ``eigh``); the trace and PSD tolerance checks run again on every call
+against the cached values, so no refusal and no tolerance is memoised. Its
+size is the fixed ``STATE_MEMO_SIZE``. The arrays it hands out are shared and
+read-only. Concurrent callers are safe: when two threads miss on one matrix
+at once, both decompose it, with bit-identical results.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore, sun
+
+STATE_MEMO_SIZE = 32          # distinct decomposed states one process keeps
+
+
+@dataclass(frozen=True, eq=False)
+class State:
+    """A Hermitian matrix decomposed once: the symmetrized ``matrix``, its
+    ``trace`` and eigendecomposition ``dec``, and ``sqrt``, its principal
+    square root under the clamp policy, computed on first use.
+
+    Instances come from the memo of :func:`admit`. Construction marks the
+    arrays read-only; equality and hashing go by identity.
+    """
+
+    matrix: np.ndarray
+    trace: float
+    dec: matcore.SpectralDecomposition
+
+    def __post_init__(self):
+        for a in (self.matrix, self.dec.eigenvalues, self.dec.eigenvectors):
+            a.flags.writeable = False
+
+    @functools.cached_property
+    def sqrt(self) -> np.ndarray:
+        a = matcore.spectral_function(self.dec, np.sqrt, nonnegative=True)
+        a.flags.writeable = False
+        return a
+
+
+@functools.lru_cache(maxsize=STATE_MEMO_SIZE)
+def _decompose(data: bytes, shape: tuple[int, int]) -> State:
+    """The State of the matrix with the given complex128 bytes; a refusal
+    raises and so is not cached."""
+    r = matcore.require_hermitian(np.frombuffer(data, dtype=np.complex128).reshape(shape))
+    w, v = np.linalg.eigh(r)
+    return State(r, float(np.trace(r).real), matcore.SpectralDecomposition(w, v))
+
+
+def _state(rho) -> State:
+    if isinstance(rho, State):
+        return rho
+    m = matcore.as_complex_matrix(rho)
+    return _decompose(m.tobytes(), m.shape)
 
 
 def decompose_density(rho, trace_tol: float = matcore.TRACE_TOL,
@@ -23,23 +78,31 @@ def decompose_density(rho, trace_tol: float = matcore.TRACE_TOL,
     the eigendecomposition that decided positivity, for reuse by the caller.
 
     Rejects non-Hermitian input, a trace away from 1 by more than
-    ``trace_tol``, or an eigenvalue below ``-psd_tol``.
+    ``trace_tol``, or an eigenvalue below ``-psd_tol``. Both arrays are the
+    read-only ones of the memoised :class:`State`.
     """
-    r = matcore.require_hermitian(rho)
-    tr = float(np.trace(r).real)
-    if not abs(tr - 1.0) <= trace_tol:
-        raise ValueError(f"not normalized: trace = {tr!r} differs from 1 "
-                         f"by {abs(tr - 1.0):.3e}")
-    w, v = np.linalg.eigh(r)
+    st = _state(rho)
+    if not abs(st.trace - 1.0) <= trace_tol:
+        raise ValueError(f"not normalized: trace = {st.trace!r} differs from 1 "
+                         f"by {abs(st.trace - 1.0):.3e}")
+    w = st.dec.eigenvalues
     if not w[0] >= -psd_tol:
         raise ValueError(f"not a state: most negative eigenvalue {float(w[0]):.6e}")
-    return r, matcore.SpectralDecomposition(w, v)
+    return st.matrix, st.dec
 
 
 def validate_density(rho, trace_tol: float = matcore.TRACE_TOL,
                      psd_tol: float = matcore.ADMIT_TOL) -> np.ndarray:
-    """The symmetrized state checked by :func:`decompose_density`."""
+    """The symmetrized state checked by :func:`decompose_density`, read-only."""
     return decompose_density(rho, trace_tol, psd_tol)[0]
+
+
+def admit(rho) -> State:
+    """The memoised :class:`State` of a density matrix, checked by
+    :func:`decompose_density` at the default tolerances."""
+    st = _state(rho)
+    decompose_density(st)
+    return st
 
 
 def snap_to_state(rho) -> np.ndarray:
@@ -47,12 +110,12 @@ def snap_to_state(rho) -> np.ndarray:
 
     Eigenvalues below the spectral-function clamp are clipped to zero and the
     trace is renormalized; input that already satisfies the strict invariants
-    is returned unchanged, bit for bit. Meant for loosely validated entry
-    points (user Bloch vectors, files), where admission is more forgiving
-    than the downstream clamp policy.
+    is returned unchanged, bit for bit, as the memo's read-only array. Meant
+    for loosely validated entry points (user Bloch vectors, files), where
+    admission is more forgiving than the downstream clamp policy.
     """
-    r = matcore.require_hermitian(rho)
-    return snap_decomposed(r, matcore.SpectralDecomposition(*np.linalg.eigh(r)))
+    st = _state(rho)
+    return snap_decomposed(st.matrix, st.dec)
 
 
 def snap_decomposed(r: np.ndarray, dec: matcore.SpectralDecomposition) -> np.ndarray:
@@ -158,8 +221,8 @@ def canonical_purification(rho, gauge=None) -> Purification:
     The gauge must be unitary within tolerance; every gauge choice projects
     back to the same state.
     """
-    r, dec = decompose_density(rho)
-    a = matcore.spectral_function(dec, np.sqrt, nonnegative=True)
+    st = admit(rho)
+    r, a = st.matrix, st.sqrt
     if gauge is not None:
         u = matcore.as_complex_matrix(gauge)
         if u.shape != r.shape:

@@ -3,12 +3,33 @@
 All randomness is seeded per test through numpy Generators so the suite is
 deterministic. Full-rank ensembles mix in a fraction of the maximally mixed
 state as a spectral floor; ``conditioned_density`` fixes the conditioning
-instead.
+instead. ``solver_counts`` counts the eigensolves a test makes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
+
+from buresgeo import geodesy, states
+
+
+@pytest.fixture
+def solver_counts(monkeypatch):
+    """Calls of numpy.linalg eigh/eigvalsh/svd made during the test, which
+    starts with the state and polar-pair memos empty, so counts are cold."""
+    states._decompose.cache_clear()
+    geodesy._polar_pair.cache_clear()
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

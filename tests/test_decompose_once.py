@@ -3,7 +3,8 @@
 One ``eigh`` per endpoint and one SVD of B = sqrt(rho1) sqrt(rho2) = U S V^dag
 give sqrt(F) = sum(S), the gauge of the geodesic and the gauge unitary, and
 sampling a built path takes no eigensolve at all. The counts are pinned by
-wrapping ``numpy.linalg`` inside each test only, and the polar route is held
+the ``solver_counts`` fixture of conftest, cold (both memos emptied) unless a
+test warms them on purpose, and the polar route is held
 against the textbook operator
 
     M* = rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}
@@ -21,20 +22,6 @@ from conftest import random_density, random_traceless_hermitian, random_unitary
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 
 
-@pytest.fixture
-def solver_counts(monkeypatch):
-    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
-    for name in counts:
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
 def _pair(n=8):
     rng = np.random.default_rng(97)
     return random_density(rng, n, floor=0.1), random_density(rng, n, floor=0.1)
@@ -44,6 +31,7 @@ def _pair(n=8):
     ("geometric_mean_operator", {"eigh": 2, "eigvalsh": 0, "svd": 1}),
     ("root_fidelity", {"eigh": 2, "eigvalsh": 0, "svd": 1}),
     ("uhlmann_unitary", {"eigh": 2, "eigvalsh": 0, "svd": 1}),
+    ("bures", {"eigh": 2, "eigvalsh": 0, "svd": 1}),
 ])
 def test_pair_entry_points_decompose_each_state_once(solver_counts, entry, expected):
     rho1, rho2 = _pair()
@@ -59,6 +47,30 @@ def test_sampling_a_built_path_takes_no_eigensolve(solver_counts, entry):
     solver_counts.update(dict.fromkeys(solver_counts, 0))
     getattr(geodesy, entry)(*args, path, path.s_star / 3)
     assert solver_counts == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+
+def test_bures_and_mean_operator_share_one_polar_pair(solver_counts):
+    rho1, rho2 = _pair()
+    geodesy.bures(rho1, rho2)
+    geodesy.geometric_mean_operator(rho1, rho2)
+    assert solver_counts == {"eigh": 2, "eigvalsh": 0, "svd": 1}
+
+
+def test_fidelity_along_a_built_path_decomposes_only_the_point(solver_counts):
+    path = geodesy.geometric_mean_operator(*_pair())
+    mid = geodesy.geodesic_point(path, path.s_star / 2)
+    solver_counts.update(dict.fromkeys(solver_counts, 0))
+    geodesy.root_fidelity(path.rho1, mid)
+    assert solver_counts == {"eigh": 1, "eigvalsh": 0, "svd": 1}
+
+
+def test_pair_op_sequence_decomposes_each_distinct_state_once(solver_counts):
+    # The geodesic-pairs benchmark op: 3 distinct states and 1 distinct pair.
+    rho1, rho2 = _pair()
+    geodesy.bures(rho1, rho2)
+    path = geodesy.geometric_mean_operator(rho1, rho2)
+    geodesy.root_fidelity(rho1, geodesy.geodesic_point(path, path.s_star / 2))
+    assert solver_counts == {"eigh": 3, "eigvalsh": 0, "svd": 2}
 
 
 def test_hubner_metric_decomposes_once(solver_counts):

@@ -7,10 +7,18 @@ from conftest import (conditioned_density, random_density, random_hermitian,
 
 
 def tau_trace_fidelity(r1, r2):
-    """Independent fidelity route: eigenvalues of sqrt(r1) r2 sqrt(r1)."""
+    """Independent fidelity route: eigenvalues of sqrt(r1) r2 sqrt(r1), those
+    within the clamp band snapped to zero before the square root."""
     s1 = matcore.sqrtm_psd(r1)
     w = np.linalg.eigvalsh((s1 @ r2 @ s1))
+    w[np.abs(w) <= matcore.CLAMP * np.max(np.abs(w))] = 0.0
     return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
+
+
+def tilted_rank2_pair(rng):
+    """Two rank-2 states of C^4 on planes in general position."""
+    return tuple(u[:, :2] @ random_density(rng, 2, floor=0.2) @ u[:, :2].conj().T
+                 for u in (random_unitary(rng, 4), random_unitary(rng, 4)))
 
 
 class TestRootFidelity:
@@ -39,6 +47,11 @@ class TestRootFidelity:
                 r2 = random_density(rng, n)
                 sf = geodesy.root_fidelity(r1, r2)
                 assert abs(sf - tau_trace_fidelity(r1, r2)) < 1e-12
+
+    def test_tau_route_on_rank_deficient_pair(self):
+        # tau = sqrt(r1) r2 sqrt(r1) has two roundoff eigenvalues of ~1e-17.
+        r1, r2 = tilted_rank2_pair(np.random.default_rng(64))
+        assert abs(geodesy.root_fidelity(r1, r2) - tau_trace_fidelity(r1, r2)) < 1e-12
 
     def test_symmetric_under_swap(self):
         rng = np.random.default_rng(23)
@@ -77,6 +90,20 @@ class TestBures:
             summary = geodesy.bures(random_density(rng, 4), random_density(rng, 4))
             assert abs(summary.bures_distance ** 2
                        - (2.0 - 2.0 * summary.root_fidelity)) < 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-9])
+    def test_nearby_endpoints_match_metric_and_path(self, eps):
+        # Angle and distance = sqrt(ds^2) to first order in |drho|_F = eps,
+        # and the angle is the s* of the geodesic.
+        rng = np.random.default_rng(67)
+        for _ in range(5):
+            rho = random_density(rng, 4, floor=0.1)
+            drho = random_traceless_hermitian(rng, 4, norm=eps)
+            summary = geodesy.bures(rho, rho + drho)
+            expected = eps * np.sqrt(geodesy.hubner_metric(rho, drho / eps))
+            assert abs(summary.bures_angle / expected - 1.0) < 1e-6
+            assert abs(summary.bures_distance / expected - 1.0) < 1e-6
+            assert summary.bures_angle == geodesy.geometric_mean_operator(rho, rho + drho).s_star
 
 
 class TestGeometricMeanOperator:
@@ -158,9 +185,7 @@ class TestGeometricMeanOperator:
 
     def test_tilted_rank_deficient_supports(self):
         # Two rank-2 states of C^4 on planes in general position: rank B = 2.
-        rng = np.random.default_rng(64)
-        r1, r2 = (u[:, :2] @ random_density(rng, 2, floor=0.2) @ u[:, :2].conj().T
-                  for u in (random_unitary(rng, 4), random_unitary(rng, 4)))
+        r1, r2 = tilted_rank2_pair(np.random.default_rng(64))
         path = geodesy.geometric_mean_operator(r1, r2)
         assert abs(np.cos(path.s_star) - geodesy.root_fidelity(r1, r2)) < 1e-12
         self.assert_geodesic(path, r1, r2, 1e-10)
