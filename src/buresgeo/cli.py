@@ -57,8 +57,7 @@ def state_from_json(data: dict, tol: float) -> np.ndarray:
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"re/im arrays must be {dim}x{dim}, got {re.shape} "
                          f"and {im.shape}")
-    return states.snap_decomposed(
-        *states.decompose_density(re + 1j * im, trace_tol=tol, psd_tol=tol))
+    return states.snap_to_state(states.admit(re + 1j * im, trace_tol=tol, psd_tol=tol))
 
 
 def load_state(path: str, tol: float) -> np.ndarray:
@@ -118,12 +117,11 @@ def _geodesic_rows(path: geodesy.GeodesicPath, samples: int):
     rows = []
     for s in np.linspace(0.0, path.s_star, samples):
         rho_s = geodesy.geodesic_point(path, s)
-        eigs = np.linalg.eigvalsh(rho_s)
         row = {"s": float(s),
                "root_fidelity_to_start": geodesy.root_fidelity(path.rho1, rho_s),
                "trace": float(np.trace(rho_s).real),
                "purity": float(np.trace(rho_s @ rho_s).real),
-               "eigenvalues": [float(v) for v in eigs]}
+               "eigenvalues": [float(v) for v in states.admit(rho_s).dec.eigenvalues]}
         if basis2 is not None:
             _, bloch = sun.coefficients(rho_s, basis2)
             row["bloch"] = [float(v) for v in bloch]
@@ -238,11 +236,10 @@ def cmd_solve_g(args) -> int:
 def cmd_invariants(args) -> int:
     rho = load_state(args.state, args.tol)
     inv = sun.characteristic_invariants(rho)
-    eigs = np.linalg.eigvalsh(rho)
     payload = {"dim": int(rho.shape[0]),
                "trace": float(np.trace(rho).real),
                "purity": float(np.trace(rho @ rho).real),
-               "eigenvalues": [float(v) for v in eigs],
+               "eigenvalues": [float(v) for v in states.admit(rho).dec.eigenvalues],
                "invariants": [float(v) for v in inv]}
     _emit(json.dumps(payload) + "\n", args.out)
     return EXIT_OK

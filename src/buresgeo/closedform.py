@@ -303,14 +303,23 @@ def qubit_orbit(x, y, s: float) -> np.ndarray:
     must reduce to sum_i sqrt(lambda_i)(I + w_i.sigma); see ERRATA. The
     transport pipeline in :mod:`buresgeo.geodesy` is the authority this
     formula is gated against.
+
+    The angle s* = arctan2(sqrt(1 - F), sqrt(F)) takes
+
+        1 - F = (|y - x|^2 - |x cross (y - x)|^2)
+                / (2 (1 - x.y + sqrt((1 - |x|^2)(1 - |y|^2)))),
+
+    which has no cancellation, so nearby endpoints keep the digits that
+    arccos(sqrt F) loses.
     """
     x = _as_bloch3(x, "x")
     y = _as_bloch3(y, "y")
     tau = qubit_tau(x, y)
-    s_star = float(np.arccos(_fidelity_from_tau(tau)))
+    d = y - x
+    one_minus_f = (d @ d - np.sum(np.cross(x, d) ** 2)) / (
+        2.0 * (1.0 - x @ y + np.sqrt(max((1.0 - x @ x) * (1.0 - y @ y), 0.0))))
+    s_star = float(np.arctan2(np.sqrt(max(one_minus_f, 0.0)), _fidelity_from_tau(tau)))
     f, g = geodesy.transport_coefficients(s, s_star)
-    if s_star < matcore.DEGENERATE_S_TOL:
-        return x.copy()
     xn = float(np.linalg.norm(x))
     xhat = _direction(x, fallback=y)
     stretch = 1.0 / np.sqrt(1.0 - xn * xn)

@@ -16,9 +16,12 @@ M(s) = f(s) I + g(s) M* gives rho(s) = M(s) rho1 M(s) and the horizontal lift
 A(s) = M(s) A(0). The root fidelity from the start decays as cos(s).
 
 Endpoints are read as memoised ``states.State`` values, and a second LRU memo
-of fixed size ``PAIR_MEMO_SIZE``, keyed on the pair of States, keeps the SVD
-of B with its parallel root A2, so one pair costs one SVD across ``bures``,
-``geometric_mean_operator`` and ``uhlmann_unitary``. Its arrays are read-only.
+of fixed size ``PAIR_MEMO_SIZE``, keyed on the pair of States, keeps the polar
+data of B: the gauge, rank B, the parallel root A2 and the pair's Bures
+values, with the exact ones of identical endpoints (1, 0, 0) and of
+orthogonal supports (rank B = 0: angle pi/2, distance sqrt(2)) decided there
+once. So one pair costs one SVD across ``bures``, ``geometric_mean_operator``
+and ``uhlmann_unitary``. Its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -51,11 +54,10 @@ class GeodesicPath:
     """Endpoints with the cached data for geodesic sampling.
 
     ``s_star`` is the total Bures angle, ``cross`` the cross term C and
-    ``m_star`` the solution of M* rho1 + rho1 M* = C. ``degenerate`` marks
-    s* = 0 (a constant path); ``orthogonal`` marks orthogonal pure endpoints,
-    joined through the gauge A2 = |psi2><psi1|. Construction marks the arrays
-    read-only, so instances are immutable and safe to share across concurrent
-    samplers.
+    ``m_star`` the solution of M* rho1 + rho1 M* = C. ``orthogonal`` marks
+    orthogonal pure endpoints, joined through the gauge A2 = |psi2><psi1|.
+    Construction marks the arrays read-only, so instances are immutable and
+    safe to share across concurrent samplers.
     """
 
     rho1: np.ndarray
@@ -63,12 +65,16 @@ class GeodesicPath:
     m_star: np.ndarray
     cross: np.ndarray
     s_star: float
-    degenerate: bool = False
     orthogonal: bool = False
 
     def __post_init__(self):
         for a in (self.rho1, self.rho2, self.m_star, self.cross):
             a.flags.writeable = False
+
+    @property
+    def degenerate(self) -> bool:
+        """s* = 0: a constant path."""
+        return self.s_star == 0.0
 
     @property
     def dim(self) -> int:
@@ -86,23 +92,25 @@ def _admit_pair(rho1, rho2) -> tuple[states.State, states.State]:
     return st1, st2
 
 
+def _unit(x) -> float:
+    return float(min(max(float(x), 0.0), 1.0))
+
+
 @dataclass(frozen=True, eq=False)
 class _PolarPair:
-    """The SVD sqrt(rho1) sqrt(rho2) = U S V^dag of a pair, rank B (the singular
-    values counted at CLAMP against their bound sqrt(l1_max l2_max)), the
-    parallel root A2 = sqrt(rho2) V U^dag (W = I for identical endpoints) and
-    the distance |A1 - A2|_F to A1 = sqrt(rho1). Construction marks the arrays
-    read-only."""
+    """Of the SVD sqrt(rho1) sqrt(rho2) = U S V^dag of a pair: the gauge U V^dag,
+    rank B (the singular values counted at CLAMP against their bound
+    sqrt(l1_max l2_max)), the parallel root A2 = sqrt(rho2) V U^dag (W = I for
+    identical endpoints) and the pair's :class:`BuresSummary`. Construction
+    marks the arrays read-only."""
 
-    u: np.ndarray
-    sigma: np.ndarray
-    vh: np.ndarray
+    gauge: np.ndarray
     rank: int
     a2: np.ndarray
-    distance: float
+    summary: BuresSummary
 
     def __post_init__(self):
-        for a in (self.u, self.sigma, self.vh, self.a2):
+        for a in (self.gauge, self.a2):
             a.flags.writeable = False
 
 
@@ -110,14 +118,18 @@ class _PolarPair:
 def _polar_pair(st1: states.State, st2: states.State) -> _PolarPair:
     """The polar data of a pair of memoised States, kept per pair (keyed by identity)."""
     u, sigma, vh = np.linalg.svd(st1.sqrt @ st2.sqrt)
+    gauge = u @ vh
     scale = np.sqrt(st1.dec.eigenvalues[-1] * st2.dec.eigenvalues[-1])
-    a2 = st2.sqrt if np.array_equal(st1.matrix, st2.matrix) else st2.sqrt @ (u @ vh).conj().T
-    return _PolarPair(u, sigma, vh, int(np.count_nonzero(sigma > matcore.CLAMP * scale)),
-                      a2, float(np.linalg.norm(st1.sqrt - a2)))
-
-
-def _unit(x) -> float:
-    return float(min(max(float(x), 0.0), 1.0))
+    rank = int(np.count_nonzero(sigma > matcore.CLAMP * scale))
+    if np.array_equal(st1.matrix, st2.matrix):
+        return _PolarPair(gauge, rank, st2.sqrt, BuresSummary(1.0, 0.0, 0.0))
+    a2 = st2.sqrt @ gauge.conj().T
+    if rank == 0:
+        angle, distance = np.pi / 2, float(np.sqrt(2.0))
+    else:
+        distance = float(np.linalg.norm(st1.sqrt - a2))
+        angle = 2.0 * float(np.arcsin(distance / 2.0))
+    return _PolarPair(gauge, rank, a2, BuresSummary(_unit(sigma.sum()), angle, distance))
 
 
 def root_fidelity(rho1, rho2) -> float:
@@ -143,17 +155,7 @@ def bures(rho1, rho2) -> BuresSummary:
     endpoints. Identical endpoints give (1, 0, 0), and orthogonal supports
     (rank B = 0) give the angle pi/2 and the distance sqrt(2).
     """
-    st1, st2 = _admit_pair(rho1, rho2)
-    if np.array_equal(st1.matrix, st2.matrix):
-        return BuresSummary(root_fidelity=1.0, bures_angle=0.0, bures_distance=0.0)
-    polar = _polar_pair(st1, st2)
-    if polar.rank == 0:
-        angle, distance = np.pi / 2, float(np.sqrt(2.0))
-    else:
-        distance = polar.distance
-        angle = 2.0 * float(np.arcsin(distance / 2.0))
-    return BuresSummary(root_fidelity=_unit(polar.sigma.sum()), bures_angle=angle,
-                        bures_distance=distance)
+    return _polar_pair(*_admit_pair(rho1, rho2)).summary
 
 
 def _phase_fixed_top_eigenvector(dec: matcore.SpectralDecomposition) -> np.ndarray:
@@ -162,11 +164,6 @@ def _phase_fixed_top_eigenvector(dec: matcore.SpectralDecomposition) -> np.ndarr
     idx = int(np.argmax(np.abs(v) > matcore.ROUNDOFF))
     phase = v[idx] / abs(v[idx])
     return v * phase.conj()
-
-
-def _rank(dec: matcore.SpectralDecomposition) -> int:
-    w = dec.eigenvalues
-    return int(np.count_nonzero(w > matcore.CLAMP * max(w[-1], 0.0)))
 
 
 def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
@@ -183,8 +180,8 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
     """
     st1, st2 = _admit_pair(rho1, rho2)
     polar = _polar_pair(st1, st2)
-    rank_b, rank2 = polar.rank, _rank(st2.dec)
-    orthogonal = rank_b == 0 and _rank(st1.dec) == rank2 == 1
+    rank_b, rank2 = polar.rank, st2.rank
+    orthogonal = rank_b == 0 and st1.rank == rank2 == 1
     if orthogonal:
         a2 = np.outer(_phase_fixed_top_eigenvector(st2.dec),
                       _phase_fixed_top_eigenvector(st1.dec).conj())
@@ -200,14 +197,11 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
         a2 = polar.a2
     half = st1.sqrt @ a2.conj().T
     cross = half + half.conj().T
-    # The orthogonal gauge makes A1^dag A2 = 0, so |A1 - A2|_F = sqrt(2) exactly.
-    s_star = np.pi / 2 if orthogonal else 2.0 * float(np.arcsin(polar.distance / 2.0))
     _, m_eig = matcore.lyapunov_eigenbasis(st1.dec, cross)
     v = st1.dec.eigenvectors
     m = v @ m_eig @ v.conj().T
     return GeodesicPath(rho1=st1.matrix, rho2=st2.matrix, m_star=(m + m.conj().T) / 2,
-                        cross=cross, s_star=s_star, degenerate=s_star == 0.0,
-                        orthogonal=orthogonal)
+                        cross=cross, s_star=polar.summary.bures_angle, orthogonal=orthogonal)
 
 
 def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
@@ -313,11 +307,9 @@ def uhlmann_unitary(rho1, rho2) -> np.ndarray:
     Tr[U sqrt(rho2) sqrt(rho1)] equals the root fidelity.
     """
     st1, st2 = _admit_pair(rho1, rho2)
-    polar = _polar_pair(st1, st2)
     for name, st in (("rho1", st1), ("rho2", st2)):
-        w = st.dec.eigenvalues
-        if not w[0] > matcore.CLAMP * w[-1]:
+        if st.rank < st.matrix.shape[0]:
             raise ValueError(
                 f"construction requires invertible inputs: {name} has "
-                f"min eigenvalue {w[0]:.3e}")
-    return polar.u @ polar.vh
+                f"min eigenvalue {st.dec.eigenvalues[0]:.3e}")
+    return _polar_pair(st1, st2).gauge.copy()

@@ -9,11 +9,12 @@ so they are safe for unrestricted concurrent use. The memos of ``states`` and
 
 Tolerance policy: every numerical threshold is named once, in the table
 below, which every module reads; the only per-call override is the admission
-tolerance of ``states.decompose_density``/``validate_density`` (the CLI
-``--tol``). Eigenvalues within ``CLAMP * max|eigenvalue|`` of zero count as
-exact zeros before square roots or inverse powers are taken, so boundary
-(rank-deficient) states reached through roundoff behave like their idealized
-counterparts. Every refusal is written so that a NaN measurement triggers it.
+tolerance of ``states.admit``/``validate_density`` (the CLI ``--tol``).
+One spectral rule, :func:`spectral_function`, takes every function of a
+state: eigenvalues within ``CLAMP * max|eigenvalue|`` of zero count as exact
+zeros, so boundary (rank-deficient) states reached through roundoff behave
+like their idealized counterparts. Every refusal is written so that a NaN
+measurement triggers it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ ADMIT_TOL = 1e-10             # invariants of outside input: Hermiticity, PSD, n
 TRACE_TOL = 1e-12             # strict unit trace of a density matrix
 ROUNDOFF = 1e-12              # absolute slack: s range, direction and phase cuts,
                               # qubit tau's |y| <= 1 and l_minus >= 0
-DEGENERATE_S_TOL = 1e-8       # s* below this: closed-form qubit orbit stays at x
 CONDITION_LIMIT = 1e12        # l_max / l_min beyond which the tangent solve is refused
 EIGENVECTOR_CUT = 1e-14       # relative cut of the closed-form qubit tau eigenvectors
 TINY = 1e-300                 # scale guard against dividing by an exact zero
@@ -122,62 +122,38 @@ def lyapunov_eigenbasis(dec: SpectralDecomposition, h) -> tuple[np.ndarray, np.n
     return h_eig, x_eig
 
 
-def spectral_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray], *,
-                      nonnegative: bool = False,
-                      support_only: bool = False) -> np.ndarray:
-    """Apply a scalar function f to the spectrum of an existing decomposition.
+def spectral_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]
+                      ) -> np.ndarray:
+    """Apply a scalar function f to the spectrum of a positive semidefinite matrix.
 
-    Returns V diag(f(w')) V^dag where w' are the eigenvalues after the clamp
-    policy: eigenvalues with |w| <= CLAMP * max|w| are snapped to exact zero.
-    ``nonnegative`` is for square roots and other fractional powers:
-    eigenvalues below ``-CLAMP * max|w|`` are rejected, and small negatives
-    inside the band are treated as zero. ``support_only`` applies f only on
-    the nonzero part of the spectrum and keeps exact zeros untouched, which
-    gives pseudo-inverse semantics for inverse powers on rank-deficient input.
+    Returns V diag(f(w')) V^dag under the one clamp rule: an eigenvalue below
+    ``-CLAMP * max|w|`` is refused, f is applied only on w > CLAMP * max|w|,
+    and the rest of the spectrum stays exact zero. So square roots and other
+    fractional powers see no roundoff negatives, and inverse powers give the
+    pseudo-inverse on rank-deficient input.
     """
-    w = dec.eigenvalues.copy()
-    scale = float(np.abs(w).max())
-    threshold = CLAMP * scale
-    if nonnegative and not w[0] >= -threshold:
+    w = dec.eigenvalues
+    threshold = CLAMP * float(np.abs(w).max())
+    if not w[0] >= -threshold:
         raise NotPositiveSemidefiniteError(
             f"not positive semidefinite: min eigenvalue {w[0]:.6e} is below "
             f"-{threshold:.1e}")
-    zero = np.abs(w) <= threshold
-    w[zero] = 0.0
-    if nonnegative:
-        w = np.maximum(w, 0.0)
-    if support_only:
-        fw = np.zeros_like(w)
-        if np.any(~zero):
-            fw[~zero] = f(w[~zero])
-    else:
-        fw = np.asarray(f(w), dtype=float)
+    support = w > threshold
+    fw = np.zeros_like(w)
+    fw[support] = f(w[support])
     v = dec.eigenvectors
     out = (v * fw) @ v.conj().T
     return (out + out.conj().T) / 2
 
 
-def hermitian_function(h, f: Callable[[np.ndarray], np.ndarray], *,
-                       nonnegative: bool = False,
-                       support_only: bool = False) -> np.ndarray:
-    """Decompose a Hermitian matrix, then apply :func:`spectral_function`."""
-    return spectral_function(spectral_decompose(h), f,
-                             nonnegative=nonnegative, support_only=support_only)
-
-
 def sqrtm_psd(h) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix."""
-    return hermitian_function(h, np.sqrt, nonnegative=True)
+    return spectral_function(spectral_decompose(h), np.sqrt)
 
 
 def inv_sqrtm_psd(h) -> np.ndarray:
-    """Inverse square root on the support of a PSD matrix.
-
-    Eigenvalues inside the clamp band count as exact zeros and stay zero,
-    so rank-deficient input yields the pseudo-inverse square root.
-    """
-    return hermitian_function(h, lambda w: 1.0 / np.sqrt(w),
-                              nonnegative=True, support_only=True)
+    """Inverse square root on the support of a PSD matrix (the pseudo-inverse root)."""
+    return spectral_function(spectral_decompose(h), lambda w: 1.0 / np.sqrt(w))
 
 
 def polar_positive(a) -> np.ndarray:

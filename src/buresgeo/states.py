@@ -1,21 +1,22 @@
 """Density matrices, Bloch coordinates, Werner families, and purifications.
 
-States are plain complex numpy arrays validated at the entry points:
-Hermitian, unit trace, and positive semidefinite within tolerance. A
-purification is a square matrix A with A A^dag = rho; the projection back to
-the state is pi(A) = A A^dag and is invariant under the gauge freedom
-A -> A U for unitary U.
+A state enters through :func:`admit`, the one density check: Hermitian, unit
+trace, and positive semidefinite within tolerance. It returns the
+:class:`State`, the one decomposed-state value. A purification is a square
+matrix A with A A^dag = rho; the projection back to the state is
+pi(A) = A A^dag and is invariant under the gauge freedom A -> A U for
+unitary U.
 
-Each distinct state is decomposed once per process. :func:`admit` and the
-density checks look the input up in a bounded LRU memo of :class:`State`
-values, keyed on the exact complex128 bytes and shape of the matrix, so a
-caller that changes an array in place is looked up afresh. The memo holds
-only what depends on the content alone (the Hermiticity check, the trace and
-the ``eigh``); the trace and PSD tolerance checks run again on every call
-against the cached values, so no refusal and no tolerance is memoised. Its
-size is the fixed ``STATE_MEMO_SIZE``. The arrays it hands out are shared and
-read-only. Concurrent callers are safe: when two threads miss on one matrix
-at once, both decompose it, with bit-identical results.
+Each distinct state is decomposed once per process. :func:`admit` looks the
+input up in a bounded LRU memo of States, keyed on the exact complex128 bytes
+and shape of the matrix, so a caller that changes an array in place is looked
+up afresh. The memo holds only what depends on the content alone (the
+Hermiticity check, the trace and the ``eigh``); the trace and PSD tolerance
+checks run again on every call against the cached values, so no refusal and
+no tolerance is memoised. Its size is the fixed ``STATE_MEMO_SIZE``. The
+arrays it hands out are shared and read-only. Concurrent callers are safe:
+when two threads miss on one matrix at once, both decompose it, with
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ STATE_MEMO_SIZE = 32          # distinct decomposed states one process keeps
 @dataclass(frozen=True, eq=False)
 class State:
     """A Hermitian matrix decomposed once: the symmetrized ``matrix``, its
-    ``trace`` and eigendecomposition ``dec``, and ``sqrt``, its principal
-    square root under the clamp policy, computed on first use.
+    ``trace`` and eigendecomposition ``dec``; ``sqrt``, its principal square
+    root, and ``rank``, its eigenvalues above ``CLAMP`` * the largest, are
+    computed on first use.
 
     Instances come from the memo of :func:`admit`. Construction marks the
     arrays read-only; equality and hashing go by identity.
@@ -50,9 +52,14 @@ class State:
 
     @functools.cached_property
     def sqrt(self) -> np.ndarray:
-        a = matcore.spectral_function(self.dec, np.sqrt, nonnegative=True)
+        a = matcore.spectral_function(self.dec, np.sqrt)
         a.flags.writeable = False
         return a
+
+    @functools.cached_property
+    def rank(self) -> int:
+        w = self.dec.eigenvalues
+        return int(np.count_nonzero(w > matcore.CLAMP * max(w[-1], 0.0)))
 
 
 @functools.lru_cache(maxsize=STATE_MEMO_SIZE)
@@ -71,15 +78,12 @@ def _state(rho) -> State:
     return _decompose(m.tobytes(), m.shape)
 
 
-def decompose_density(rho, trace_tol: float = matcore.TRACE_TOL,
-                      psd_tol: float = matcore.ADMIT_TOL
-                      ) -> tuple[np.ndarray, matcore.SpectralDecomposition]:
-    """Check the density-matrix invariants; return the symmetrized state and
-    the eigendecomposition that decided positivity, for reuse by the caller.
+def admit(rho, trace_tol: float = matcore.TRACE_TOL,
+          psd_tol: float = matcore.ADMIT_TOL) -> State:
+    """The memoised :class:`State` of a density matrix (or a State), checked.
 
     Rejects non-Hermitian input, a trace away from 1 by more than
-    ``trace_tol``, or an eigenvalue below ``-psd_tol``. Both arrays are the
-    read-only ones of the memoised :class:`State`.
+    ``trace_tol``, or an eigenvalue below ``-psd_tol``.
     """
     st = _state(rho)
     if not abs(st.trace - 1.0) <= trace_tol:
@@ -88,25 +92,17 @@ def decompose_density(rho, trace_tol: float = matcore.TRACE_TOL,
     w = st.dec.eigenvalues
     if not w[0] >= -psd_tol:
         raise ValueError(f"not a state: most negative eigenvalue {float(w[0]):.6e}")
-    return st.matrix, st.dec
+    return st
 
 
 def validate_density(rho, trace_tol: float = matcore.TRACE_TOL,
                      psd_tol: float = matcore.ADMIT_TOL) -> np.ndarray:
-    """The symmetrized state checked by :func:`decompose_density`, read-only."""
-    return decompose_density(rho, trace_tol, psd_tol)[0]
-
-
-def admit(rho) -> State:
-    """The memoised :class:`State` of a density matrix, checked by
-    :func:`decompose_density` at the default tolerances."""
-    st = _state(rho)
-    decompose_density(st)
-    return st
+    """The symmetrized state checked by :func:`admit`, read-only."""
+    return admit(rho, trace_tol, psd_tol).matrix
 
 
 def snap_to_state(rho) -> np.ndarray:
-    """Canonicalize a matrix admitted near the boundary of the state space.
+    """Canonicalize a matrix (or a State) admitted near the boundary of the state space.
 
     Eigenvalues below the spectral-function clamp are clipped to zero and the
     trace is renormalized; input that already satisfies the strict invariants
@@ -115,16 +111,11 @@ def snap_to_state(rho) -> np.ndarray:
     admission is more forgiving than the downstream clamp policy.
     """
     st = _state(rho)
-    return snap_decomposed(st.matrix, st.dec)
-
-
-def snap_decomposed(r: np.ndarray, dec: matcore.SpectralDecomposition) -> np.ndarray:
-    """:func:`snap_to_state` of the pair (r, dec) that :func:`decompose_density` returns."""
-    w, v = dec.eigenvalues, dec.eigenvectors
-    tr = float(np.trace(r).real)
+    w, v = st.dec.eigenvalues, st.dec.eigenvectors
     clipped = w[0] < -matcore.CLAMP * max(float(w[-1]), 0.0)
-    if not clipped and abs(tr - 1.0) <= matcore.TRACE_TOL:
-        return r
+    if not clipped and abs(st.trace - 1.0) <= matcore.TRACE_TOL:
+        return st.matrix
+    r, tr = st.matrix, st.trace
     if clipped:
         r = (v * np.maximum(w, 0.0)) @ v.conj().T
         tr = float(np.trace(r).real)
@@ -189,7 +180,7 @@ def density_from_bloch(x, basis: sun.GeneratorBasis) -> np.ndarray:
     tolerance band are snapped onto the cone.
     """
     rho = sun.expand(1.0, x, basis)
-    return snap_decomposed(*decompose_density(rho, trace_tol=matcore.ADMIT_TOL))
+    return snap_to_state(admit(rho, trace_tol=matcore.ADMIT_TOL))
 
 
 def bloch_from_density(rho, basis: sun.GeneratorBasis) -> np.ndarray:

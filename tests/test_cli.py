@@ -172,6 +172,14 @@ class TestQubitOrbit:
         for line in lines[1:]:
             assert float(line.split(",")[-1]) < 1e-9
 
+    @pytest.mark.parametrize("step", [1e-5, 1e-7, 1e-8])
+    def test_nearby_endpoints_pass_the_gate(self, capsys, step):
+        code, out, err = run(["qubit-orbit", "--x=0.1,0.2,0.3",
+                              f"--y=0.1,0.2,{0.3 + step!r}"], capsys)
+        assert code == 0, err
+        for line in out.strip().splitlines()[1:]:
+            assert float(line.split(",")[-1]) < 1e-9
+
     def test_bad_vector_exits_2(self, capsys):
         code, _, err = run(["qubit-orbit", "--x", "0,0", "--y", "0,0,0"], capsys)
         assert code == 2

@@ -4,7 +4,8 @@ One ``eigh`` per endpoint and one SVD of B = sqrt(rho1) sqrt(rho2) = U S V^dag
 give sqrt(F) = sum(S), the gauge of the geodesic and the gauge unitary, and
 sampling a built path takes no eigensolve at all. The counts are pinned by
 the ``solver_counts`` fixture of conftest, cold (both memos emptied) unless a
-test warms them on purpose, and the polar route is held
+test warms them on purpose; a syntax-tree guard pins every eigensolver call
+of the package to its one site, and the polar route is held
 against the textbook operator
 
     M* = rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}
@@ -12,10 +13,15 @@ against the textbook operator
 built from separate spectral functions.
 """
 
+import ast
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import buresgeo
 from buresgeo import cli, closedform, geodesy, matcore, states, sun
 from conftest import random_density, random_traceless_hermitian, random_unitary
 
@@ -116,6 +122,49 @@ def test_admission_decomposes_once(solver_counts, load):
     assert solver_counts == {"eigh": 1, "eigvalsh": 0, "svd": 0}
 
 
+def _state_files(tmp_path):
+    paths = []
+    for name, rho in zip(("a", "b"), _pair(4)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cli.state_to_json(rho)))
+        paths.append(str(path))
+    return paths
+
+
+def test_cli_geodesic_decomposes_each_sample_once(solver_counts, tmp_path, capsys):
+    # 2 endpoints and 100 new points (the row at s = 0 is rho1); 1 polar SVD
+    # and 100 fidelity SVDs (the fidelity of rho1 to itself takes none).
+    a, b = _state_files(tmp_path)
+    assert cli.main(["geodesic", a, b, "--samples", "101"]) == 0
+    assert solver_counts == {"eigh": 102, "eigvalsh": 0, "svd": 101}
+
+
+def test_cli_invariants_reads_the_loaded_spectrum(solver_counts, tmp_path, capsys):
+    assert cli.main(["invariants", _state_files(tmp_path)[0]]) == 0
+    assert solver_counts == {"eigh": 1, "eigvalsh": 0, "svd": 0}
+
+
+SOLVERS = {"eigh", "eigvalsh", "svd"}
+SOLVER_SITES = {("matcore", "spectral_decompose", "eigh"), ("states", "_decompose", "eigh"),
+                ("geodesy", "_polar_pair", "svd"), ("geodesy", "root_fidelity", "svd")}
+
+
+def test_eigensolvers_are_reached_only_at_their_sites():
+    found = set()
+    for path in sorted(pathlib.Path(buresgeo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in SOLVERS:
+                site = node
+                while site in parent and not isinstance(site, (ast.FunctionDef,
+                                                               ast.AsyncFunctionDef)):
+                    site = parent[site]
+                found.add((path.stem, getattr(site, "name", "<module>"), name))
+    assert found == SOLVER_SITES
+
+
 @pytest.mark.parametrize("load", sorted(LOADERS))
 def test_admission_snaps_like_snap_to_state(load):
     for rho in _admitted_states():
@@ -140,7 +189,8 @@ def test_qubit_orbit_builds_tau_once(monkeypatch):
 
 def test_decompose_density_matches_validate_density():
     rho = _pair(4)[0]
-    r, dec = states.decompose_density(rho)
+    st = states.admit(rho)
+    r, dec = st.matrix, st.dec
     assert np.array_equal(r, states.validate_density(rho))
     assert np.max(np.abs(dec.reconstruct() - r)) < 1e-15
 
@@ -152,16 +202,14 @@ def test_decompose_density_matches_validate_density():
 ])
 def test_decompose_density_refusals(rho, message):
     with pytest.raises(ValueError, match=message):
-        states.decompose_density(rho)
+        states.admit(rho)
 
 
 def test_spectral_function_matches_hermitian_function():
     rng = np.random.default_rng(99)
     h = random_density(rng, 5, floor=0.05)
     dec = matcore.spectral_decompose(h)
-    for kwargs in ({}, {"nonnegative": True}, {"nonnegative": True, "support_only": True}):
-        assert np.array_equal(matcore.spectral_function(dec, np.sqrt, **kwargs),
-                              matcore.hermitian_function(h, np.sqrt, **kwargs))
+    assert np.array_equal(matcore.spectral_function(dec, np.sqrt), matcore.sqrtm_psd(h))
 
 
 def test_solvers_leave_the_structure_constant_pair_unbuilt():

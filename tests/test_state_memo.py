@@ -101,7 +101,8 @@ def test_shared_arrays_are_read_only():
     rng = np.random.default_rng(112)
     rho1, rho2 = random_density(rng, 4, floor=0.1), random_density(rng, 4, floor=0.1)
     path = geodesy.geometric_mean_operator(rho1, rho2)
-    r, dec = states.decompose_density(rho1)
+    st = states.admit(rho1)
+    r, dec = st.matrix, st.dec
     shared = {"rho1": path.rho1, "rho2": path.rho2, "m_star": path.m_star,
               "cross": path.cross, "state": r, "eigenvalues": dec.eigenvalues,
               "eigenvectors": dec.eigenvectors,

@@ -20,7 +20,7 @@ import buresgeo
 
 MODULES = sorted(pathlib.Path(buresgeo.__file__).parent.glob("*.py"))
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-TOLERANCE_PARAMETERS = {("states", "decompose_density"), ("states", "validate_density"),
+TOLERANCE_PARAMETERS = {("states", "admit"), ("states", "validate_density"),
                         ("cli", "state_from_json"), ("cli", "load_state"),
                         ("cli", "add_common")}
 
