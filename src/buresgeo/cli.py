@@ -121,7 +121,7 @@ def _geodesic_rows(path: geodesy.GeodesicPath, samples: int):
                "root_fidelity_to_start": geodesy.root_fidelity(path.rho1, rho_s),
                "trace": float(np.trace(rho_s).real),
                "purity": float(np.trace(rho_s @ rho_s).real),
-               "eigenvalues": [float(v) for v in states.admit(rho_s).dec.eigenvalues]}
+               "eigenvalues": [float(v) for v in states.admit(rho_s).eigenvalues]}
         if basis2 is not None:
             _, bloch = sun.coefficients(rho_s, basis2)
             row["bloch"] = [float(v) for v in bloch]
@@ -239,7 +239,7 @@ def cmd_invariants(args) -> int:
     payload = {"dim": int(rho.shape[0]),
                "trace": float(np.trace(rho).real),
                "purity": float(np.trace(rho @ rho).real),
-               "eigenvalues": [float(v) for v in states.admit(rho).dec.eigenvalues],
+               "eigenvalues": [float(v) for v in states.admit(rho).eigenvalues],
                "invariants": [float(v) for v in inv]}
     _emit(json.dumps(payload) + "\n", args.out)
     return EXIT_OK

@@ -111,10 +111,20 @@ def werner_cross_term(p: float) -> np.ndarray:
                    + (1.0 - p) * _middle_projectors())
 
 
-def _check_orthogonal(v1: np.ndarray, v2: np.ndarray) -> None:
+def _orthonormal_pair(psi1, psi2) -> tuple[np.ndarray, np.ndarray]:
+    """psi1 and psi2 as flat complex vectors of one length, unit norm and orthogonal."""
+    v1 = np.asarray(psi1, dtype=np.complex128).reshape(-1)
+    v2 = np.asarray(psi2, dtype=np.complex128).reshape(-1)
+    if v1.shape != v2.shape:
+        raise ValueError(f"psi1 has length {v1.size}, psi2 has length {v2.size}")
+    for name, v in (("psi1", v1), ("psi2", v2)):
+        norm = float(np.linalg.norm(v))
+        if not abs(norm - 1.0) <= matcore.ADMIT_TOL:
+            raise ValueError(f"{name} is not normalized: |{name}| = {norm!r}")
     overlap = abs(np.vdot(v1, v2))
     if not overlap <= matcore.ADMIT_TOL:
         raise ValueError(f"states are not orthogonal: |<psi1|psi2>| = {overlap:.3e}")
+    return v1, v2
 
 
 def orthogonal_mean_operator(psi1, psi2) -> np.ndarray:
@@ -123,9 +133,7 @@ def orthogonal_mean_operator(psi1, psi2) -> np.ndarray:
     Satisfies M |psi1> = |psi2> and the cross-term identity
     M P1 + P1 M = M with P1 = |psi1><psi1|.
     """
-    v1 = np.asarray(psi1, dtype=np.complex128).reshape(-1)
-    v2 = np.asarray(psi2, dtype=np.complex128).reshape(-1)
-    _check_orthogonal(v1, v2)
+    v1, v2 = _orthonormal_pair(psi1, psi2)
     return np.outer(v1, v2.conj()) + np.outer(v2, v1.conj())
 
 
@@ -138,13 +146,7 @@ def orthogonal_pure_geodesic(psi1, psi2, s: float) -> tuple[np.ndarray, np.ndarr
     s* = pi/2 and admit infinitely many geodesics; this is the one generated
     by the rank-1 transport operator above.
     """
-    v1 = np.asarray(psi1, dtype=np.complex128).reshape(-1)
-    v2 = np.asarray(psi2, dtype=np.complex128).reshape(-1)
-    for name, v in (("psi1", v1), ("psi2", v2)):
-        norm = float(np.linalg.norm(v))
-        if not abs(norm - 1.0) <= matcore.ADMIT_TOL:
-            raise ValueError(f"{name} is not normalized: |{name}| = {norm!r}")
-    _check_orthogonal(v1, v2)
+    v1, v2 = _orthonormal_pair(psi1, psi2)
     f, g = geodesy.transport_coefficients(s, np.pi / 2)
     a = f * v1 + g * v2
     return a, np.outer(a, a.conj())

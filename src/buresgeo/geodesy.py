@@ -15,9 +15,9 @@ rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}) and maps A1 to A2, so
 M(s) = f(s) I + g(s) M* gives rho(s) = M(s) rho1 M(s) and the horizontal lift
 A(s) = M(s) A(0). The root fidelity from the start decays as cos(s).
 
-Endpoints are read as memoised ``states.State`` values, and a second LRU memo
-of fixed size ``PAIR_MEMO_SIZE``, keyed on the pair of States, keeps the polar
-data of B: the gauge, rank B, the parallel root A2 and the pair's Bures
+Endpoints are the memoised decompositions of ``states.admit``. A second LRU
+memo of fixed size ``PAIR_MEMO_SIZE``, keyed on the pair of them, keeps the
+polar data of B: the gauge, rank B, the parallel root A2 and the pair's Bures
 values, with the exact ones of identical endpoints (1, 0, 0) and of
 orthogonal supports (rank B = 0: angle pi/2, distance sqrt(2)) decided there
 once. So one pair costs one SVD across ``bures``, ``geometric_mean_operator``
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import matcore, states
 
-PAIR_MEMO_SIZE = 16           # polar pairs of memoised States one process keeps
+PAIR_MEMO_SIZE = 16           # polar pairs of memoised states one process keeps
 
 
 class GeodesicUndefinedError(ValueError):
@@ -86,7 +86,8 @@ def _check_same_dims(r1: np.ndarray, r2: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {r1.shape} vs {r2.shape}")
 
 
-def _admit_pair(rho1, rho2) -> tuple[states.State, states.State]:
+def _admit_pair(rho1, rho2) -> tuple[matcore.SpectralDecomposition,
+                                     matcore.SpectralDecomposition]:
     st1, st2 = states.admit(rho1), states.admit(rho2)
     _check_same_dims(st1.matrix, st2.matrix)
     return st1, st2
@@ -115,11 +116,12 @@ class _PolarPair:
 
 
 @functools.lru_cache(maxsize=PAIR_MEMO_SIZE)
-def _polar_pair(st1: states.State, st2: states.State) -> _PolarPair:
-    """The polar data of a pair of memoised States, kept per pair (keyed by identity)."""
+def _polar_pair(st1: matcore.SpectralDecomposition,
+                st2: matcore.SpectralDecomposition) -> _PolarPair:
+    """The polar data of a pair of memoised states, kept per pair (keyed by identity)."""
     u, sigma, vh = np.linalg.svd(st1.sqrt @ st2.sqrt)
     gauge = u @ vh
-    scale = np.sqrt(st1.dec.eigenvalues[-1] * st2.dec.eigenvalues[-1])
+    scale = np.sqrt(st1.eigenvalues[-1] * st2.eigenvalues[-1])
     rank = int(np.count_nonzero(sigma > matcore.CLAMP * scale))
     if np.array_equal(st1.matrix, st2.matrix):
         return _PolarPair(gauge, rank, st2.sqrt, BuresSummary(1.0, 0.0, 0.0))
@@ -183,8 +185,8 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
     rank_b, rank2 = polar.rank, st2.rank
     orthogonal = rank_b == 0 and st1.rank == rank2 == 1
     if orthogonal:
-        a2 = np.outer(_phase_fixed_top_eigenvector(st2.dec),
-                      _phase_fixed_top_eigenvector(st1.dec).conj())
+        a2 = np.outer(_phase_fixed_top_eigenvector(st2),
+                      _phase_fixed_top_eigenvector(st1).conj())
     elif rank_b == 0:
         raise GeodesicUndefinedError(
             "M singular at s*=pi/2: orthogonal mixed endpoints admit "
@@ -197,8 +199,8 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
         a2 = polar.a2
     half = st1.sqrt @ a2.conj().T
     cross = half + half.conj().T
-    _, m_eig = matcore.lyapunov_eigenbasis(st1.dec, cross)
-    v = st1.dec.eigenvectors
+    _, m_eig = matcore.lyapunov_eigenbasis(st1, cross)
+    v = st1.eigenvectors
     m = v @ m_eig @ v.conj().T
     return GeodesicPath(rho1=st1.matrix, rho2=st2.matrix, m_star=(m + m.conj().T) / 2,
                         cross=cross, s_star=polar.summary.bures_angle, orthogonal=orthogonal)
@@ -255,6 +257,7 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
     The starting purification must project onto the initial endpoint.
     """
     a0m = a0.matrix if isinstance(a0, states.Purification) else matcore.as_complex_matrix(a0)
+    _check_same_dims(a0m, path.rho1)
     defect = float(np.max(np.abs(a0m @ a0m.conj().T - path.rho1)))
     if not defect <= matcore.ADMIT_TOL:
         raise ValueError(
@@ -275,6 +278,10 @@ def hlc_residual(a, adot) -> float:
     dm = np.asarray(adot, dtype=np.complex128)
     if am.shape != dm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {dm.shape}")
+    for name, m in (("a", am), ("adot", dm)):
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} has non-finite entries (NaN or inf): "
+                             f"max |{name}| = {float(np.abs(m).max())!r}")
     k = dm.conj().T @ am
     return float(np.max(np.abs(k - k.conj().T)))
 
@@ -294,7 +301,7 @@ def hubner_metric(rho, drho) -> float:
     tr = float(np.trace(d).real)
     if not abs(tr) <= matcore.ADMIT_TOL * scale:
         raise ValueError(f"variation must be traceless: Tr[drho] = {tr!r}")
-    d_eig, x_eig = matcore.lyapunov_eigenbasis(st.dec, d)
+    d_eig, x_eig = matcore.lyapunov_eigenbasis(st, d)
     return float(0.5 * np.vdot(d_eig, x_eig).real)
 
 
@@ -311,5 +318,5 @@ def uhlmann_unitary(rho1, rho2) -> np.ndarray:
         if st.rank < st.matrix.shape[0]:
             raise ValueError(
                 f"construction requires invertible inputs: {name} has "
-                f"min eigenvalue {st.dec.eigenvalues[0]:.3e}")
+                f"min eigenvalue {st.eigenvalues[0]:.3e}")
     return _polar_pair(st1, st2).gauge.copy()

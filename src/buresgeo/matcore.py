@@ -3,9 +3,16 @@
 Everything downstream (fidelities, transport operators, metric evaluations)
 reduces to spectral decompositions of small Hermitian matrices, spectral
 functions of those matrices, and the polar absolute value |A| = sqrt(A A^dag).
-All functions are pure, never write to their inputs, and return fresh arrays,
-so they are safe for unrestricted concurrent use. The memos of ``states`` and
-``geodesy`` keep some of those arrays and share them read-only.
+All functions are pure and never write to their inputs, so they are safe for
+unrestricted concurrent use. Each distinct matrix is decomposed once per
+process: :func:`spectral_decompose` looks it up in a bounded LRU memo of
+:class:`SpectralDecomposition` values, keyed on the exact complex128 bytes
+and shape, so a caller that changes an array in place is looked up afresh.
+The memo holds only what depends on the content alone (the Hermiticity
+check, the trace and the ``eigh``), so no refusal and no tolerance is
+memoised. Its decompositions, and the polar pairs ``geodesy`` keeps of them,
+are shared read-only; every other result is a fresh array. When two threads
+miss on one matrix at once, both decompose it, with bit-identical results.
 
 Tolerance policy: every numerical threshold is named once, in the table
 below, which every module reads; the only per-call override is the admission
@@ -19,6 +26,7 @@ measurement triggers it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -77,33 +85,62 @@ def require_hermitian(a) -> np.ndarray:
     return (m + mh) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix.
+    """A Hermitian matrix decomposed once: the symmetrized ``matrix``, its
+    ``trace`` and its eigensystem; ``sqrt``, the principal square root, and
+    ``rank``, the eigenvalues above ``CLAMP`` * the largest, are computed on
+    first use.
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
     matching orthonormal eigenvectors as columns. Degenerate eigenvectors are
     whatever the eigensolver returns; no canonicalization is applied, and all
-    downstream formulas are covariant under that basis freedom.
+    downstream formulas are covariant under that basis freedom. Instances
+    come from the memo of :func:`spectral_decompose`. Construction marks the
+    arrays read-only; equality and hashing go by identity.
     """
 
+    matrix: np.ndarray
+    trace: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+    def __post_init__(self):
+        for a in (self.matrix, self.eigenvalues, self.eigenvectors):
+            a.flags.writeable = False
+
+    @functools.cached_property
+    def sqrt(self) -> np.ndarray:
+        a = spectral_function(self, np.sqrt)
+        a.flags.writeable = False
+        return a
+
+    @functools.cached_property
+    def rank(self) -> int:
+        w = self.eigenvalues
+        return int(np.count_nonzero(w > CLAMP * max(w[-1], 0.0)))
+
+
+@functools.lru_cache(maxsize=32)  # distinct decomposed matrices one process keeps
+def _decompose(data: bytes, shape: tuple[int, int]) -> SpectralDecomposition:
+    """The decomposition of the matrix with the given complex128 bytes; a
+    refusal raises and so is not cached."""
+    m = require_hermitian(np.frombuffer(data, dtype=np.complex128).reshape(shape))
+    w, v = np.linalg.eigh(m)
+    return SpectralDecomposition(m, float(np.trace(m).real), w, v)
 
 
 def spectral_decompose(h) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix with ascending eigenvalues.
+    """The memoised eigendecomposition of a Hermitian matrix (or ``h`` itself,
+    if it is already one), with ascending eigenvalues.
 
     ``h`` must be Hermitian within ``ADMIT_TOL``; other input is rejected
     with the measured asymmetry in the message.
     """
-    m = require_hermitian(h)
-    w, v = np.linalg.eigh(m)
-    return SpectralDecomposition(w, v)
+    if isinstance(h, SpectralDecomposition):
+        return h
+    m = as_complex_matrix(h)
+    return _decompose(m.tobytes(), m.shape)
 
 
 def lyapunov_eigenbasis(dec: SpectralDecomposition, h) -> tuple[np.ndarray, np.ndarray]:

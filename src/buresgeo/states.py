@@ -1,95 +1,35 @@
 """Density matrices, Bloch coordinates, Werner families, and purifications.
 
 A state enters through :func:`admit`, the one density check: Hermitian, unit
-trace, and positive semidefinite within tolerance. It returns the
-:class:`State`, the one decomposed-state value. A purification is a square
-matrix A with A A^dag = rho; the projection back to the state is
-pi(A) = A A^dag and is invariant under the gauge freedom A -> A U for
-unitary U.
-
-Each distinct state is decomposed once per process. :func:`admit` looks the
-input up in a bounded LRU memo of States, keyed on the exact complex128 bytes
-and shape of the matrix, so a caller that changes an array in place is looked
-up afresh. The memo holds only what depends on the content alone (the
-Hermiticity check, the trace and the ``eigh``); the trace and PSD tolerance
-checks run again on every call against the cached values, so no refusal and
-no tolerance is memoised. Its size is the fixed ``STATE_MEMO_SIZE``. The
-arrays it hands out are shared and read-only. Concurrent callers are safe:
-when two threads miss on one matrix at once, both decompose it, with
-bit-identical results.
+trace, and positive semidefinite within tolerance. It returns the state's
+memoised :class:`matcore.SpectralDecomposition`, so each distinct state is
+decomposed once per process; the trace and PSD tolerance checks run again on
+every call against its cached values. A purification is a square matrix A
+with A A^dag = rho; the projection back to the state is pi(A) = A A^dag and
+is invariant under the gauge freedom A -> A U for unitary U.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore, sun
 
-STATE_MEMO_SIZE = 32          # distinct decomposed states one process keeps
-
-
-@dataclass(frozen=True, eq=False)
-class State:
-    """A Hermitian matrix decomposed once: the symmetrized ``matrix``, its
-    ``trace`` and eigendecomposition ``dec``; ``sqrt``, its principal square
-    root, and ``rank``, its eigenvalues above ``CLAMP`` * the largest, are
-    computed on first use.
-
-    Instances come from the memo of :func:`admit`. Construction marks the
-    arrays read-only; equality and hashing go by identity.
-    """
-
-    matrix: np.ndarray
-    trace: float
-    dec: matcore.SpectralDecomposition
-
-    def __post_init__(self):
-        for a in (self.matrix, self.dec.eigenvalues, self.dec.eigenvectors):
-            a.flags.writeable = False
-
-    @functools.cached_property
-    def sqrt(self) -> np.ndarray:
-        a = matcore.spectral_function(self.dec, np.sqrt)
-        a.flags.writeable = False
-        return a
-
-    @functools.cached_property
-    def rank(self) -> int:
-        w = self.dec.eigenvalues
-        return int(np.count_nonzero(w > matcore.CLAMP * max(w[-1], 0.0)))
-
-
-@functools.lru_cache(maxsize=STATE_MEMO_SIZE)
-def _decompose(data: bytes, shape: tuple[int, int]) -> State:
-    """The State of the matrix with the given complex128 bytes; a refusal
-    raises and so is not cached."""
-    r = matcore.require_hermitian(np.frombuffer(data, dtype=np.complex128).reshape(shape))
-    w, v = np.linalg.eigh(r)
-    return State(r, float(np.trace(r).real), matcore.SpectralDecomposition(w, v))
-
-
-def _state(rho) -> State:
-    if isinstance(rho, State):
-        return rho
-    m = matcore.as_complex_matrix(rho)
-    return _decompose(m.tobytes(), m.shape)
-
 
 def admit(rho, trace_tol: float = matcore.TRACE_TOL,
-          psd_tol: float = matcore.ADMIT_TOL) -> State:
-    """The memoised :class:`State` of a density matrix (or a State), checked.
+          psd_tol: float = matcore.ADMIT_TOL) -> matcore.SpectralDecomposition:
+    """The memoised decomposition of a density matrix (or of a decomposition), checked.
 
     Rejects non-Hermitian input, a trace away from 1 by more than
     ``trace_tol``, or an eigenvalue below ``-psd_tol``.
     """
-    st = _state(rho)
+    st = matcore.spectral_decompose(rho)
     if not abs(st.trace - 1.0) <= trace_tol:
         raise ValueError(f"not normalized: trace = {st.trace!r} differs from 1 "
                          f"by {abs(st.trace - 1.0):.3e}")
-    w = st.dec.eigenvalues
+    w = st.eigenvalues
     if not w[0] >= -psd_tol:
         raise ValueError(f"not a state: most negative eigenvalue {float(w[0]):.6e}")
     return st
@@ -102,23 +42,24 @@ def validate_density(rho, trace_tol: float = matcore.TRACE_TOL,
 
 
 def snap_to_state(rho) -> np.ndarray:
-    """Canonicalize a matrix (or a State) admitted near the boundary of the state space.
+    """Canonicalize a matrix or decomposition admitted near the boundary of the state space.
 
     Eigenvalues below the spectral-function clamp are clipped to zero and the
-    trace is renormalized; input that already satisfies the strict invariants
+    trace is renormalized, or refused when it is not positive (every
+    eigenvalue <= 0); input that already satisfies the strict invariants
     is returned unchanged, bit for bit, as the memo's read-only array. Meant
     for loosely validated entry points (user Bloch vectors, files), where
     admission is more forgiving than the downstream clamp policy.
     """
-    st = _state(rho)
-    w, v = st.dec.eigenvalues, st.dec.eigenvectors
+    st = matcore.spectral_decompose(rho)
+    w, v = st.eigenvalues, st.eigenvectors
     clipped = w[0] < -matcore.CLAMP * max(float(w[-1]), 0.0)
     if not clipped and abs(st.trace - 1.0) <= matcore.TRACE_TOL:
         return st.matrix
-    r, tr = st.matrix, st.trace
-    if clipped:
-        r = (v * np.maximum(w, 0.0)) @ v.conj().T
-        tr = float(np.trace(r).real)
+    r = (v * np.maximum(w, 0.0)) @ v.conj().T if clipped else st.matrix
+    tr = float(np.trace(r).real)
+    if not tr > 0.0:
+        raise ValueError(f"not a state: the trace to renormalize by, {tr!r}, is not positive")
     r = r / tr
     return (r + r.conj().T) / 2
 

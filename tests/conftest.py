@@ -11,14 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from buresgeo import geodesy, states
+from buresgeo import geodesy, matcore
 
 
 @pytest.fixture
 def solver_counts(monkeypatch):
     """Calls of numpy.linalg eigh/eigvalsh/svd made during the test, which
     starts with the state and polar-pair memos empty, so counts are cold."""
-    states._decompose.cache_clear()
+    matcore._decompose.cache_clear()
     geodesy._polar_pair.cache_clear()
     counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
     for name in counts:

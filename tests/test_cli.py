@@ -231,6 +231,15 @@ class TestInvariantsAndSunCheck:
         assert abs(payload["invariants"][0] - 1.0) < 1e-12
         assert payload["dim"] == 8
 
+    @pytest.mark.parametrize("diagonal, tol", [([-0.5, -0.5], "10"), ([0.0, 0.0], "1")],
+                             ids=["clipped", "unclipped"])
+    def test_non_positive_trace_exits_2_naming_it(self, state_file, capsys, diagonal, tol):
+        f = state_file("bad.json", np.diag(diagonal))
+        code, _, err = run(["invariants", f, "--tol", tol], capsys)
+        assert code == 2
+        assert "trace to renormalize by, 0.0, is not positive" in err
+        assert "non-finite" not in err
+
     def test_sun_check_passes(self, capsys):
         code, out, _ = run(["sun-check", "--dim", "3", "--seed", "1"], capsys)
         assert code == 0

@@ -158,6 +158,16 @@ class TestOrthogonalPureGeodesic:
         with pytest.raises(ValueError, match="not orthogonal"):
             closedform.orthogonal_pure_geodesic(v1, v2, 0.1)
 
+    def test_mean_operator_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match=r"psi1 is not normalized: \|psi1\| = 2.0"):
+            closedform.orthogonal_mean_operator([2.0, 0.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("entry", ["orthogonal_mean_operator", "orthogonal_pure_geodesic"])
+    def test_length_mismatch_rejected(self, entry):
+        extra = (0.1,) if entry == "orthogonal_pure_geodesic" else ()
+        with pytest.raises(ValueError, match="psi1 has length 2, psi2 has length 3"):
+            getattr(closedform, entry)([1.0, 0.0], [0.0, 0.0, 1.0], *extra)
+
 
 class TestQubitRoot:
     def test_maximally_mixed(self):

@@ -86,6 +86,18 @@ def test_hubner_metric_decomposes_once(solver_counts):
     assert solver_counts == {"eigh": 1, "eigvalsh": 0, "svd": 0}
 
 
+def test_tangent_solve_and_metric_at_one_state_decompose_once(solver_counts):
+    # The tangent-solve benchmark op: sun and geodesy read one decomposition
+    # of rho = expand(1, x), memoised by its bytes.
+    basis = sun.generator_basis(4)
+    rng = np.random.default_rng(102)
+    _, x = sun.coefficients(random_density(rng, 4, floor=0.3), basis)
+    xdot = rng.normal(size=basis.size)
+    sun.solve_tangent_G(x, xdot, basis)
+    geodesy.hubner_metric(sun.expand(1.0, x, basis), sun.expand(0.0, xdot, basis))
+    assert solver_counts == {"eigh": 1, "eigvalsh": 0, "svd": 0}
+
+
 def test_canonical_purification_decomposes_once(solver_counts):
     states.canonical_purification(_pair()[0])
     assert solver_counts == {"eigh": 1, "eigvalsh": 0, "svd": 0}
@@ -145,7 +157,7 @@ def test_cli_invariants_reads_the_loaded_spectrum(solver_counts, tmp_path, capsy
 
 
 SOLVERS = {"eigh", "eigvalsh", "svd"}
-SOLVER_SITES = {("matcore", "spectral_decompose", "eigh"), ("states", "_decompose", "eigh"),
+SOLVER_SITES = {("matcore", "_decompose", "eigh"),
                 ("geodesy", "_polar_pair", "svd"), ("geodesy", "root_fidelity", "svd")}
 
 
@@ -190,9 +202,10 @@ def test_qubit_orbit_builds_tau_once(monkeypatch):
 def test_decompose_density_matches_validate_density():
     rho = _pair(4)[0]
     st = states.admit(rho)
-    r, dec = st.matrix, st.dec
+    r, dec = st.matrix, st
     assert np.array_equal(r, states.validate_density(rho))
-    assert np.max(np.abs(dec.reconstruct() - r)) < 1e-15
+    v, w = dec.eigenvectors, dec.eigenvalues
+    assert np.max(np.abs((v * w) @ v.conj().T - r)) < 1e-15
 
 
 @pytest.mark.parametrize("rho, message", [

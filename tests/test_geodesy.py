@@ -368,6 +368,13 @@ class TestHorizontalLift:
         with pytest.raises(ValueError, match="does not project"):
             geodesy.horizontal_lift(other, path, 0.0)
 
+    def test_wrong_shape_start_rejected(self):
+        path = geodesy.geometric_mean_operator(states.maximally_mixed(4),
+                                               np.diag([0.7, 0.1, 0.1, 0.1]))
+        a0 = states.canonical_purification(states.maximally_mixed(3))
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(3, 3\) vs \(4, 4\)"):
+            geodesy.horizontal_lift(a0, path, 0.1)
+
     def test_tangent_normalization_and_orthogonality(self):
         rng = np.random.default_rng(40)
         r1, r2 = random_density(rng, 3, floor=0.1), random_density(rng, 3, floor=0.1)

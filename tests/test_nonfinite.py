@@ -62,6 +62,7 @@ NAN_ENTRY_POINTS = {
     "horizontal_lift_s": lambda: geodesy.horizontal_lift(
         states.canonical_purification(MIXED), PATH, np.nan),
     "horizontal_lift_a0": lambda: geodesy.horizontal_lift(NAN_2X2, PATH, 0.1),
+    "hlc_residual": lambda: geodesy.hlc_residual(NAN_2X2, MIXED),
     "maxmixed_to_pure": lambda: closedform.maxmixed_to_pure(2, [1.0, 0.0], np.nan),
     "orthogonal_pure_geodesic": lambda: closedform.orthogonal_pure_geodesic(
         [1.0, 0.0], [0.0, 1.0], np.nan),

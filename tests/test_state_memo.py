@@ -1,4 +1,4 @@
-"""The content-keyed State memo of ``states`` and the polar-pair memo of ``geodesy``.
+"""The content-keyed decomposition memo of ``matcore`` and the polar-pair memo of ``geodesy``.
 
 A state is looked up by the exact bytes of its matrix, so in-place changes
 are seen; refusals and tolerance checks run on every call; both memos stay
@@ -19,7 +19,7 @@ THREADS = 4
 
 
 def _clear_memos():
-    states._decompose.cache_clear()
+    matcore._decompose.cache_clear()
     geodesy._polar_pair.cache_clear()
 
 
@@ -86,15 +86,16 @@ def test_tolerance_is_checked_on_every_call():
 
 def test_memos_stay_within_their_sizes():
     _clear_memos()
+    size = matcore._decompose.cache_info().maxsize
     rng = np.random.default_rng(111)
-    pool = [random_density(rng, 3, floor=0.1) for _ in range(10 * states.STATE_MEMO_SIZE)]
+    pool = [random_density(rng, 3, floor=0.1) for _ in range(10 * size)]
     for rho in pool:
         states.validate_density(rho)
-    assert states._decompose.cache_info().currsize == states.STATE_MEMO_SIZE
+    assert matcore._decompose.cache_info().currsize == size
     for k in range(10 * geodesy.PAIR_MEMO_SIZE):
         geodesy.bures(pool[k], pool[k + 1])
     assert geodesy._polar_pair.cache_info().currsize == geodesy.PAIR_MEMO_SIZE
-    assert states._decompose.cache_info().currsize == states.STATE_MEMO_SIZE
+    assert matcore._decompose.cache_info().currsize == size
 
 
 def test_shared_arrays_are_read_only():
@@ -102,7 +103,7 @@ def test_shared_arrays_are_read_only():
     rho1, rho2 = random_density(rng, 4, floor=0.1), random_density(rng, 4, floor=0.1)
     path = geodesy.geometric_mean_operator(rho1, rho2)
     st = states.admit(rho1)
-    r, dec = st.matrix, st.dec
+    r, dec = st.matrix, st
     shared = {"rho1": path.rho1, "rho2": path.rho2, "m_star": path.m_star,
               "cross": path.cross, "state": r, "eigenvalues": dec.eigenvalues,
               "eigenvectors": dec.eigenvectors,
@@ -125,7 +126,7 @@ def _pair_values(rho1, rho2):
 def test_threads_sharing_more_states_than_the_memo_match_a_serial_run():
     rng = np.random.default_rng(113)
     pool = [random_density(rng, 4, floor=0.1) for _ in range(40)]
-    assert len(pool) > states.STATE_MEMO_SIZE
+    assert len(pool) > matcore._decompose.cache_info().maxsize
     pairs = [(pool[k], pool[(7 * k + 3) % len(pool)]) for k in range(len(pool))]
     _clear_memos()
     serial = [_pair_values(*p) for p in pairs]

@@ -157,6 +157,12 @@ class TestSnapToState:
         rho = states.density_from_bloch(x, basis)
         assert geodesy.root_fidelity(rho, states.maximally_mixed(2)) > 0.7
 
+    @pytest.mark.parametrize("diagonal", [[-0.5, -0.5], [0.0, 0.0]],
+                             ids=["clipped", "unclipped"])
+    def test_non_positive_trace_refused(self, diagonal):
+        with pytest.raises(ValueError, match="trace to renormalize by, 0.0, is not positive"):
+            states.snap_to_state(np.diag(diagonal))
+
 
 def test_validate_density_rejects_bad_trace():
     with pytest.raises(ValueError, match="not normalized"):
