@@ -4,12 +4,15 @@ Every function here has an independent numeric route through
 :mod:`buresgeo.geodesy` / :mod:`buresgeo.matcore`, and the test suite holds
 the two routes against each other. Where a commonly quoted algebraic form
 fails its oracle (a sign, a coefficient, or a root-branch choice), the
-corrected form is implemented and the rejected variant is recorded in
-``ERRATA`` together with the evidence; the numeric pipeline is authoritative.
+rejected variant is recorded in ``ERRATA`` together with the corrected form
+and the evidence; the numeric pipeline is authoritative.
 
 Covered families: the maximally mixed state to an arbitrary pure state in
 any dimension, the three-qubit GHZ/W Werner mixtures, geodesics between
 orthogonal pure states, and fully general qubit endpoints in the Bloch ball.
+The qubit geodesic is r(s) = f^2 x + g^2 y + (f g / sqrt(F)) (x + y) with the
+trace-determinant root fidelity sqrt(F), so no function here makes an
+eigensolve.
 """
 
 from __future__ import annotations
@@ -156,10 +159,6 @@ def orthogonal_pure_geodesic(psi1, psi2, s: float) -> tuple[np.ndarray, np.ndarr
 # Qubit closed forms
 # ---------------------------------------------------------------------------
 
-def _dot_sigma(v: np.ndarray) -> np.ndarray:
-    return np.tensordot(v, sun.generator_basis(2).sigmas, axes=1)
-
-
 def _as_bloch3(v, name: str) -> np.ndarray:
     out = np.asarray(v, dtype=float).reshape(-1)
     if out.shape != (3,):
@@ -201,8 +200,8 @@ def qubit_root(x) -> tuple[np.ndarray, np.ndarray]:
     det = 0.25 * (1.0 - r2)
     a_plus = np.sqrt(0.5 + np.sqrt(det))
     a_minus = np.sqrt(max(0.5 - np.sqrt(det), 0.0))
-    xhat = _direction(x)
-    root = (a_plus * np.eye(2, dtype=np.complex128) + a_minus * _dot_sigma(xhat)) / np.sqrt(2.0)
+    xhat_sigma = np.tensordot(_direction(x), sun.generator_basis(2).sigmas, axes=1)
+    root = (a_plus * np.eye(2, dtype=np.complex128) + a_minus * xhat_sigma) / np.sqrt(2.0)
     return root, np.linalg.inv(root)
 
 
@@ -214,6 +213,17 @@ class QubitTau:
     tau_vec: np.ndarray
     lambda_plus: float
     lambda_minus: float
+
+
+def _bloch_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as real 3-vectors of qubit endpoints: |x| < 1 and |y| <= 1."""
+    x, y = _as_bloch3(x, "x"), _as_bloch3(y, "y")
+    xn, yn = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+    if xn >= 1.0:
+        raise ValueError(f"|x| = {xn!r} must be below 1")
+    if not yn <= 1.0 + matcore.ROUNDOFF:
+        raise ValueError(f"|y| = {yn!r} must be at most 1")
+    return x, y
 
 
 def qubit_tau(x, y) -> QubitTau:
@@ -228,14 +238,8 @@ def qubit_tau(x, y) -> QubitTau:
     coefficient sqrt(1 - |x|^2) is fixed by the x -> 0 limit tau = rho2/2
     and by the entrywise spectral oracle (see ERRATA).
     """
-    x = _as_bloch3(x, "x")
-    y = _as_bloch3(y, "y")
+    x, y = _bloch_pair(x, y)
     xn = float(np.linalg.norm(x))
-    yn = float(np.linalg.norm(y))
-    if xn >= 1.0:
-        raise ValueError(f"|x| = {xn!r} must be below 1")
-    if not yn <= 1.0 + matcore.ROUNDOFF:
-        raise ValueError(f"|y| = {yn!r} must be at most 1")
     xhat = _direction(x, fallback=y)
     y_par = float(y @ xhat)
     y_perp = y - y_par * xhat
@@ -249,89 +253,42 @@ def qubit_tau(x, y) -> QubitTau:
                     lambda_plus=tau0 + tnorm, lambda_minus=max(lam_minus, 0.0))
 
 
-def _fidelity_from_tau(tau: QubitTau) -> float:
-    return float(min(np.sqrt(tau.lambda_plus) + np.sqrt(max(tau.lambda_minus, 0.0)), 1.0))
+def _fidelity_legs(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """sqrt(F) and 1 - F of valid Bloch vectors; with c = sqrt((1 - |x|^2)(1 - |y|^2)),
+
+        F = (1 + x.y + c) / 2,   1 - F = (|d|^2 - |x cross d|^2) / (2 (1 - x.y + c)),
+
+    d = y - x. The second form has no cancellation for nearby endpoints.
+    """
+    c = np.sqrt(max((1.0 - x @ x) * (1.0 - y @ y), 0.0))
+    d = y - x
+    one_minus_f = (d @ d - np.sum(np.cross(x, d) ** 2)) / (2.0 * (1.0 - x @ y + c))
+    return float(min(np.sqrt(0.5 * (1.0 + x @ y + c)), 1.0)), float(max(one_minus_f, 0.0))
 
 
 def qubit_fidelity(x, y) -> float:
-    """Root fidelity between qubit states: sqrt(l_plus) + sqrt(l_minus).
+    """Root fidelity sqrt(F) = sqrt(Tr[rho1 rho2] + 2 sqrt(det rho1 det rho2)).
 
-    Equals sqrt(Tr[rho1 rho2] + 2 sqrt(det rho1 det rho2)) and matches the
-    general spectral route.
+    This trace-determinant form equals sqrt(lambda_plus) + sqrt(lambda_minus)
+    of tau and matches the general spectral route; y.y = 1 gives exactly
+    sqrt((1 + x.y)/2).
     """
-    return _fidelity_from_tau(qubit_tau(x, y))
-
-
-def _tau_eigenvector_bloch(tau: QubitTau) -> list[np.ndarray]:
-    """Bloch vectors of the tau eigenvectors, lambda_plus branch first.
-
-    Uses the explicit two-component form
-    (tau3 +- |tau|, tau1 + i tau2) / sqrt(2 |tau| (|tau| +- tau3)); when
-    |tau| vanishes or tau points along -+z the denominators degenerate and
-    the spectral decomposition takes over.
-    """
-    t1, t2, t3 = tau.tau_vec
-    tnorm = float(np.linalg.norm(tau.tau_vec))
-    scale = max(tau.tau0, tnorm, matcore.TINY)
-    degenerate = (tnorm <= matcore.EIGENVECTOR_CUT * scale
-                  or min(tnorm + t3, tnorm - t3) <= matcore.EIGENVECTOR_CUT * tnorm)
-    if degenerate:
-        mat = tau.tau0 * np.eye(2, dtype=np.complex128) + _dot_sigma(tau.tau_vec)
-        dec = matcore.spectral_decompose(mat)
-        vecs = [dec.eigenvectors[:, 1], dec.eigenvectors[:, 0]]
-    else:
-        vecs = []
-        for sign in (+1.0, -1.0):
-            v = np.array([t3 + sign * tnorm, t1 + 1j * t2], dtype=np.complex128)
-            vecs.append(v / np.sqrt(2.0 * tnorm * (tnorm + sign * t3)))
-    out = []
-    for v in vecs:
-        out.append(np.array([2.0 * (v[0].conjugate() * v[1]).real,
-                             2.0 * (v[0].conjugate() * v[1]).imag,
-                             float(abs(v[0]) ** 2 - abs(v[1]) ** 2)]))
-    return out
+    return _fidelity_legs(*_bloch_pair(x, y))[0]
 
 
 def qubit_orbit(x, y, s: float) -> np.ndarray:
-    """Bloch vector r(s) of the geodesic between qubit states x and y.
+    """Bloch vector r(s) = f^2 x + g^2 y + (f g / sqrt(F)) (x + y) of the qubit geodesic.
 
-    r(s) = f^2 x + g^2 y + 2 f g sum_i sqrt(lambda_i) v_i, where v_i rescales
-    the Bloch vector w_i of each tau eigenvector as
-
-        v_i = w_par + w_perp / sqrt(1 - |x|^2)
-
-    (components parallel and perpendicular to xhat). The + sign on the
-    perpendicular part is fixed by the x -> 0 limit, where the cross term
-    must reduce to sum_i sqrt(lambda_i)(I + w_i.sigma); see ERRATA. The
-    transport pipeline in :mod:`buresgeo.geodesy` is the authority this
-    formula is gated against.
-
-    The angle s* = arctan2(sqrt(1 - F), sqrt(F)) takes
-
-        1 - F = (|y - x|^2 - |x cross (y - x)|^2)
-                / (2 (1 - x.y + sqrt((1 - |x|^2)(1 - |y|^2)))),
-
-    which has no cancellation, so nearby endpoints keep the digits that
-    arccos(sqrt F) loses.
+    By Cayley-Hamilton sqrt(tau) = (tau + sqrt(det tau) I) / sqrt(F), so the
+    cross term M* rho1 + rho1 M* = ({rho1, rho2} + 2 sqrt(det rho1 det rho2) I)
+    / sqrt(F) has trace 2 sqrt(F) and Bloch vector (x + y) / sqrt(F); no
+    eigensolve is made. s* = arctan2(sqrt(1 - F), sqrt(F)). The transport
+    pipeline in :mod:`buresgeo.geodesy` is the authority this is gated against.
     """
-    x = _as_bloch3(x, "x")
-    y = _as_bloch3(y, "y")
-    tau = qubit_tau(x, y)
-    d = y - x
-    one_minus_f = (d @ d - np.sum(np.cross(x, d) ** 2)) / (
-        2.0 * (1.0 - x @ y + np.sqrt(max((1.0 - x @ x) * (1.0 - y @ y), 0.0))))
-    s_star = float(np.arctan2(np.sqrt(max(one_minus_f, 0.0)), _fidelity_from_tau(tau)))
-    f, g = geodesy.transport_coefficients(s, s_star)
-    xn = float(np.linalg.norm(x))
-    xhat = _direction(x, fallback=y)
-    stretch = 1.0 / np.sqrt(1.0 - xn * xn)
-    cross = np.zeros(3)
-    for lam, w in zip((tau.lambda_plus, tau.lambda_minus),
-                      _tau_eigenvector_bloch(tau)):
-        w_par = (w @ xhat) * xhat
-        w_perp = w - w_par
-        cross += np.sqrt(max(lam, 0.0)) * (w_par + stretch * w_perp)
-    return f * f * x + g * g * y + 2.0 * f * g * cross
+    x, y = _bloch_pair(x, y)
+    sqrt_f, one_minus_f = _fidelity_legs(x, y)
+    f, g = geodesy.transport_coefficients(s, float(np.arctan2(np.sqrt(one_minus_f), sqrt_f)))
+    return f * f * x + g * g * y + (f * g / sqrt_f) * (x + y)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +326,7 @@ ERRATA: tuple[Erratum, ...] = (
     Erratum(
         formula="tau eigenvector second component",
         rejected="(tau3 +- |tau|, tau1 + tau2)",
-        implemented="(tau3 +- |tau|, tau1 + i tau2)",
+        implemented="(tau3 +- |tau|, tau1 + i tau2), Bloch vectors +-tau_vec/|tau_vec|",
         evidence="eigenvectors of a Hermitian 2x2 matrix carry the complex "
                  "off-diagonal entry tau1 + i tau2; the real sum fails the "
                  "eigenvector residual check whenever tau2 != 0",
@@ -377,10 +334,12 @@ ERRATA: tuple[Erratum, ...] = (
     Erratum(
         formula="qubit orbit cross-term perpendicular sign",
         rejected="v_i = w_par - w_perp / sqrt(1 - |x|^2)",
-        implemented="v_i = w_par + w_perp / sqrt(1 - |x|^2)",
-        evidence="at x = 0 the cross term must equal "
-                 "sum_i sqrt(lambda_i)(I + w_i.sigma); the Bloch orbit matches "
-                 "the transport pipeline to 1e-9 only with the + sign",
+        implemented="v_i = w_par + w_perp / sqrt(1 - |x|^2): sum_i sqrt(lambda_i) v_i "
+                    "= (x + y)/(2 sqrt F)",
+        evidence="at x = 0 the cross term must equal sum_i sqrt(lambda_i)(I + "
+                 "w_i.sigma); with w_pm = +-tau_vec/|tau_vec| only the + sign gives "
+                 "the Bloch vector of the trace-determinant cross term the orbit "
+                 "evaluates; the - sign misses the transport pipeline beyond 1e-9",
     ),
     Erratum(
         formula="equal-p GHZ/W Werner cross term",

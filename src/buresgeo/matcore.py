@@ -39,10 +39,8 @@ ADMIT_TOL = 1e-10             # invariants of outside input: Hermiticity, PSD, n
                               # gauge, purification, orthogonality, traceless variation
 TRACE_TOL = 1e-12             # strict unit trace of a density matrix
 ROUNDOFF = 1e-12              # absolute slack: s range, direction and phase cuts,
-                              # qubit tau's |y| <= 1 and l_minus >= 0
+                              # qubit |y| <= 1 and tau's l_minus >= 0
 CONDITION_LIMIT = 1e12        # l_max / l_min beyond which the tangent solve is refused
-EIGENVECTOR_CUT = 1e-14       # relative cut of the closed-form qubit tau eigenvectors
-TINY = 1e-300                 # scale guard against dividing by an exact zero
 # Default ``--tol`` of the CLI gates, and the fixed sun-check reconstruction gate.
 GATE_TOL = {"werner-sweep": 1e-10, "qubit-orbit": 1e-9, "solve-g": 1e-8,
             "sun-check": 1e-12, "reconstruction": 1e-9}

@@ -140,7 +140,10 @@ class Purification:
 
     def __post_init__(self):
         a = matcore.as_complex_matrix(self.matrix)
-        defect = float(np.max(np.abs(a @ a.conj().T - self.target)))
+        target = np.asarray(self.target)
+        if a.shape != target.shape:
+            raise ValueError(f"dimension mismatch: {a.shape} vs {target.shape}")
+        defect = float(np.max(np.abs(a @ a.conj().T - target)))
         if not defect <= matcore.ADMIT_TOL:
             raise ValueError(
                 f"matrix does not purify the target state: max entry defect "
@@ -180,4 +183,8 @@ def purification_vector(a) -> np.ndarray:
     second factor reproduces A A^dag. Provided as a conversion for tests; the
     matrix form is primary everywhere else.
     """
-    return matcore.as_complex_matrix(a).reshape(-1).copy()
+    m = matcore.as_complex_matrix(a)
+    if not np.isfinite(m).all():
+        raise ValueError(f"a has non-finite entries (NaN or inf): "
+                         f"max |a| = {float(np.abs(m).max())!r}")
+    return m.reshape(-1).copy()

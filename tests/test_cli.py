@@ -180,6 +180,13 @@ class TestQubitOrbit:
         for line in out.strip().splitlines()[1:]:
             assert float(line.split(",")[-1]) < 1e-9
 
+    @pytest.mark.parametrize("end", ["0,0,1", "0,0,-1", "0,1,0"])
+    def test_pure_end_passes_the_gate(self, capsys, end):
+        code, out, err = run(["qubit-orbit", "--x=0.1,0.2,0.3", f"--y={end}"], capsys)
+        assert code == 0, err
+        for line in out.strip().splitlines()[1:]:
+            assert float(line.split(",")[-1]) < 1e-9
+
     def test_bad_vector_exits_2(self, capsys):
         code, _, err = run(["qubit-orbit", "--x", "0,0", "--y", "0,0,0"], capsys)
         assert code == 2

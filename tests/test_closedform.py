@@ -249,6 +249,16 @@ class TestQubitFidelity:
                                         * np.linalg.det(r2).real))
             assert abs(closedform.qubit_fidelity(x, y) - alt) < 1e-13
 
+    def test_pure_end_is_the_overlap(self):
+        # With y.y == 1 the determinant term vanishes: F = (1 + x.y)/2.
+        rng = np.random.default_rng(93)
+        starts = [np.array([0.1, 0.2, 0.3])] + [random_ball_vector(rng) for _ in range(20)]
+        for y in np.vstack([np.eye(3), -np.eye(3)]):
+            assert y @ y == 1.0
+            for x in starts:
+                expected = np.sqrt((1 + x @ y) / 2)
+                assert abs(closedform.qubit_fidelity(x, y) - expected) <= 1e-15
+
     def test_matches_general_route(self):
         rng = np.random.default_rng(88)
         for _ in range(50):
@@ -301,7 +311,8 @@ class TestQubitOrbit:
                 assert np.max(np.abs(orbit - expected)) < 1e-9
 
     def test_collinear_tau_branch(self):
-        # tau aligned with -z exercises the spectral fallback.
+        # tau aligned with -z, where the tau eigenvector spinors degenerate;
+        # the orbit does not use them.
         x = np.array([0.0, 0.0, -0.4])
         y = np.array([0.0, 0.0, -0.9])
         basis = sun.generator_basis(2)
@@ -338,3 +349,55 @@ class TestErrata:
         rho = bloch_matrix(1.0, x)
         assert np.max(np.abs(rejected @ rejected - rho)) < 1e-13
         assert np.linalg.eigvalsh(rejected)[0] < -0.1
+
+    def test_rejected_eigenvector_component_really_fails(self):
+        # The complex spinors are eigenvectors of tau with Bloch vectors
+        # +-tau_vec/|tau_vec|; the real sum tau1 + tau2 is not an eigenvector.
+        entry = closedform.ERRATA[2]
+        assert "+-tau_vec/|tau_vec|" in entry.implemented
+        rng = np.random.default_rng(94)
+        x, y = random_ball_vector(rng, radius=0.8), random_ball_vector(rng, radius=0.8)
+        tau = closedform.qubit_tau(x, y)
+        t1, t2, t3 = tau.tau_vec
+        tnorm = np.linalg.norm(tau.tau_vec)
+        assert abs(t2) > 1e-3
+        mat = bloch_matrix(2 * tau.tau0, 2 * tau.tau_vec)
+        for sign, lam in ((1, tau.lambda_plus), (-1, tau.lambda_minus)):
+            implemented = np.array([t3 + sign * tnorm, t1 + 1j * t2])
+            implemented /= np.linalg.norm(implemented)
+            assert np.max(np.abs(mat @ implemented - lam * implemented)) < 1e-14
+            bloch = [np.vdot(implemented, p @ implemented).real for p in PAULI]
+            np.testing.assert_allclose(bloch, sign * tau.tau_vec / tnorm, atol=1e-14)
+            rejected = np.array([t3 + sign * tnorm, t1 + t2], dtype=complex)
+            rejected /= np.linalg.norm(rejected)
+            assert np.max(np.abs(mat @ rejected - lam * rejected)) > 1e-3
+
+    def test_rejected_perpendicular_sign_really_fails(self):
+        # Only the + sign sums to the cross-term Bloch vector the orbit
+        # evaluates; an orbit built with the - sign leaves the pipeline.
+        entry = closedform.ERRATA[3]
+        assert "(x + y)/(2 sqrt F)" in entry.implemented
+        rng = np.random.default_rng(95)
+        basis = sun.generator_basis(2)
+        x, y = random_ball_vector(rng, radius=0.8), random_ball_vector(rng, radius=0.8)
+        tau = closedform.qubit_tau(x, y)
+        w = tau.tau_vec / np.linalg.norm(tau.tau_vec)
+        xhat = x / np.linalg.norm(x)
+
+        def v(wi, sign):  # w_par +- w_perp / sqrt(1 - |x|^2)
+            par = (wi @ xhat) * xhat
+            return par + sign * (wi - par) / np.sqrt(1 - x @ x)
+
+        sums = {sign: np.sqrt(tau.lambda_plus) * v(w, sign)
+                + np.sqrt(tau.lambda_minus) * v(-w, sign) for sign in (1, -1)}
+        sqrt_f = closedform.qubit_fidelity(x, y)
+        np.testing.assert_allclose(sums[1], (x + y) / (2 * sqrt_f), atol=1e-14)
+        path = geodesy.geometric_mean_operator(states.density_from_bloch(x, basis),
+                                               states.density_from_bloch(y, basis))
+        s = path.s_star / 2
+        f, g = geodesy.transport_coefficients(s, path.s_star)
+        _, expected = sun.coefficients(geodesy.geodesic_point(path, s), basis)
+        dev = {sign: np.max(np.abs(f * f * x + g * g * y + 2 * f * g * v - expected))
+               for sign, v in sums.items()}
+        assert dev[1] < 1e-9
+        assert dev[-1] > 1e-3

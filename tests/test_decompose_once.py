@@ -187,6 +187,7 @@ def test_admission_snaps_like_snap_to_state(load):
 
 
 def test_qubit_orbit_builds_tau_once(monkeypatch):
+    # The orbit reads the trace-determinant fidelity and builds no tau.
     calls = []
     qubit_tau = closedform.qubit_tau
 
@@ -196,7 +197,15 @@ def test_qubit_orbit_builds_tau_once(monkeypatch):
 
     monkeypatch.setattr(closedform, "qubit_tau", counted)
     closedform.qubit_orbit([0.1, -0.2, 0.3], [-0.4, 0.1, 0.2], 0.1)
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def test_qubit_closed_forms_make_no_eigensolve(solver_counts):
+    # tau along -z, where the eigenvector spinors of tau degenerate.
+    x, y = [0.0, 0.0, -0.4], [0.0, 0.0, -0.9]
+    closedform.qubit_fidelity(x, y)
+    closedform.qubit_orbit(x, y, 0.1)
+    assert solver_counts == {"eigh": 0, "eigvalsh": 0, "svd": 0}
 
 
 def test_decompose_density_matches_validate_density():

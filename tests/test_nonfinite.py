@@ -15,6 +15,7 @@ MIXED = states.maximally_mixed(2)
 MATRIX_ENTRY_POINTS = {
     "validate_density": states.validate_density,
     "sqrtm_psd": matcore.sqrtm_psd,
+    "purification_vector": states.purification_vector,
     "root_fidelity_first": lambda rho: geodesy.root_fidelity(rho, MIXED),
     "root_fidelity_second": lambda rho: geodesy.root_fidelity(MIXED, rho),
 }

@@ -124,6 +124,11 @@ class TestPurifications:
         with pytest.raises(ValueError, match="does not purify"):
             states.Purification(matrix=np.eye(2), target=np.eye(2) / 2)
 
+    def test_purification_names_a_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(3, 3\) vs \(2, 2\)"):
+            states.Purification(matrix=np.eye(3) / np.sqrt(3),
+                                target=states.maximally_mixed(2))
+
     def test_vector_form_partial_trace(self):
         rng = np.random.default_rng(15)
         rho = random_density(rng, 3)
