@@ -272,6 +272,8 @@ def _sun_residuals(basis: sun.GeneratorBasis) -> dict:
 
 
 def cmd_sun_check(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     basis = sun.generator_basis(args.dim)
     residuals = _sun_residuals(basis)
     payload = {"dim": args.dim, **residuals}

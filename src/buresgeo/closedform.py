@@ -31,8 +31,8 @@ def maxmixed_to_pure(n: int, psi, s: float) -> np.ndarray:
 
         rho(s) = f(s)^2 I/N + (g(s)^2 + 2 f(s) g(s)/sqrt(N)) |psi><psi|.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"dimension must be an integer of at least 2, got {n!r}")
     proj = states.pure_density(psi)
     if proj.shape[0] != n:
         raise ValueError(f"psi has dimension {proj.shape[0]}, expected {n}")

@@ -9,11 +9,12 @@ the projection of the great circle through them,
     rho(s) = f(s)^2 rho1 + f(s) g(s) C + g(s)^2 rho2,   C = A1 A2^dag + A2 A1^dag,
 
 with f(s) = sin(s* - s)/sin(s*), g(s) = sin(s)/sin(s*) and the Bures angle
-s* = 2 arcsin(|A1 - A2|_F / 2); no inverse root is taken. The paper's operator
-M* solves M* rho1 + rho1 M* = C (for invertible rho1 it is
-rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}) and maps A1 to A2, so
-M(s) = f(s) I + g(s) M* gives rho(s) = M(s) rho1 M(s) and the horizontal lift
-A(s) = M(s) A(0). The root fidelity from the start decays as cos(s).
+s* = 2 arcsin(|A1 - A2|_F / 2); no inverse root is taken. When rank rho1 >=
+rank rho2, the paper's operator M* solves M* rho1 + rho1 M* = C (for invertible
+rho1 it is rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}) and maps A1
+to A2, so M(s) = f(s) I + g(s) M* gives rho(s) = M(s) rho1 M(s) and the
+horizontal lift A(s) = M(s) A(0); otherwise no M* exists, as M rho1 M cannot
+raise the rank. The root fidelity from the start decays as cos(s).
 
 Endpoints are the memoised decompositions of ``states.admit``. A second LRU
 memo of fixed size ``PAIR_MEMO_SIZE``, keyed on the pair of them, keeps the
@@ -54,7 +55,8 @@ class GeodesicPath:
     """Endpoints with the cached data for geodesic sampling.
 
     ``s_star`` is the total Bures angle, ``cross`` the cross term C and
-    ``m_star`` the solution of M* rho1 + rho1 M* = C. ``orthogonal`` marks
+    ``m_star`` the solution of M* rho1 + rho1 M* = C, or None when
+    rank rho1 < rank rho2 and no M* exists. ``orthogonal`` marks
     orthogonal pure endpoints, joined through the gauge A2 = |psi2><psi1|.
     Construction marks the arrays read-only, so instances are immutable and
     safe to share across concurrent samplers.
@@ -62,14 +64,15 @@ class GeodesicPath:
 
     rho1: np.ndarray
     rho2: np.ndarray
-    m_star: np.ndarray
+    m_star: np.ndarray | None
     cross: np.ndarray
     s_star: float
     orthogonal: bool = False
 
     def __post_init__(self):
         for a in (self.rho1, self.rho2, self.m_star, self.cross):
-            a.flags.writeable = False
+            if a is not None:
+                a.flags.writeable = False
 
     @property
     def degenerate(self) -> bool:
@@ -171,38 +174,45 @@ def _phase_fixed_top_eigenvector(dec: matcore.SpectralDecomposition) -> np.ndarr
 def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
     """Construct the geodesic cache (M*, C, s*) for the given endpoints.
 
-    One rank rule admits a pair: rank B = rank rho2, the singular values of B
-    counted at CLAMP against their bound sqrt(l1_max l2_max). Then A2 vanishes
-    on the kernel of rho1 and M* exists, also for a singular rho1 whose
-    support is tilted against rho2's. Identical endpoints take W = I (s* = 0).
-    Orthogonal pure endpoints (rank B = 0) take the gauge A2 = |psi2><psi1|,
-    each vector's first nonzero component real positive, so that
-    M* = |psi1><psi2| + |psi2><psi1|. Other orthogonal endpoints admit
-    infinitely many geodesics and are refused, as is rank B < rank rho2.
+    The geodesic is unique exactly when rank B = min(rank rho1, rank rho2), for
+    B = sqrt(rho1) sqrt(rho2) = U S V^dag with its singular values counted at
+    CLAMP against their bound sqrt(l1_max l2_max). The gauge W = V U^dag is free
+    only on the columns of U that span ker B^dag and of V that span ker B. If
+    rank B = rank rho1, ker B^dag = ker sqrt(rho1), so sqrt(rho1) kills the free
+    columns of U; if rank B = rank rho2, sqrt(rho2) kills those of V. Either way
+    A1 A2^dag = sqrt(rho1) U V^dag sqrt(rho2) is fixed, and with it C; below
+    both ranks it is not, and the pair is refused. Identical endpoints take W = I.
+    Orthogonal pure endpoints (rank B = 0) take A2 = |psi2><psi1|, each vector's
+    first nonzero component real positive, so that M* = |psi1><psi2| +
+    |psi2><psi1|; orthogonal mixed endpoints admit infinitely many geodesics
+    and are refused. ``m_star`` is None when rank rho1 < rank rho2.
     """
     st1, st2 = _admit_pair(rho1, rho2)
     polar = _polar_pair(st1, st2)
-    rank_b, rank2 = polar.rank, st2.rank
-    orthogonal = rank_b == 0 and st1.rank == rank2 == 1
-    if orthogonal:
+    rank_b, rank1, rank2 = polar.rank, st1.rank, st2.rank
+    orthogonal = rank_b == 0 and rank1 == rank2 == 1
+    if rank_b == rank2 or rank_b == rank1:
+        a2 = polar.a2
+    elif orthogonal:
         a2 = np.outer(_phase_fixed_top_eigenvector(st2),
                       _phase_fixed_top_eigenvector(st1).conj())
     elif rank_b == 0:
         raise GeodesicUndefinedError(
             "M singular at s*=pi/2: orthogonal mixed endpoints admit "
             "infinitely many geodesics; only the pure-pure case is constructed")
-    elif rank_b != rank2:
-        raise GeodesicUndefinedError(
-            f"geodesic undefined through rank-deficient start: sqrt(rho1) sqrt(rho2) "
-            f"has rank {rank_b} < rank rho2 = {rank2}, so no M* maps rho1 onto rho2")
     else:
-        a2 = polar.a2
+        raise GeodesicUndefinedError(
+            f"geodesic not unique: sqrt(rho1) sqrt(rho2) has rank {rank_b} below "
+            f"both rank rho1 = {rank1} and rank rho2 = {rank2}")
     half = st1.sqrt @ a2.conj().T
     cross = half + half.conj().T
-    _, m_eig = matcore.lyapunov_eigenbasis(st1, cross)
-    v = st1.eigenvectors
-    m = v @ m_eig @ v.conj().T
-    return GeodesicPath(rho1=st1.matrix, rho2=st2.matrix, m_star=(m + m.conj().T) / 2,
+    m_star = None
+    if rank1 >= rank2:
+        _, m_eig = matcore.lyapunov_eigenbasis(st1, cross)
+        v = st1.eigenvectors
+        m = v @ m_eig @ v.conj().T
+        m_star = (m + m.conj().T) / 2
+    return GeodesicPath(rho1=st1.matrix, rho2=st2.matrix, m_star=m_star,
                         cross=cross, s_star=polar.summary.bures_angle, orthogonal=orthogonal)
 
 
@@ -226,7 +236,12 @@ def transport_operator(path: GeodesicPath, s: float) -> np.ndarray:
     """Transport operator M(s) = f(s) I + g(s) M* on 0 <= s <= s*.
 
     M(0) = I and M(s*) = M*; on a degenerate path only s = 0 is in range.
+    A path with rank rho1 < rank rho2 has no M* and is refused.
     """
+    if path.m_star is None:
+        r1, r2 = (matcore.spectral_decompose(r).rank for r in (path.rho1, path.rho2))
+        raise GeodesicUndefinedError(f"no M*: rank rho1 = {r1} < rank rho2 = {r2}, "
+                                     "and M rho1 M cannot raise the rank")
     f, g = transport_coefficients(s, path.s_star)
     return f * np.eye(path.dim, dtype=np.complex128) + g * path.m_star
 
@@ -238,7 +253,7 @@ def geodesic_point(path: GeodesicPath, s: float) -> np.ndarray:
 
 
 def initial_tangent(path: GeodesicPath) -> np.ndarray:
-    """Initial generator G0 = (M* - I cos s*)/sin s* of the horizontal lift.
+    """Initial generator G0 = (M(s*) - I cos s*)/sin s* of the horizontal lift.
 
     G0 is Hermitian, the lift tangent is A'(0) = G0 A(0), and it has unit
     length with Tr[A'(0) A(0)^dag] = 0 for any purification A(0) of rho1.
@@ -246,8 +261,8 @@ def initial_tangent(path: GeodesicPath) -> np.ndarray:
     if path.degenerate:
         raise ValueError("tangent undefined for the constant path between "
                          "identical endpoints")
-    n = path.dim
-    return (path.m_star - np.cos(path.s_star) * np.eye(n)) / np.sin(path.s_star)
+    m = transport_operator(path, path.s_star)
+    return (m - np.cos(path.s_star) * np.eye(path.dim)) / np.sin(path.s_star)
 
 
 def horizontal_lift(a0: states.Purification, path: GeodesicPath,

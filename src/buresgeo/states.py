@@ -66,8 +66,8 @@ def snap_to_state(rho) -> np.ndarray:
 
 def maximally_mixed(n: int) -> np.ndarray:
     """The state I/N."""
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"dimension must be a positive integer, got {n!r}")
     return np.eye(n, dtype=np.complex128) / n
 
 

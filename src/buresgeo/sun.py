@@ -96,18 +96,18 @@ def _generator_matrices(n: int) -> np.ndarray:
     return np.array(mats)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3
 def generator_basis(n: int) -> GeneratorBasis:
     """Build (and cache) the su(N) generator basis for 2 <= N <= 16.
 
     For N = 2 the generators are the Pauli matrices in (x, y, z) order, with
     f the Levi-Civita symbol and d identically zero.
     """
-    if not (2 <= n <= MAX_DIM):
-        raise ValueError(f"dimension must be between 2 and {MAX_DIM}, got {n}")
+    if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_DIM:
+        raise ValueError(f"dimension must be an integer between 2 and {MAX_DIM}, got {n!r}")
     sig = _generator_matrices(n)
     sig.setflags(write=False)
-    return GeneratorBasis(dim=n, sigmas=sig)
+    return GeneratorBasis(dim=int(n), sigmas=sig)
 
 
 def _coordinates(basis: GeneratorBasis, *vectors) -> tuple[np.ndarray, ...]:

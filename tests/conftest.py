@@ -3,15 +3,22 @@
 All randomness is seeded per test through numpy Generators so the suite is
 deterministic. Full-rank ensembles mix in a fraction of the maximally mixed
 state as a spectral floor; ``conditioned_density`` fixes the conditioning
-instead. ``solver_counts`` counts the eigensolves a test makes.
+instead. ``solver_counts`` counts the eigensolves a test makes. Property
+tests run under the ``buresgeo`` hypothesis profile: derandomized, so every
+run draws the same examples, and without a deadline, since a first call
+fills the memos.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from buresgeo import geodesy, matcore
+
+settings.register_profile("buresgeo", derandomize=True, deadline=None)
+settings.load_profile("buresgeo")
 
 
 @pytest.fixture

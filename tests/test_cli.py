@@ -122,6 +122,16 @@ class TestGeodesic:
         assert code == 2
         assert "M singular at s*=pi/2" in err
 
+    def test_pure_start_to_mixed_end(self, state_file, capsys):
+        f1 = state_file("pure.json", np.diag([1.0, 0.0, 0.0]).astype(complex))
+        f2 = state_file("mixed.json", states.maximally_mixed(3))
+        code, out, _ = run(["geodesic", f1, f2, "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["s_star"] - np.arccos(1 / np.sqrt(3))) < 1e-12
+        np.testing.assert_allclose(payload["samples"][-1]["eigenvalues"], [1 / 3] * 3,
+                                   atol=1e-12)
+
     def test_sample_count_validated(self, state_file, capsys):
         f = state_file("mm.json", states.maximally_mixed(2))
         code, _, err = run(["geodesic", f, f, "--samples", "1"], capsys)
@@ -260,6 +270,13 @@ class TestInvariantsAndSunCheck:
         payload = json.loads(out)
         assert payload["pauli_f_error"] == 0.0
         assert payload["pauli_d_error"] == 0.0
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_sun_check_without_trials_exits_2(self, capsys, trials):
+        code, out, err = run(["sun-check", "--dim", "3", "--trials", trials], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--trials must be at least 1" in err
 
     def test_impossible_gate_exits_3(self, capsys):
         code, _, err = run(["sun-check", "--dim", "4", "--tol", "0"], capsys)

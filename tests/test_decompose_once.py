@@ -19,13 +19,12 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import buresgeo
 from buresgeo import cli, closedform, geodesy, matcore, states, sun
-from conftest import random_density, random_traceless_hermitian, random_unitary
-
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
+from conftest import (conditioned_density, random_density, random_traceless_hermitian,
+                      random_unitary)
 
 
 def _pair(n=8):
@@ -251,23 +250,35 @@ def test_solvers_leave_the_structure_constant_pair_unbuilt():
 
 @st.composite
 def endpoint_pairs(draw):
-    """(rho1, rho2): full-rank pairs, or a rank-deficient start (rank >= 2)
-    whose support contains rho2. Spectral floors act inside the support."""
+    """(rho1, rho2, kind). "contained": a start of rank r >= 2 whose support
+    contains a rho2 of rank 1 to r (r = N gives full-rank pairs); "reversed":
+    the same pair in the other order; "conditioned": a start with
+    lambda_min / lambda_max = 1e-9 toward a full-rank rho2. Spectral floors act
+    inside the supports."""
     n = draw(st.integers(2, 8))
-    rank = draw(st.integers(2, n))
-    floor1 = draw(st.sampled_from([0.3, 0.1, 1e-2, 1e-3]))
-    floor2 = draw(st.sampled_from([0.3, 0.1, 1e-2, 1e-3]))
+    rank1 = draw(st.integers(2, n))
+    rank2 = draw(st.integers(1, rank1))
+    floor1, floor2 = (draw(st.sampled_from([0.3, 0.1, 1e-2, 1e-3])) for _ in range(2))
+    kind = draw(st.sampled_from(["contained", "reversed", "conditioned"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    u = random_unitary(rng, n)[:, :rank]
-    rho1, rho2 = (u @ random_density(rng, rank, floor=fl) @ u.conj().T
-                  for fl in (floor1, floor2))
-    return (rho1 + rho1.conj().T) / 2, (rho2 + rho2.conj().T) / 2
+    if kind == "conditioned":
+        return conditioned_density(rng, n, 1e-9), random_density(rng, n, floor=floor2), kind
+    u = random_unitary(rng, n)[:, :rank1]
+    w = u @ random_unitary(rng, rank1)[:, :rank2]
+    rho1, rho2 = (b @ random_density(rng, b.shape[1], floor=fl) @ b.conj().T
+                  for b, fl in ((u, floor1), (w, floor2)))
+    pair = ((rho1 + rho1.conj().T) / 2, (rho2 + rho2.conj().T) / 2)
+    return (*pair[::-1], kind) if kind == "reversed" else (*pair, kind)
 
 
-@PROPERTY
+@settings(max_examples=80)
 @given(endpoint_pairs())
 def test_mean_operator_matches_textbook_oracle(pair):
-    rho1, rho2 = pair
+    """Where M* exists, rank rho1 >= rank rho2. At lambda_min / lambda_max = 1e-9
+    the textbook and the polar M* each lie about 1e-7 (relative, N = 4) from
+    M* in 50-digit arithmetic, so conditioned starts are no test of it."""
+    rho1, rho2, kind = pair
+    assume(kind != "conditioned" and states.admit(rho1).rank >= states.admit(rho2).rank)
     sqrt1 = matcore.sqrtm_psd(rho1)
     inv_sqrt1 = matcore.inv_sqrtm_psd(rho1)
     sqrt_tau = matcore.sqrtm_psd(sqrt1 @ rho2 @ sqrt1)
@@ -276,3 +287,24 @@ def test_mean_operator_matches_textbook_oracle(pair):
     scale = max(1.0, float(np.max(np.abs(oracle))))
     assert np.max(np.abs(path.m_star - oracle)) <= 1e-12 * scale
     assert abs(np.cos(path.s_star) - np.trace(sqrt_tau).real) <= 1e-12
+
+
+@settings(max_examples=80)
+@given(endpoint_pairs())
+def test_polar_path_in_both_orders(pair):
+    """rho(s*) = rho2, both cos laws, PSD samples and the reversed path
+    retraced, rho_{1->2}(s) = rho_{2->1}(s* - s), with M* exactly where
+    rank rho1 >= rank rho2."""
+    rho1, rho2, _ = pair
+    path = geodesy.geometric_mean_operator(rho1, rho2)
+    back = geodesy.geometric_mean_operator(rho2, rho1)
+    assert (path.m_star is None) == (states.admit(rho1).rank < states.admit(rho2).rank)
+    assert np.max(np.abs(geodesy.geodesic_point(path, path.s_star) - rho2)) <= 1e-12
+    assert abs(path.s_star - back.s_star) <= 1e-12
+    for s in np.linspace(0.0, path.s_star, 5):
+        rho_s = geodesy.geodesic_point(path, s)
+        assert abs(geodesy.root_fidelity(rho1, rho_s) - np.cos(s)) <= 1e-12
+        assert abs(geodesy.root_fidelity(rho_s, rho2) - np.cos(path.s_star - s)) <= 1e-12
+        assert np.linalg.eigvalsh(rho_s)[0] >= -1e-14
+        back_s = geodesy.geodesic_point(back, back.s_star - s)
+        assert np.max(np.abs(rho_s - back_s)) <= 1e-12

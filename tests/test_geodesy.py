@@ -144,12 +144,42 @@ class TestGeometricMeanOperator:
         path = geodesy.geometric_mean_operator(r1, r2)
         assert np.max(np.abs(path.m_star @ r1 @ path.m_star - r2)) < 1e-12
 
-    def test_support_violation_refused(self):
+    def test_rank_raising_pair_built_without_m_star(self):
+        # rank B = 2 = rank rho1 < rank rho2 = 3: the geodesic is unique, but
+        # M rho1 M cannot raise the rank, so no M* exists.
         r1 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         r2 = np.diag([0.25, 0.25, 0.5, 0.0]).astype(complex)
-        with pytest.raises(geodesy.GeodesicUndefinedError,
-                           match="rank-deficient start"):
-            geodesy.geometric_mean_operator(r1, r2)
+        path = geodesy.geometric_mean_operator(r1, r2)
+        assert path.m_star is None
+        assert np.max(np.abs(geodesy.geodesic_point(path, path.s_star) - r2)) < 1e-12
+        for s in np.linspace(0, path.s_star, 7):
+            rho_s = geodesy.geodesic_point(path, s)
+            assert abs(geodesy.root_fidelity(r1, rho_s) - np.cos(s)) < 1e-12
+            assert abs(geodesy.root_fidelity(rho_s, r2) - np.cos(path.s_star - s)) < 1e-12
+        a0 = states.canonical_purification(r1)
+        for call in (lambda: geodesy.transport_operator(path, 0.1),
+                     lambda: geodesy.initial_tangent(path),
+                     lambda: geodesy.horizontal_lift(a0, path, 0.1)):
+            with pytest.raises(geodesy.GeodesicUndefinedError,
+                               match=r"no M\*: rank rho1 = 2 < rank rho2 = 3"):
+                call()
+
+    def test_rank_b_below_both_ranks_refused(self):
+        r1 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        r2 = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+        for a, b in ((r1, r2), (r2, r1)):
+            with pytest.raises(geodesy.GeodesicUndefinedError,
+                               match="rank 1 below both rank rho1 = 2 and rank rho2 = 2"):
+                geodesy.geometric_mean_operator(a, b)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_pure_to_maxmixed_is_the_paper_example_reversed(self, n):
+        psi = random_state_vector(np.random.default_rng(70 + n), n)
+        path = geodesy.geometric_mean_operator(states.pure_density(psi),
+                                               states.maximally_mixed(n))
+        for s in np.linspace(0, path.s_star, 7):
+            expected = closedform.maxmixed_to_pure(n, psi, path.s_star - s)
+            assert np.max(np.abs(geodesy.geodesic_point(path, s) - expected)) < 1e-12
 
     def test_orthogonal_pure_endpoints(self):
         g = states.pure_density(states.ghz_state())

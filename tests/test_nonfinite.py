@@ -54,6 +54,23 @@ def test_qubit_closed_forms_name_the_vector(closed_form, value, name, position):
         getattr(closedform, closed_form)(*vectors, *extra)
 
 
+DIMENSION_ENTRY_POINTS = {
+    "maximally_mixed": states.maximally_mixed,
+    "generator_basis": sun.generator_basis,
+    "maxmixed_to_pure": lambda n: closedform.maxmixed_to_pure(n, [1.0, 0.0, 0.0], 0.1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DIMENSION_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [2.5, 3.0])
+def test_non_integer_dimension_is_named(entry, value):
+    # numpy integers are accepted, and a cached entry for 3 must not answer for 3.0
+    for n in (3, np.int64(3)):
+        DIMENSION_ENTRY_POINTS[entry](n)
+    with pytest.raises(ValueError, match=f"integer.*got {value!r}$"):
+        DIMENSION_ENTRY_POINTS[entry](value)
+
+
 PATH = geodesy.geometric_mean_operator(MIXED, states.pure_density([1.0, 0.0]))
 NAN_2X2 = np.full((2, 2), np.nan)
 

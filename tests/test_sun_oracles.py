@@ -16,8 +16,6 @@ from hypothesis import given, settings, strategies as st
 from buresgeo import geodesy, sun
 from conftest import random_bloch, random_unitary
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
-
 
 @st.composite
 def solver_inputs(draw):
@@ -43,7 +41,7 @@ def assert_close(actual, expected, scale):
     assert np.max(np.abs(actual - expected)) <= 1e-12 * max(1.0, scale)
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(solver_inputs())
 def test_solve_tangent_satisfies_coupling_system(inputs):
     basis, x, xdot, _ = inputs
@@ -52,7 +50,7 @@ def test_solve_tangent_satisfies_coupling_system(inputs):
                  np.linalg.norm(g))
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(solver_inputs())
 def test_unitary_tangent_is_f_contraction(inputs):
     basis, x, _, y = inputs
@@ -61,7 +59,7 @@ def test_unitary_tangent_is_f_contraction(inputs):
     assert_close(g, expected, np.linalg.norm(g))
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(solver_inputs())
 def test_hamiltonian_is_coupling_product(inputs):
     basis, x, _, y = inputs
@@ -69,7 +67,7 @@ def test_hamiltonian_is_coupling_product(inputs):
     assert_close(b, coupling_oracle(basis, x) @ y, np.linalg.norm(b))
 
 
-@PROPERTY
+@settings(max_examples=60)
 @given(solver_inputs())
 def test_metric_is_half_trace_of_generator(inputs):
     # The Bures metric and the tangent generator come from one eigenbasis
