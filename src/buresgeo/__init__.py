@@ -8,8 +8,7 @@ forms for the standard worked families (maximally mixed to pure, three-qubit
 GHZ/W Werner mixtures, and general qubit endpoints).
 """
 
-from .matcore import (SpectralDecomposition, inv_sqrtm_psd, polar_positive,
-                      spectral_decompose, spectral_function, sqrtm_psd)
+from .matcore import SpectralDecomposition, spectral_decompose, spectral_function
 from .states import (Purification, admit, bloch_from_density,
                      canonical_purification, density_from_bloch, ghz_state,
                      maximally_mixed, project, pure_density, snap_to_state,

@@ -200,7 +200,7 @@ def qubit_root(x) -> tuple[np.ndarray, np.ndarray]:
     det = 0.25 * (1.0 - r2)
     a_plus = np.sqrt(0.5 + np.sqrt(det))
     a_minus = np.sqrt(max(0.5 - np.sqrt(det), 0.0))
-    xhat_sigma = np.tensordot(_direction(x), sun.generator_basis(2).sigmas, axes=1)
+    xhat_sigma = 2.0 * sun.expand(0.0, _direction(x), sun.generator_basis(2))
     root = (a_plus * np.eye(2, dtype=np.complex128) + a_minus * xhat_sigma) / np.sqrt(2.0)
     return root, np.linalg.inv(root)
 

@@ -180,18 +180,3 @@ def spectral_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.n
     out = (v * fw) @ v.conj().T
     return (out + out.conj().T) / 2
 
-
-def sqrtm_psd(h) -> np.ndarray:
-    """Principal square root of a positive semidefinite Hermitian matrix."""
-    return spectral_function(spectral_decompose(h), np.sqrt)
-
-
-def inv_sqrtm_psd(h) -> np.ndarray:
-    """Inverse square root on the support of a PSD matrix (the pseudo-inverse root)."""
-    return spectral_function(spectral_decompose(h), lambda w: 1.0 / np.sqrt(w))
-
-
-def polar_positive(a) -> np.ndarray:
-    """Positive factor |A| = sqrt(A A^dagger) of the polar decomposition."""
-    m = as_complex_matrix(a)
-    return sqrtm_psd(m @ m.conj().T)

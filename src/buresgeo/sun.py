@@ -10,8 +10,10 @@ Hermitian generator G of the flow  drho/dt = G rho + rho G  from (x, dx/dt)
 through the eigenbasis kernel it shares with the Bures metric, gives the
 unitary-evolution specialization as commutator products, and computes the
 characteristic-polynomial invariants of a state (which need no
-diagonalization). The structure constants f and d of :class:`GeneratorBasis`
-are built only on request, as oracles for the tests and the identity report.
+diagonalization). Coordinates and matrices convert in O(N^2) through an index
+map of the generator ordering. The dense generator stack and the structure
+constants f and d of :class:`GeneratorBasis` are oracles for the tests and the
+identity report; f and d are built only on request.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ class GeneratorBasis:
 
     Generator ordering: all symmetric off-diagonal pairs first (lexicographic
     in (j, k)), then all antisymmetric pairs, then the diagonal ladder. The
-    ordering is part of the coordinate contract. The dense structure
-    constants ``f`` and ``d`` (m x m x m with m = N^2 - 1) are read-only
-    oracles built on first access; the solvers never read them.
+    ordering is part of the coordinate contract. The dense stack ``sigmas``
+    and the structure constants ``f`` and ``d`` (m x m x m with m = N^2 - 1,
+    built on first access) are read-only oracles; no conversion reads them.
     """
 
     dim: int
@@ -110,6 +112,37 @@ def generator_basis(n: int) -> GeneratorBasis:
     return GeneratorBasis(dim=int(n), sigmas=sig)
 
 
+@lru_cache(maxsize=None)
+def _index_map(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat positions of the upper (j, k) and lower (k, j) entries of the pairs,
+    j < k lexicographic, and the (N - 1) x N ladder of the diagonal generators."""
+    j, k = np.triu_indices(n, 1)
+    rung = np.arange(1, n)
+    steps = np.tri(n - 1, n) - np.diag(rung, 1)[:-1]  # row k - 1: k ones, then -k
+    return j * n + k, k * n + j, np.sqrt(2.0 / (rung * (rung + 1)))[:, None] * steps
+
+
+def _assemble(c0: float, c: np.ndarray, n: int) -> np.ndarray:
+    """(1/N) (c0 I + c . sigma) in O(N^2): scatter the pairs and the ladder."""
+    upper, lower, ladder = _index_map(n)
+    p = upper.size
+    z = c[:p] + 1j * c[p:2 * p]  # entries (k, j); the (j, k) entries are their conjugates
+    out = np.zeros(n * n, dtype=np.complex128)
+    out[lower] = z
+    out[upper] = z.conj()
+    out[::n + 1] = c0 + ladder.T @ c[2 * p:]
+    return out.reshape(n, n) / n
+
+
+def _project(a: np.ndarray, n: int) -> np.ndarray:
+    """Coordinates (N/2) Tr[a sigma_i] in O(N^2): gather the pairs and the diagonal."""
+    upper, lower, ladder = _index_map(n)
+    flat = a.reshape(-1)
+    up, lo = flat[upper], flat[lower]
+    return (0.5 * n) * np.concatenate(((up + lo).real, (lo - up).imag,
+                                       ladder @ flat[::n + 1].real))
+
+
 def _coordinates(basis: GeneratorBasis, *vectors) -> tuple[np.ndarray, ...]:
     """Validate real coordinate vectors: length N^2 - 1 and finite entries."""
     out = tuple(np.asarray(v, dtype=float) for v in vectors)
@@ -117,17 +150,17 @@ def _coordinates(basis: GeneratorBasis, *vectors) -> tuple[np.ndarray, ...]:
         if v.shape != (basis.size,):
             raise ValueError(f"coordinate vectors must have length {basis.size}, got {v.shape}")
         if not np.isfinite(v).all():
-            raise ValueError("coordinate vectors must be finite (NaN or inf entry)")
+            i = np.flatnonzero(~np.isfinite(v))[0]
+            raise ValueError(f"coordinate vector has a non-finite entry {v[i]} at index {i}")
     return out
 
 
 def expand(coeff0: float, coeffs, basis: GeneratorBasis) -> np.ndarray:
     """Assemble (1/N) (coeff0 I + coeffs . sigma) as a matrix."""
     (c,) = _coordinates(basis, coeffs)
-    n = basis.dim
-    out = np.tensordot(c, basis.sigmas, axes=(0, 0)).astype(np.complex128)
-    out += coeff0 * np.eye(n)
-    return out / n
+    if not np.isfinite(coeff0):
+        raise ValueError(f"coeff0 must be finite: non-finite entry {coeff0}")
+    return _assemble(coeff0, c, basis.dim)
 
 
 def coefficients(m, basis: GeneratorBasis) -> tuple[float, np.ndarray]:
@@ -136,9 +169,10 @@ def coefficients(m, basis: GeneratorBasis) -> tuple[float, np.ndarray]:
     if a.shape[0] != basis.dim:
         raise ValueError(f"matrix dimension {a.shape[0]} does not match basis "
                          f"dimension {basis.dim}")
-    c0 = float(np.trace(a).real)
-    c = 0.5 * basis.dim * np.einsum('iab,ba->i', basis.sigmas, a).real
-    return c0, c
+    if not np.isfinite(a).all():
+        j, k = np.argwhere(~np.isfinite(a))[0]
+        raise ValueError(f"matrix has a non-finite entry {a[j, k]} at ({j}, {k})")
+    return float(np.trace(a).real), _project(a, basis.dim)
 
 
 @dataclass(frozen=True)
@@ -161,7 +195,7 @@ def solve_tangent_G(x, xdot, basis: GeneratorBasis) -> TangentGenerator:
     solve is refused.
     """
     x, xdot = _coordinates(basis, x, xdot)
-    dec = matcore.spectral_decompose(expand(1.0, x, basis))
+    dec = matcore.spectral_decompose(_assemble(1.0, x, basis.dim))
     lam = dec.eigenvalues
     if not lam[0] >= -matcore.ADMIT_TOL:
         raise ValueError(f"not a state: most negative eigenvalue {float(lam[0]):.6e}")
@@ -170,11 +204,13 @@ def solve_tangent_G(x, xdot, basis: GeneratorBasis) -> TangentGenerator:
         raise ValueError(
             f"tangent system is singular beyond the conditioning threshold "
             f"(cond = {cond:.3e}); the state is on or beyond the boundary")
-    _, g_eig = matcore.lyapunov_eigenbasis(dec, expand(0.0, xdot, basis))
+    _, g_eig = matcore.lyapunov_eigenbasis(dec, _assemble(0.0, xdot, basis.dim))
     v = dec.eigenvectors
-    _, g = coefficients(v @ g_eig @ v.conj().T, basis)
+    gm = v @ g_eig @ v.conj().T
+    gm = (gm + gm.conj().T) / 2
+    g = _project(gm, basis.dim)
     g0 = float(-(2.0 / basis.dim) * (x @ g) + 0.0)
-    return TangentGenerator(g0=g0, g=g, matrix=expand(g0, g, basis))
+    return TangentGenerator(g0=g0, g=g, matrix=gm)
 
 
 def unitary_tangent(y, x, basis: GeneratorBasis) -> TangentGenerator:
@@ -184,9 +220,9 @@ def unitary_tangent(y, x, basis: GeneratorBasis) -> TangentGenerator:
     Dt_kj = sum_i x_i f_ijk and g0 = 0; x . g vanishes identically.
     """
     x, y = _coordinates(basis, x, y)
-    xm, ym = expand(0.0, x, basis), expand(0.0, y, basis)  # X / N, Y / N
-    _, g = coefficients((basis.dim / 2j) * (xm @ ym - ym @ xm), basis)
-    return TangentGenerator(g0=0.0, g=g, matrix=expand(0.0, g, basis))
+    c = _assemble(0.0, x, basis.dim) @ _assemble(0.0, y, basis.dim)  # C = XY / N^2
+    gm = (basis.dim / 2j) * (c - c.conj().T)  # [X, Y] / N^2 = C - C^dag
+    return TangentGenerator(g0=0.0, g=_project(gm, basis.dim), matrix=gm)
 
 
 def hamiltonian_from_Y(y, x, basis: GeneratorBasis
@@ -200,8 +236,8 @@ def hamiltonian_from_Y(y, x, basis: GeneratorBasis
     """
     x, y = _coordinates(basis, x, y)
     n = basis.dim
-    xm, ym = expand(0.0, x, basis), expand(0.0, y, basis)  # X / N, Y / N
-    _, dy = coefficients((n / 2.0) * (xm @ ym + ym @ xm), basis)
+    c = _assemble(0.0, x, n) @ _assemble(0.0, y, n)  # C = XY / N^2, {X, Y} / N^2 = C + C^dag
+    dy = _project((n / 2.0) * (c + c.conj().T), n)
     b = y - (2.0 / n) * x * (x @ y) + dy
     norm = float(np.linalg.norm(x))
     if norm < matcore.ROUNDOFF:

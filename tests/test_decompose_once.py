@@ -23,6 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import buresgeo
 from buresgeo import cli, closedform, geodesy, matcore, states, sun
+import oracles
 from conftest import (conditioned_density, random_density, random_traceless_hermitian,
                       random_unitary)
 
@@ -95,6 +96,18 @@ def test_tangent_solve_and_metric_at_one_state_decompose_once(solver_counts):
     sun.solve_tangent_G(x, xdot, basis)
     geodesy.hubner_metric(sun.expand(1.0, x, basis), sun.expand(0.0, xdot, basis))
     assert solver_counts == {"eigh": 1, "eigvalsh": 0, "svd": 0}
+
+
+@pytest.mark.parametrize("solver, eigh", [("solve_tangent_G", 1), ("unitary_tangent", 0),
+                                          ("hamiltonian_from_Y", 0)])
+def test_su_n_solver_eigensolves(solver_counts, solver, eigh):
+    # Only solve_tangent_G diagonalizes (rho); the others are matrix products.
+    basis = sun.generator_basis(8)
+    rng = np.random.default_rng(103)
+    _, x = sun.coefficients(random_density(rng, 8, floor=0.3), basis)
+    v = rng.normal(size=basis.size)
+    getattr(sun, solver)(*((x, v) if solver == "solve_tangent_G" else (v, x)), basis)
+    assert solver_counts == {"eigh": eigh, "eigvalsh": 0, "svd": 0}
 
 
 def test_canonical_purification_decomposes_once(solver_counts):
@@ -230,7 +243,7 @@ def test_spectral_function_matches_hermitian_function():
     rng = np.random.default_rng(99)
     h = random_density(rng, 5, floor=0.05)
     dec = matcore.spectral_decompose(h)
-    assert np.array_equal(matcore.spectral_function(dec, np.sqrt), matcore.sqrtm_psd(h))
+    assert np.array_equal(matcore.spectral_function(dec, np.sqrt), oracles.sqrtm_psd(h))
 
 
 def test_solvers_leave_the_structure_constant_pair_unbuilt():
@@ -279,9 +292,9 @@ def test_mean_operator_matches_textbook_oracle(pair):
     M* in 50-digit arithmetic, so conditioned starts are no test of it."""
     rho1, rho2, kind = pair
     assume(kind != "conditioned" and states.admit(rho1).rank >= states.admit(rho2).rank)
-    sqrt1 = matcore.sqrtm_psd(rho1)
-    inv_sqrt1 = matcore.inv_sqrtm_psd(rho1)
-    sqrt_tau = matcore.sqrtm_psd(sqrt1 @ rho2 @ sqrt1)
+    sqrt1 = oracles.sqrtm_psd(rho1)
+    inv_sqrt1 = oracles.inv_sqrtm_psd(rho1)
+    sqrt_tau = oracles.sqrtm_psd(sqrt1 @ rho2 @ sqrt1)
     oracle = inv_sqrt1 @ sqrt_tau @ inv_sqrt1
     path = geodesy.geometric_mean_operator(rho1, rho2)
     scale = max(1.0, float(np.max(np.abs(oracle))))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from buresgeo import closedform, geodesy, matcore, states, sun
+import oracles
 from conftest import (conditioned_density, random_density, random_hermitian,
                       random_state_vector, random_traceless_hermitian, random_unitary)
 
@@ -9,7 +10,7 @@ from conftest import (conditioned_density, random_density, random_hermitian,
 def tau_trace_fidelity(r1, r2):
     """Independent fidelity route: eigenvalues of sqrt(r1) r2 sqrt(r1), those
     within the clamp band snapped to zero before the square root."""
-    s1 = matcore.sqrtm_psd(r1)
+    s1 = oracles.sqrtm_psd(r1)
     w = np.linalg.eigvalsh((s1 @ r2 @ s1))
     w[np.abs(w) <= matcore.CLAMP * np.max(np.abs(w))] = 0.0
     return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
@@ -451,19 +452,19 @@ class TestHorizontalLift:
 class TestHlcResidual:
     def test_hermitian_generator_is_horizontal(self):
         rng = np.random.default_rng(42)
-        a = matcore.sqrtm_psd(random_density(rng, 3))
+        a = oracles.sqrtm_psd(random_density(rng, 3))
         g = random_hermitian(rng, 3)
         assert geodesy.hlc_residual(a, g @ a) < 1e-12
 
     def test_vertical_tangent_is_not_horizontal(self):
         rng = np.random.default_rng(43)
-        a = matcore.sqrtm_psd(random_density(rng, 3, floor=0.2))
+        a = oracles.sqrtm_psd(random_density(rng, 3, floor=0.2))
         h = random_hermitian(rng, 3)
         assert geodesy.hlc_residual(a, 1j * a @ h) > 1e-3
 
     def test_zero_tangent(self):
         rng = np.random.default_rng(44)
-        a = matcore.sqrtm_psd(random_density(rng, 3))
+        a = oracles.sqrtm_psd(random_density(rng, 3))
         assert geodesy.hlc_residual(a, np.zeros_like(a)) == 0.0
 
 
@@ -541,7 +542,7 @@ class TestUhlmannUnitary:
             r1 = random_density(rng, 4, floor=0.1)
             r2 = random_density(rng, 4, floor=0.1)
             u = geodesy.uhlmann_unitary(r1, r2)
-            overlap = np.trace(u @ matcore.sqrtm_psd(r2) @ matcore.sqrtm_psd(r1))
+            overlap = np.trace(u @ oracles.sqrtm_psd(r2) @ oracles.sqrtm_psd(r1))
             assert abs(overlap - geodesy.root_fidelity(r1, r2)) < 1e-9
             assert abs(overlap.imag) < 1e-12
 

@@ -14,7 +14,7 @@ MIXED = states.maximally_mixed(2)
 
 MATRIX_ENTRY_POINTS = {
     "validate_density": states.validate_density,
-    "sqrtm_psd": matcore.sqrtm_psd,
+    "spectral_decompose": matcore.spectral_decompose,
     "purification_vector": states.purification_vector,
     "root_fidelity_first": lambda rho: geodesy.root_fidelity(rho, MIXED),
     "root_fidelity_second": lambda rho: geodesy.root_fidelity(MIXED, rho),
@@ -41,6 +41,27 @@ def test_coordinate_entry_points(solver, value, position):
     vectors[position][2] = value
     with pytest.raises(ValueError, match="finite"):
         getattr(sun, solver)(*vectors, basis)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [(0, 0), (0, 1), (2, 1)])
+def test_coefficients_names_the_entry(value, index):
+    m = np.eye(3, dtype=np.complex128) / 3
+    m[index] = value
+    pattern = rf"non-finite entry .*{value}.* at \({index[0]}, {index[1]}\)"
+    with pytest.raises(ValueError, match=pattern):
+        sun.coefficients(m, sun.generator_basis(3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_expand_names_the_entry(value):
+    basis = sun.generator_basis(3)
+    with pytest.raises(ValueError, match=f"coeff0 .*non-finite entry {value}"):
+        sun.expand(value, np.zeros(basis.size), basis)
+    coeffs = np.zeros(basis.size)
+    coeffs[5] = value
+    with pytest.raises(ValueError, match=f"non-finite entry {value} at index 5"):
+        sun.expand(1.0, coeffs, basis)
 
 
 @pytest.mark.parametrize("closed_form", ["qubit_tau", "qubit_fidelity", "qubit_orbit"])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from buresgeo import matcore, states, sun
+from buresgeo import states, sun
+import oracles
 from conftest import random_density, random_unitary
 
 
@@ -112,7 +113,7 @@ class TestPurifications:
         rng = np.random.default_rng(14)
         rho = random_density(rng, 4)
         u = random_unitary(rng, 4)
-        root = matcore.sqrtm_psd(rho)
+        root = oracles.sqrtm_psd(rho)
         np.testing.assert_allclose(states.project(root @ u),
                                    states.project(root), atol=1e-12)
 

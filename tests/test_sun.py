@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -101,6 +102,83 @@ class TestPureStateIdentities:
             assert abs(x @ x - n * (n - 1) / 2) < 1e-10
             dmat = np.einsum('i,ikj->kj', x, basis.d)
             assert np.max(np.abs(dmat @ x - (n - 2) * x)) < 1e-10
+
+
+KERNEL_DIMS = [2, 3, 4, 8, 12, 16]
+
+
+def dense_expand(c0, c, basis):
+    """(1/N)(c0 I + c . sigma) contracted over the whole generator stack."""
+    return (c0 * np.eye(basis.dim) + np.tensordot(c, basis.sigmas, axes=(0, 0))) / basis.dim
+
+
+def dense_coefficients(m, basis):
+    """(Tr m, (N/2) Tr[m sigma_i]) contracted over the whole generator stack."""
+    return np.trace(m).real, 0.5 * basis.dim * np.einsum('iab,ba->i', basis.sigmas, m).real
+
+
+class TestCoordinateKernels:
+    """expand/coefficients use an O(N^2) index map; the dense stack is the oracle."""
+
+    @pytest.mark.parametrize("n", KERNEL_DIMS)
+    def test_expand_matches_dense_contraction(self, n):
+        rng = np.random.default_rng([64, n])
+        basis = sun.generator_basis(n)
+        for _ in range(10):
+            c0, c = rng.normal(), rng.normal(size=basis.size)
+            diff = sun.expand(c0, c, basis) - dense_expand(c0, c, basis)
+            assert np.max(np.abs(diff)) < 1e-15
+
+    @pytest.mark.parametrize("n", KERNEL_DIMS)
+    def test_coefficients_match_dense_contraction(self, n):
+        rng = np.random.default_rng([65, n])
+        basis = sun.generator_basis(n)
+        for _ in range(10):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            c0, c = sun.coefficients(m, basis)
+            d0, d = dense_coefficients(m, basis)
+            assert c0 == d0
+            assert np.max(np.abs(c - d)) < 2e-14
+
+    @pytest.mark.parametrize("n", KERNEL_DIMS)
+    def test_round_trip(self, n):
+        rng = np.random.default_rng([66, n])
+        basis = sun.generator_basis(n)
+        for _ in range(10):
+            c0, c = rng.normal(), rng.normal(size=basis.size)
+            r0, r = sun.coefficients(sun.expand(c0, c, basis), basis)
+            assert abs(r0 - c0) < 1e-14
+            assert np.max(np.abs(r - c)) < 1e-14
+
+    @pytest.mark.parametrize("n", KERNEL_DIMS)
+    def test_generator_matrix_matches_its_coordinates(self, n):
+        rng = np.random.default_rng([67, n])
+        basis = sun.generator_basis(n)
+        for _ in range(5):
+            x = random_bloch(rng, basis)
+            for gen in (sun.solve_tangent_G(x, rng.normal(size=basis.size), basis),
+                        sun.unitary_tangent(rng.normal(size=basis.size), x, basis)):
+                diff = gen.matrix - sun.expand(gen.g0, gen.g, basis)
+                assert np.max(np.abs(diff)) <= 1e-14 * np.max(np.abs(gen.matrix))
+
+    @pytest.mark.parametrize("n", KERNEL_DIMS)
+    def test_conversions_never_read_the_dense_stack(self, n):
+        rng = np.random.default_rng([68, n])
+        basis = sun.generator_basis(n)
+        blind = dataclasses.replace(basis, sigmas=np.full_like(basis.sigmas, np.nan))
+        x = random_bloch(rng, basis)
+        v = rng.normal(size=basis.size)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        calls = [
+            lambda b: (sun.expand(0.5, v, b),),
+            lambda b: sun.coefficients(m, b),
+            lambda b: dataclasses.astuple(sun.solve_tangent_G(x, v, b)),
+            lambda b: dataclasses.astuple(sun.unitary_tangent(v, x, b)),
+            lambda b: sun.hamiltonian_from_Y(v, x, b),
+        ]
+        for call in calls:
+            for got, want in zip(call(blind), call(basis), strict=True):
+                assert np.array_equal(got, want)
 
 
 class TestSolveTangentG:
