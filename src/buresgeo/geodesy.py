@@ -1,10 +1,13 @@
 """Bures geodesics between density matrices via the geometric-mean operator.
 
-Each endpoint is decomposed once, and one SVD of B = sqrt(rho1) sqrt(rho2) =
-U S V^dag gives the root fidelity sqrt(F) = sum(S) and the gauge W = V U^dag
-that makes the purifications A1 = sqrt(rho1) and A2 = sqrt(rho2) W parallel,
-A1^dag A2 = U S U^dag >= 0 (Uhlmann's purification picture). The geodesic is
-the projection of the great circle through them,
+Each endpoint is decomposed once, rho = V diag(l) V^dag, and one SVD of
+sqrt(rho1) F2 = U S W'^dag, with the eigen-factor F2 = V2 diag(sqrt(l2)) of
+rho2, gives the root fidelity sqrt(F) = sum(S) and the purification
+A2 = F2 W' U^dag parallel to A1 = sqrt(rho1), A1^dag A2 = U S U^dag >= 0
+(Uhlmann's purification picture). As sqrt(rho2) = F2 V2^dag, this is the SVD
+of B = sqrt(rho1) sqrt(rho2) = U S V^dag with V = V2 W', so A2 = sqrt(rho2) W
+for the gauge W = V U^dag, and sqrt(rho2) itself is never formed. The
+geodesic is the projection of the great circle through them,
 
     rho(s) = f(s)^2 rho1 + f(s) g(s) C + g(s)^2 rho2,   C = A1 A2^dag + A2 A1^dag,
 
@@ -14,11 +17,13 @@ rank rho2, the paper's operator M* solves M* rho1 + rho1 M* = C (for invertible
 rho1 it is rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}) and maps A1
 to A2, so M(s) = f(s) I + g(s) M* gives rho(s) = M(s) rho1 M(s) and the
 horizontal lift A(s) = M(s) A(0); otherwise no M* exists, as M rho1 M cannot
-raise the rank. The root fidelity from the start decays as cos(s).
+raise the rank. The path builds M* on first read, from the start's
+decomposition it holds, since sampling rho(s) never needs it. The root
+fidelity from the start decays as cos(s).
 
 Endpoints are the memoised decompositions of ``states.admit``. A second LRU
 memo of fixed size ``PAIR_MEMO_SIZE``, keyed on the pair of them, keeps the
-polar data of B: the gauge, rank B, the parallel root A2 and the pair's Bures
+polar data of B: U W'^dag, rank B, the parallel root A2 and the pair's Bures
 values, with the exact ones of identical endpoints (1, 0, 0) and of
 orthogonal supports (rank B = 0: angle pi/2, distance sqrt(2)) decided there
 once. So one pair costs one SVD across ``bures``, ``geometric_mean_operator``
@@ -50,29 +55,47 @@ class BuresSummary:
     bures_distance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicPath:
     """Endpoints with the cached data for geodesic sampling.
 
-    ``s_star`` is the total Bures angle, ``cross`` the cross term C and
-    ``m_star`` the solution of M* rho1 + rho1 M* = C, or None when
-    rank rho1 < rank rho2 and no M* exists. ``orthogonal`` marks
-    orthogonal pure endpoints, joined through the gauge A2 = |psi2><psi1|.
-    Construction marks the arrays read-only, so instances are immutable and
-    safe to share across concurrent samplers.
+    ``start`` and ``end`` are the decompositions of the endpoints ``rho1`` and
+    ``rho2``, ``s_star`` the total Bures angle and ``cross`` the cross term C.
+    ``m_star``, the solution of M* rho1 + rho1 M* = C, is built on first read
+    from ``start``, so reading it makes no eigensolve; it is None when
+    rank rho1 < rank rho2 and no M* exists. ``orthogonal`` marks orthogonal
+    pure endpoints, joined through the gauge A2 = |psi2><psi1|. Every array is
+    read-only, so instances are immutable and safe to share across concurrent
+    samplers; threads that read ``m_star`` first at once build the same bytes.
     """
 
-    rho1: np.ndarray
-    rho2: np.ndarray
-    m_star: np.ndarray | None
+    start: matcore.SpectralDecomposition
+    end: matcore.SpectralDecomposition
     cross: np.ndarray
     s_star: float
     orthogonal: bool = False
 
     def __post_init__(self):
-        for a in (self.rho1, self.rho2, self.m_star, self.cross):
-            if a is not None:
-                a.flags.writeable = False
+        self.cross.flags.writeable = False
+
+    @property
+    def rho1(self) -> np.ndarray:
+        return self.start.matrix
+
+    @property
+    def rho2(self) -> np.ndarray:
+        return self.end.matrix
+
+    @functools.cached_property
+    def m_star(self) -> np.ndarray | None:
+        if self.start.rank < self.end.rank:
+            return None
+        _, m_eig = matcore.lyapunov_eigenbasis(self.start, self.cross)
+        v = self.start.eigenvectors
+        m = v @ m_eig @ v.conj().T
+        m = (m + m.conj().T) / 2
+        m.flags.writeable = False
+        return m
 
     @property
     def degenerate(self) -> bool:
@@ -102,19 +125,20 @@ def _unit(x) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _PolarPair:
-    """Of the SVD sqrt(rho1) sqrt(rho2) = U S V^dag of a pair: the gauge U V^dag,
-    rank B (the singular values counted at CLAMP against their bound
-    sqrt(l1_max l2_max)), the parallel root A2 = sqrt(rho2) V U^dag (W = I for
-    identical endpoints) and the pair's :class:`BuresSummary`. Construction
-    marks the arrays read-only."""
+    """Of the SVD sqrt(rho1) F2 = U S W'^dag of a pair (F2 = V2 diag(sqrt(l2))):
+    ``gauge_eig`` = U W'^dag, the gauge U V^dag in rho2's eigenbasis (gauge =
+    gauge_eig V2^dag), rank B (the singular values counted at CLAMP against
+    their bound sqrt(l1_max l2_max)), the parallel root A2 = F2 W' U^dag
+    (sqrt(rho2) for identical endpoints) and the pair's :class:`BuresSummary`.
+    Construction marks the arrays read-only."""
 
-    gauge: np.ndarray
+    gauge_eig: np.ndarray
     rank: int
     a2: np.ndarray
     summary: BuresSummary
 
     def __post_init__(self):
-        for a in (self.gauge, self.a2):
+        for a in (self.gauge_eig, self.a2):
             a.flags.writeable = False
 
 
@@ -122,33 +146,37 @@ class _PolarPair:
 def _polar_pair(st1: matcore.SpectralDecomposition,
                 st2: matcore.SpectralDecomposition) -> _PolarPair:
     """The polar data of a pair of memoised states, kept per pair (keyed by identity)."""
-    u, sigma, vh = np.linalg.svd(st1.sqrt @ st2.sqrt)
-    gauge = u @ vh
+    f2 = matcore.spectral_factor(st2, np.sqrt)
+    u, sigma, wh = np.linalg.svd(st1.sqrt @ f2)
+    gauge_eig = u @ wh
     scale = np.sqrt(st1.eigenvalues[-1] * st2.eigenvalues[-1])
     rank = int(np.count_nonzero(sigma > matcore.CLAMP * scale))
     if np.array_equal(st1.matrix, st2.matrix):
-        return _PolarPair(gauge, rank, st2.sqrt, BuresSummary(1.0, 0.0, 0.0))
-    a2 = st2.sqrt @ gauge.conj().T
+        return _PolarPair(gauge_eig, rank, st2.sqrt, BuresSummary(1.0, 0.0, 0.0))
+    a2 = f2 @ gauge_eig.conj().T
     if rank == 0:
         angle, distance = np.pi / 2, float(np.sqrt(2.0))
     else:
         distance = float(np.linalg.norm(st1.sqrt - a2))
         angle = 2.0 * float(np.arcsin(distance / 2.0))
-    return _PolarPair(gauge, rank, a2, BuresSummary(_unit(sigma.sum()), angle, distance))
+    return _PolarPair(gauge_eig, rank, a2, BuresSummary(_unit(sigma.sum()), angle, distance))
 
 
 def root_fidelity(rho1, rho2) -> float:
     """Uhlmann root fidelity Tr sqrt(rho1^{1/2} rho2 rho1^{1/2}).
 
-    Computed as the nuclear norm of sqrt(rho1) sqrt(rho2), which is the same
-    quantity but avoids squaring small singular values, so identical
-    endpoints give exactly 1 and states with orthogonal supports give
-    exactly 0. The result is clamped to [0, 1].
+    Computed as the nuclear norm of sqrt(rho1) F2, F2 = V2 diag(sqrt(l2)) the
+    eigen-factor of rho2: F2 = sqrt(rho2) V2, so this is the nuclear norm of
+    sqrt(rho1) sqrt(rho2), the same quantity, but it avoids squaring small
+    singular values and forming sqrt(rho2). Identical endpoints give exactly 1
+    and states with orthogonal supports give exactly 0. The result is clamped
+    to [0, 1].
     """
     st1, st2 = _admit_pair(rho1, rho2)
     if np.array_equal(st1.matrix, st2.matrix):
         return 1.0
-    return _unit(np.linalg.svd(st1.sqrt @ st2.sqrt, compute_uv=False).sum())
+    f2 = matcore.spectral_factor(st2, np.sqrt)
+    return _unit(np.linalg.svd(st1.sqrt @ f2, compute_uv=False).sum())
 
 
 def bures(rho1, rho2) -> BuresSummary:
@@ -172,7 +200,7 @@ def _phase_fixed_top_eigenvector(dec: matcore.SpectralDecomposition) -> np.ndarr
 
 
 def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
-    """Construct the geodesic cache (M*, C, s*) for the given endpoints.
+    """Construct the geodesic cache (C, s*, and M* on first read) for the given endpoints.
 
     The geodesic is unique exactly when rank B = min(rank rho1, rank rho2), for
     B = sqrt(rho1) sqrt(rho2) = U S V^dag with its singular values counted at
@@ -205,24 +233,21 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
             f"geodesic not unique: sqrt(rho1) sqrt(rho2) has rank {rank_b} below "
             f"both rank rho1 = {rank1} and rank rho2 = {rank2}")
     half = st1.sqrt @ a2.conj().T
-    cross = half + half.conj().T
-    m_star = None
-    if rank1 >= rank2:
-        _, m_eig = matcore.lyapunov_eigenbasis(st1, cross)
-        v = st1.eigenvectors
-        m = v @ m_eig @ v.conj().T
-        m_star = (m + m.conj().T) / 2
-    return GeodesicPath(rho1=st1.matrix, rho2=st2.matrix, m_star=m_star,
-                        cross=cross, s_star=polar.summary.bures_angle, orthogonal=orthogonal)
+    return GeodesicPath(start=st1, end=st2, cross=half + half.conj().T,
+                        s_star=polar.summary.bures_angle, orthogonal=orthogonal)
 
 
 def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
     """Coefficients f(s) = sin(s* - s)/sin(s*), g(s) = sin(s)/sin(s*) of M(s).
 
     f(0) = g(s*) = 1, f(s*) = g(0) = 0, and s* = 0 gives (1, 0). s is clamped
-    onto [0, s*] within matcore.ROUNDOFF and refused farther out, or when NaN.
+    onto [0, s*] within matcore.ROUNDOFF and refused farther out, or when NaN
+    or not a real scalar.
     """
-    s = float(s)
+    try:
+        s = float(s)
+    except (TypeError, ValueError):
+        raise ValueError(f"s = {s!r} is not a real scalar") from None
     if not -matcore.ROUNDOFF <= s <= s_star + matcore.ROUNDOFF:
         raise ValueError(f"s = {s!r} outside the geodesic range [0, {s_star!r}]")
     s = min(max(s, 0.0), s_star)
@@ -239,11 +264,13 @@ def transport_operator(path: GeodesicPath, s: float) -> np.ndarray:
     A path with rank rho1 < rank rho2 has no M* and is refused.
     """
     if path.m_star is None:
-        r1, r2 = (matcore.spectral_decompose(r).rank for r in (path.rho1, path.rho2))
-        raise GeodesicUndefinedError(f"no M*: rank rho1 = {r1} < rank rho2 = {r2}, "
-                                     "and M rho1 M cannot raise the rank")
+        raise GeodesicUndefinedError(
+            f"no M*: rank rho1 = {path.start.rank} < rank rho2 = {path.end.rank}, "
+            "and M rho1 M cannot raise the rank")
     f, g = transport_coefficients(s, path.s_star)
-    return f * np.eye(path.dim, dtype=np.complex128) + g * path.m_star
+    m = g * path.m_star
+    m.flat[::path.dim + 1] += f  # the diagonal
+    return m
 
 
 def geodesic_point(path: GeodesicPath, s: float) -> np.ndarray:
@@ -334,4 +361,4 @@ def uhlmann_unitary(rho1, rho2) -> np.ndarray:
             raise ValueError(
                 f"construction requires invertible inputs: {name} has "
                 f"min eigenvalue {st.eigenvalues[0]:.3e}")
-    return _polar_pair(st1, st2).gauge.copy()
+    return _polar_pair(st1, st2).gauge_eig @ st2.eigenvectors.conj().T

@@ -17,11 +17,12 @@ miss on one matrix at once, both decompose it, with bit-identical results.
 Tolerance policy: every numerical threshold is named once, in the table
 below, which every module reads; the only per-call override is the admission
 tolerance of ``states.admit``/``validate_density`` (the CLI ``--tol``).
-One spectral rule, :func:`spectral_function`, takes every function of a
-state: eigenvalues within ``CLAMP * max|eigenvalue|`` of zero count as exact
-zeros, so boundary (rank-deficient) states reached through roundoff behave
-like their idealized counterparts. Every refusal is written so that a NaN
-measurement triggers it.
+One spectral rule takes every function of a state, in two shapes: the factor
+V diag(f(l)) of :func:`spectral_factor` and the matrix V diag(f(l)) V^dag of
+:func:`spectral_function`. Eigenvalues within ``CLAMP * max|eigenvalue|`` of
+zero count as exact zeros, so boundary (rank-deficient) states reached
+through roundoff behave like their idealized counterparts. Every refusal is
+written so that a NaN measurement triggers it.
 """
 
 from __future__ import annotations
@@ -55,10 +56,12 @@ class NotPositiveSemidefiniteError(ValueError):
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    """Coerce input to a square complex128 array."""
+    """Coerce input to a non-empty square complex128 array."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.size == 0:
+        raise ValueError(f"expected a non-empty matrix, got the empty shape {m.shape}")
     return m
 
 
@@ -157,15 +160,16 @@ def lyapunov_eigenbasis(dec: SpectralDecomposition, h) -> tuple[np.ndarray, np.n
     return h_eig, x_eig
 
 
-def spectral_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]
-                      ) -> np.ndarray:
-    """Apply a scalar function f to the spectrum of a positive semidefinite matrix.
+def spectral_factor(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]
+                    ) -> np.ndarray:
+    """The factor V diag(f(w')) of a positive semidefinite matrix's spectral function.
 
-    Returns V diag(f(w')) V^dag under the one clamp rule: an eigenvalue below
-    ``-CLAMP * max|w|`` is refused, f is applied only on w > CLAMP * max|w|,
-    and the rest of the spectrum stays exact zero. So square roots and other
-    fractional powers see no roundoff negatives, and inverse powers give the
-    pseudo-inverse on rank-deficient input.
+    The one clamp rule: an eigenvalue below ``-CLAMP * max|w|`` is refused, f
+    is applied only on w > CLAMP * max|w|, and the rest of the spectrum stays
+    exact zero. So square roots and other fractional powers see no roundoff
+    negatives, and inverse powers give the pseudo-inverse on rank-deficient
+    input. With f = sqrt the factor F is a purification, F F^dag = rho, that
+    costs no product with V^dag.
     """
     w = dec.eigenvalues
     threshold = CLAMP * float(np.abs(w).max())
@@ -176,7 +180,15 @@ def spectral_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.n
     support = w > threshold
     fw = np.zeros_like(w)
     fw[support] = f(w[support])
-    v = dec.eigenvectors
-    out = (v * fw) @ v.conj().T
-    return (out + out.conj().T) / 2
+    return dec.eigenvectors * fw
 
+
+def spectral_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]
+                      ) -> np.ndarray:
+    """Apply a scalar function f to the spectrum of a positive semidefinite matrix.
+
+    Returns V diag(f(w')) V^dag, the :func:`spectral_factor` times V^dag,
+    symmetrized.
+    """
+    out = spectral_factor(dec, f) @ dec.eigenvectors.conj().T
+    return (out + out.conj().T) / 2

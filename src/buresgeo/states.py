@@ -105,10 +105,9 @@ def werner(kind: str, p: float, n_qubits: int = 3) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing probability must lie in [0, 1], got {p}")
     kinds = {"GHZ": ghz_state, "W": w_state}
-    try:
-        phi = kinds[kind.upper()]()
-    except KeyError:
-        raise ValueError(f"kind must be one of {sorted(kinds)}, got {kind!r}") from None
+    if not isinstance(kind, str) or kind.upper() not in kinds:
+        raise ValueError(f"kind must be one of {sorted(kinds)}, got {kind!r}")
+    phi = kinds[kind.upper()]()
     dim = 2 ** n_qubits
     return (1.0 - p) * np.eye(dim, dtype=np.complex128) / dim + p * np.outer(phi, phi.conj())
 

@@ -10,7 +10,9 @@ against the textbook operator
 
     M* = rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}
 
-built from separate spectral functions.
+built from separate spectral functions, and the root fidelity and the gauge
+against the nuclear norm and the polar factor of sqrt(rho1) sqrt(rho2) with
+both roots formed.
 """
 
 import ast
@@ -52,6 +54,41 @@ def test_sampling_a_built_path_takes_no_eigensolve(solver_counts, entry):
     args = (states.canonical_purification(rho1),) if entry == "horizontal_lift" else ()
     solver_counts.update(dict.fromkeys(solver_counts, 0))
     getattr(geodesy, entry)(*args, path, path.s_star / 3)
+    assert solver_counts == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+
+READS = {
+    "m_star": lambda path, a0: path.m_star,
+    "transport_operator": lambda path, a0: geodesy.transport_operator(path, path.s_star / 3),
+    "horizontal_lift": lambda path, a0: geodesy.horizontal_lift(a0, path, path.s_star / 3),
+}
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+def test_reading_a_built_path_after_both_memos_are_evicted_takes_no_eigensolve(
+        solver_counts, read):
+    # The path holds the start's decomposition, so M* is built on first read
+    # without decomposing rho1 again.
+    rho1, rho2 = _pair()
+    path = geodesy.geometric_mean_operator(rho1, rho2)
+    a0 = states.canonical_purification(rho1)
+    matcore._decompose.cache_clear()
+    geodesy._polar_pair.cache_clear()
+    solver_counts.update(dict.fromkeys(solver_counts, 0))
+    READS[read](path, a0)
+    assert solver_counts == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+
+def test_refusing_a_missing_m_star_after_both_memos_are_evicted_takes_no_eigensolve(
+        solver_counts):
+    r1 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    r2 = np.diag([0.25, 0.25, 0.5, 0.0]).astype(complex)
+    path = geodesy.geometric_mean_operator(r1, r2)
+    matcore._decompose.cache_clear()
+    geodesy._polar_pair.cache_clear()
+    solver_counts.update(dict.fromkeys(solver_counts, 0))
+    with pytest.raises(geodesy.GeodesicUndefinedError, match="rank rho1 = 2 < rank rho2 = 3"):
+        geodesy.transport_operator(path, 0.1)
     assert solver_counts == {"eigh": 0, "eigvalsh": 0, "svd": 0}
 
 
@@ -321,3 +358,61 @@ def test_polar_path_in_both_orders(pair):
         assert np.linalg.eigvalsh(rho_s)[0] >= -1e-14
         back_s = geodesy.geodesic_point(back, back.s_star - s)
         assert np.max(np.abs(rho_s - back_s)) <= 1e-12
+
+
+@settings(max_examples=80)
+@given(endpoint_pairs())
+def test_root_fidelity_matches_the_nuclear_norm_oracle(pair):
+    """The eigen-factor F2 = V2 diag(sqrt(l2)) = sqrt(rho2) V2 leaves the
+    singular values of sqrt(rho1) sqrt(rho2) unchanged, so sum(S) matches
+    the nuclear norm with both roots formed."""
+    rho1, rho2, _ = pair
+    oracle = oracles.nuclear_norm_root_fidelity(rho1, rho2)
+    assert abs(geodesy.root_fidelity(rho1, rho2) - oracle) <= 1e-15 * oracle
+
+
+def test_root_fidelity_is_exact_at_identical_and_orthogonal_endpoints():
+    rho = random_density(np.random.default_rng(104), 4, floor=0.1)
+    assert geodesy.root_fidelity(rho, rho.copy()) == 1.0
+    r1 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    r2 = np.diag([0.0, 0.0, 0.3, 0.7]).astype(complex)
+    assert geodesy.root_fidelity(r1, r2) == 0.0
+    assert geodesy.root_fidelity(r2, r1) == 0.0
+
+
+@settings(max_examples=80)
+@given(endpoint_pairs())
+def test_polar_pair_purifications_are_parallel(pair):
+    """A1^dag A2 is Hermitian PSD and A2 A2^dag = rho2. Where B is invertible
+    the gauge is unique and matches the polar factor of sqrt(rho1) sqrt(rho2);
+    at lambda_min / lambda_max = 1e-9 it moves by roundoff / sigma_min(B)
+    (about 1e-11), so conditioned starts are no test of it."""
+    rho1, rho2, kind = pair
+    st1, st2 = states.admit(rho1), states.admit(rho2)
+    polar = geodesy._polar_pair(st1, st2)
+    overlap = st1.sqrt.conj().T @ polar.a2
+    assert np.max(np.abs(overlap - overlap.conj().T)) <= 1e-14
+    assert np.linalg.eigvalsh((overlap + overlap.conj().T) / 2)[0] >= -1e-14
+    assert np.max(np.abs(polar.a2 @ polar.a2.conj().T - rho2)) <= 1e-14
+    if kind != "conditioned" and st1.rank == st2.rank == rho1.shape[0]:
+        assert np.max(np.abs(geodesy.uhlmann_unitary(rho1, rho2)
+                             - oracles.polar_gauge(rho1, rho2))) <= 1e-14
+
+
+@settings(max_examples=80)
+@given(endpoint_pairs())
+def test_m_star_is_built_on_first_read_by_the_eager_formula(pair):
+    """M* = V X' V^dag, symmetrized, for X' of the eigenbasis Lyapunov kernel
+    at rho1 and C, read-only, and None exactly when rank rho1 < rank rho2."""
+    rho1, rho2, _ = pair
+    path = geodesy.geometric_mean_operator(rho1, rho2)
+    assert "m_star" not in vars(path)
+    st1 = states.admit(rho1)
+    if st1.rank < states.admit(rho2).rank:
+        assert path.m_star is None
+        return
+    _, m_eig = matcore.lyapunov_eigenbasis(st1, path.cross)
+    v = st1.eigenvectors
+    m = v @ m_eig @ v.conj().T
+    assert np.array_equal(path.m_star, (m + m.conj().T) / 2)
+    assert not path.m_star.flags.writeable

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from buresgeo import matcore
+from buresgeo import geodesy, matcore
 import oracles
 from conftest import random_density, random_hermitian, random_unitary
 
@@ -129,3 +129,28 @@ def test_basis_covariance_of_spectral_functions():
     lhs = oracles.sqrtm_psd(rotated)
     rhs = u @ oracles.sqrtm_psd(h) @ u.conj().T
     assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+
+def test_spectral_factor_is_the_function_before_v_dagger():
+    # One clamp rule in two shapes: the function is the factor times V^dag,
+    # symmetrized, bit for bit; the square-root factor purifies the matrix,
+    # also with clamped roundoff eigenvalues on a rank-deficient input.
+    rng = np.random.default_rng(8)
+    u = random_unitary(rng, 5)
+    for w in ([0.1, 0.15, 0.2, 0.25, 0.3], [0.0, 0.0, 0.2, 0.3, 0.5]):
+        h = (u * np.array(w)) @ u.conj().T
+        dec = matcore.spectral_decompose((h + h.conj().T) / 2)
+        factor = matcore.spectral_factor(dec, np.sqrt)
+        out = factor @ dec.eigenvectors.conj().T
+        assert np.array_equal(matcore.spectral_function(dec, np.sqrt), (out + out.conj().T) / 2)
+        assert np.max(np.abs(factor @ factor.conj().T - dec.matrix)) < 1e-15
+    with pytest.raises(matcore.NotPositiveSemidefiniteError, match="not positive semidefinite"):
+        matcore.spectral_factor(matcore.spectral_decompose(np.diag([1.0, -0.5])), np.sqrt)
+
+
+@pytest.mark.parametrize("entry", [matcore.as_complex_matrix, matcore.spectral_decompose,
+                                   lambda m: geodesy.root_fidelity(m, m)],
+                         ids=["as_complex_matrix", "spectral_decompose", "root_fidelity"])
+def test_empty_matrix_refused_naming_the_shape(entry):
+    with pytest.raises(ValueError, match=r"empty shape \(0, 0\)"):
+        entry(np.zeros((0, 0)))

@@ -1,4 +1,4 @@
-"""NaN and infinite input is refused at the entry points with a named defect.
+"""NaN, infinite and non-scalar input is refused at the entry points with a named defect.
 
 Without the check a NaN entry slipped through every comparison (all are
 false for NaN) and surfaced later as an SVD that did not converge. Each
@@ -118,6 +118,27 @@ NAN_ENTRY_POINTS = {
 def test_tolerance_checks_fail_closed_on_nan(entry):
     with pytest.raises(ValueError, match="nan"):
         NAN_ENTRY_POINTS[entry]()
+
+
+S_ENTRY_POINTS = {
+    "transport_coefficients": lambda s: geodesy.transport_coefficients(s, 0.5),
+    "geodesic_point": lambda s: geodesy.geodesic_point(PATH, s),
+    "transport_operator": lambda s: geodesy.transport_operator(PATH, s),
+    "horizontal_lift": lambda s: geodesy.horizontal_lift(
+        states.canonical_purification(MIXED), PATH, s),
+    "maxmixed_to_pure": lambda s: closedform.maxmixed_to_pure(2, [1.0, 0.0], s),
+    "orthogonal_pure_geodesic": lambda s: closedform.orthogonal_pure_geodesic(
+        [1.0, 0.0], [0.0, 1.0], s),
+    "qubit_orbit": lambda s: closedform.qubit_orbit([0.1, 0.2, 0.1], [0.3, -0.1, 0.2], s),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(S_ENTRY_POINTS))
+@pytest.mark.parametrize("s", [None, np.array([0.1, 0.2]), np.array([0.1])],
+                         ids=["None", "vector", "length-1"])
+def test_non_scalar_s_is_named(entry, s):
+    with pytest.raises(ValueError, match=r"^s = .* is not a real scalar$"):
+        S_ENTRY_POINTS[entry](s)
 
 
 @pytest.mark.parametrize("rho, kwargs, message", [

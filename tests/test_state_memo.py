@@ -158,3 +158,12 @@ def test_one_path_sampled_from_threads_matches_a_serial_run():
     serial = sample(None)
     for result in _in_threads(sample, range(THREADS)):
         assert result == serial
+
+
+def test_concurrent_first_reads_of_m_star_build_the_same_bytes():
+    rng = np.random.default_rng(115)
+    rho1, rho2 = random_density(rng, 8, floor=0.1), random_density(rng, 8, floor=0.1)
+    serial = geodesy.geometric_mean_operator(rho1, rho2).m_star.tobytes()
+    for _ in range(8):
+        path = geodesy.geometric_mean_operator(rho1, rho2)
+        assert _in_threads(lambda _: path.m_star.tobytes(), range(THREADS)) == [serial] * THREADS

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,11 @@ class TestWerner:
             states.werner("BELL", 0.5)
         with pytest.raises(ValueError, match="3-qubit"):
             states.werner("GHZ", 0.5, n_qubits=2)
+
+    @pytest.mark.parametrize("kind", [3, None, b"GHZ"])
+    def test_rejects_a_kind_that_is_not_a_string(self, kind):
+        with pytest.raises(ValueError, match=f"kind must be one of .*, got {re.escape(repr(kind))}$"):
+            states.werner(kind, 0.5)
 
     def test_ghz_w_orthogonal(self):
         assert abs(np.vdot(states.ghz_state(), states.w_state())) <= 1e-15
