@@ -49,11 +49,12 @@ def state_from_json(data: dict, tol: float) -> np.ndarray:
     snapped onto the unit-trace PSD cone before use.
     """
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"state file must contain dim, re, im: {exc}") from exc
+    dim = matcore.as_dimension(dim, "dim", 1)
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"re/im arrays must be {dim}x{dim}, got {re.shape} "
                          f"and {im.shape}")

@@ -31,8 +31,7 @@ def maxmixed_to_pure(n: int, psi, s: float) -> np.ndarray:
 
         rho(s) = f(s)^2 I/N + (g(s)^2 + 2 f(s) g(s)/sqrt(N)) |psi><psi|.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"dimension must be an integer of at least 2, got {n!r}")
+    n = matcore.as_dimension(n, "dimension", 2)
     proj = states.pure_density(psi)
     if proj.shape[0] != n:
         raise ValueError(f"psi has dimension {proj.shape[0]}, expected {n}")
@@ -48,6 +47,7 @@ def werner_root_fidelity(p: float, q: float) -> float:
 
     which at q = p reduces to (1/4)(3(1-p) + sqrt((1-p)(1+7p))).
     """
+    p, q = matcore.as_real_scalar(p, "p"), matcore.as_real_scalar(q, "q")
     for name, val in (("p", p), ("q", q)):
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {val}")
@@ -81,6 +81,7 @@ def werner_mean_operator(p: float) -> np.ndarray:
     the root fidelity. The W coefficient diverges as p -> 1, where the
     endpoint states become orthogonal.
     """
+    p = matcore.as_real_scalar(p, "p")
     if not 0.0 <= p < 1.0:
         raise ValueError(f"M singular at p=1; p must lie in [0, 1), got {p}")
     g = states.ghz_state()
@@ -103,6 +104,7 @@ def werner_cross_term(p: float) -> np.ndarray:
     vanishes as p -> 1. The W coefficient includes the +u/4 restoration term
     required by the trace identity (see ERRATA).
     """
+    p = matcore.as_real_scalar(p, "p")
     if not 0.0 <= p < 1.0:
         raise ValueError(f"cross term is built from M*, singular at p=1; got {p}")
     u = np.sqrt((1.0 - p) * (1.0 + 7.0 * p))
@@ -115,15 +117,10 @@ def werner_cross_term(p: float) -> np.ndarray:
 
 
 def _orthonormal_pair(psi1, psi2) -> tuple[np.ndarray, np.ndarray]:
-    """psi1 and psi2 as flat complex vectors of one length, unit norm and orthogonal."""
-    v1 = np.asarray(psi1, dtype=np.complex128).reshape(-1)
-    v2 = np.asarray(psi2, dtype=np.complex128).reshape(-1)
+    """psi1 and psi2 as state vectors of one length, orthogonal within ``ADMIT_TOL``."""
+    v1, v2 = states.unit_vector(psi1, "psi1"), states.unit_vector(psi2, "psi2")
     if v1.shape != v2.shape:
         raise ValueError(f"psi1 has length {v1.size}, psi2 has length {v2.size}")
-    for name, v in (("psi1", v1), ("psi2", v2)):
-        norm = float(np.linalg.norm(v))
-        if not abs(norm - 1.0) <= matcore.ADMIT_TOL:
-            raise ValueError(f"{name} is not normalized: |{name}| = {norm!r}")
     overlap = abs(np.vdot(v1, v2))
     if not overlap <= matcore.ADMIT_TOL:
         raise ValueError(f"states are not orthogonal: |<psi1|psi2>| = {overlap:.3e}")
@@ -159,15 +156,6 @@ def orthogonal_pure_geodesic(psi1, psi2, s: float) -> tuple[np.ndarray, np.ndarr
 # Qubit closed forms
 # ---------------------------------------------------------------------------
 
-def _as_bloch3(v, name: str) -> np.ndarray:
-    out = np.asarray(v, dtype=float).reshape(-1)
-    if out.shape != (3,):
-        raise ValueError(f"{name} must be a real 3-vector, got shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} has non-finite entries (NaN or inf): {out.tolist()}")
-    return out
-
-
 def _direction(x: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
     """Unit vector along x; ill-defined directions fall back to y-hat or z-hat."""
     norm = float(np.linalg.norm(x))
@@ -192,7 +180,7 @@ def qubit_root(x) -> tuple[np.ndarray, np.ndarray]:
     indefinite; see ERRATA.) The inverse root is the matrix inverse and
     requires |x| < 1.
     """
-    x = _as_bloch3(x, "x")
+    x = matcore.as_vector(x, "x", 3)
     r2 = float(x @ x)
     if r2 >= 1.0:
         raise ValueError(f"|x| = {np.sqrt(r2)!r} must be below 1 for an "
@@ -217,7 +205,7 @@ class QubitTau:
 
 def _bloch_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     """x and y as real 3-vectors of qubit endpoints: |x| < 1 and |y| <= 1."""
-    x, y = _as_bloch3(x, "x"), _as_bloch3(y, "y")
+    x, y = matcore.as_vector(x, "x", 3), matcore.as_vector(y, "y", 3)
     xn, yn = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     if xn >= 1.0:
         raise ValueError(f"|x| = {xn!r} must be below 1")

@@ -107,15 +107,10 @@ class GeodesicPath:
         return self.rho1.shape[0]
 
 
-def _check_same_dims(r1: np.ndarray, r2: np.ndarray) -> None:
-    if r1.shape != r2.shape:
-        raise ValueError(f"dimension mismatch: {r1.shape} vs {r2.shape}")
-
-
 def _admit_pair(rho1, rho2) -> tuple[matcore.SpectralDecomposition,
                                      matcore.SpectralDecomposition]:
     st1, st2 = states.admit(rho1), states.admit(rho2)
-    _check_same_dims(st1.matrix, st2.matrix)
+    matcore.require_same_shape(st1.matrix, st2.matrix)
     return st1, st2
 
 
@@ -241,13 +236,10 @@ def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
     """Coefficients f(s) = sin(s* - s)/sin(s*), g(s) = sin(s)/sin(s*) of M(s).
 
     f(0) = g(s*) = 1, f(s*) = g(0) = 0, and s* = 0 gives (1, 0). s is clamped
-    onto [0, s*] within matcore.ROUNDOFF and refused farther out, or when NaN
-    or not a real scalar.
+    onto [0, s*] within matcore.ROUNDOFF and refused farther out, or when
+    :func:`matcore.as_real_scalar` refuses it.
     """
-    try:
-        s = float(s)
-    except (TypeError, ValueError):
-        raise ValueError(f"s = {s!r} is not a real scalar") from None
+    s = matcore.as_real_scalar(s, "s")
     if not -matcore.ROUNDOFF <= s <= s_star + matcore.ROUNDOFF:
         raise ValueError(f"s = {s!r} outside the geodesic range [0, {s_star!r}]")
     s = min(max(s, 0.0), s_star)
@@ -298,8 +290,9 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
 
     The starting purification must project onto the initial endpoint.
     """
-    a0m = a0.matrix if isinstance(a0, states.Purification) else matcore.as_complex_matrix(a0)
-    _check_same_dims(a0m, path.rho1)
+    a0m = (a0.matrix if isinstance(a0, states.Purification)
+           else matcore.as_complex_matrix(a0, "a0"))
+    matcore.require_same_shape(a0m, path.rho1)
     defect = float(np.max(np.abs(a0m @ a0m.conj().T - path.rho1)))
     if not defect <= matcore.ADMIT_TOL:
         raise ValueError(
@@ -316,14 +309,8 @@ def hlc_residual(a, adot) -> float:
     (orthogonal to the gauge fibers); tangents of the form A' = G A with G
     Hermitian always satisfy this, while vertical tangents i A H do not.
     """
-    am = np.asarray(a, dtype=np.complex128)
-    dm = np.asarray(adot, dtype=np.complex128)
-    if am.shape != dm.shape:
-        raise ValueError(f"shape mismatch: {am.shape} vs {dm.shape}")
-    for name, m in (("a", am), ("adot", dm)):
-        if not np.isfinite(m).all():
-            raise ValueError(f"{name} has non-finite entries (NaN or inf): "
-                             f"max |{name}| = {float(np.abs(m).max())!r}")
+    am, dm = matcore.as_complex_matrix(a, "a"), matcore.as_complex_matrix(adot, "adot")
+    matcore.require_same_shape(am, dm)
     k = dm.conj().T @ am
     return float(np.max(np.abs(k - k.conj().T)))
 
@@ -338,7 +325,7 @@ def hubner_metric(rho, drho) -> float:
     """
     st = states.admit(rho)
     d = matcore.require_hermitian(drho)
-    _check_same_dims(st.matrix, d)
+    matcore.require_same_shape(st.matrix, d)
     scale = max(float(np.max(np.abs(d))), 1.0)
     tr = float(np.trace(d).real)
     if not abs(tr) <= matcore.ADMIT_TOL * scale:

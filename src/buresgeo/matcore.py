@@ -23,6 +23,13 @@ V diag(f(l)) of :func:`spectral_factor` and the matrix V diag(f(l)) V^dag of
 zero count as exact zeros, so boundary (rank-deficient) states reached
 through roundoff behave like their idealized counterparts. Every refusal is
 written so that a NaN measurement triggers it.
+
+Input contract: outside input enters through one coercion per kind,
+:func:`as_complex_matrix` (square, non-empty, finite), :func:`as_vector`
+(1-D and finite, real or complex), :func:`as_real_scalar` and
+:func:`as_dimension` (an integer in a range); :func:`require_same_shape`
+refuses a dimension mismatch. Each refusal is a ``ValueError`` that names
+the argument, and a NaN or inf entry is named with its value and position.
 """
 
 from __future__ import annotations
@@ -55,14 +62,67 @@ class NotPositiveSemidefiniteError(ValueError):
     """Raised when a matrix has an eigenvalue below the negativity tolerance."""
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce input to a non-empty square complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
+def _as_array(a, name: str, dtype) -> np.ndarray:
+    try:
+        return np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not a numeric array: {exc}") from None
+
+
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` itself, or a refusal naming its first NaN or inf entry."""
+    if not np.isfinite(a).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+        where = f" at index {at[0]}" if len(at) == 1 else f" at {at}" if at else ""
+        raise ValueError(f"{name} has non-finite entries (NaN or inf): "
+                         f"non-finite entry {a[at]}{where}")
+    return a
+
+
+def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce input to a non-empty, square, finite complex128 array."""
+    m = _as_array(a, name, np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if m.size == 0:
-        raise ValueError(f"expected a non-empty matrix, got the empty shape {m.shape}")
-    return m
+        raise ValueError(f"{name} must be non-empty, got the empty shape {m.shape}")
+    return _finite(m, name)
+
+
+def as_vector(v, name: str, length: int | None = None, dtype=np.float64) -> np.ndarray:
+    """Coerce input to a finite 1-D array of ``dtype``, of ``length`` entries if given."""
+    out = _as_array(v, name, dtype)
+    if out.ndim != 1 or length not in (None, out.size):
+        want = "a vector" if length is None else f"a vector of length {length}"
+        raise ValueError(f"{name} must be {want}, got shape {out.shape}")
+    return _finite(out, name)
+
+
+def as_real_scalar(x, name: str, finite: bool = False) -> float:
+    """Coerce a 0-d real number (not a string, an array or None) to a float.
+
+    NaN and inf pass unless ``finite``; a caller's range check refuses them.
+    """
+    if not isinstance(x, float):  # Python and numpy floats need no conversion
+        a = _as_array(x, name, None)
+        if a.ndim != 0 or a.dtype.kind not in "biuf":
+            raise ValueError(f"{name} = {x!r} is not a real scalar")
+        x = float(a)
+    return float(_finite(np.asarray(x), name) if finite else x)
+
+
+def as_dimension(n, name: str, lo: int, hi: float = math.inf) -> int:
+    """An integer (Python or numpy, not a float such as 3.0) with lo <= n <= hi."""
+    if not isinstance(n, (int, np.integer)) or not lo <= n <= hi:
+        bound = f"between {lo} and {hi}" if hi < math.inf else f"of at least {lo}"
+        raise ValueError(f"{name} must be an integer {bound}, got {n!r}")
+    return int(n)
+
+
+def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
+    """Refuse two arrays of different shapes."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -70,13 +130,11 @@ def require_hermitian(a) -> np.ndarray:
 
     Symmetrization absorbs the roundoff asymmetry accumulated by repeated
     matrix products; an asymmetry larger than ``ADMIT_TOL`` (relative to the
-    largest entry, with a floor of 1) is rejected, and so are NaN or inf
-    entries, which make that scale itself non-finite.
+    largest entry, with a floor of 1) is rejected. Input that
+    :func:`as_complex_matrix` refuses is refused first.
     """
     m = as_complex_matrix(a)
     scale = max(float(np.abs(m).max()), 1.0)
-    if not math.isfinite(scale):
-        raise ValueError("matrix has non-finite entries (NaN or inf)")
     mh = m.conj().T
     defect = float(np.abs(m - mh).max())
     if not defect <= ADMIT_TOL * scale:
@@ -140,7 +198,7 @@ def spectral_decompose(h) -> SpectralDecomposition:
     """
     if isinstance(h, SpectralDecomposition):
         return h
-    m = as_complex_matrix(h)
+    m = _as_array(h, "matrix", np.complex128)  # the full gate runs on a memo miss
     return _decompose(m.tobytes(), m.shape)
 
 

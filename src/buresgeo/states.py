@@ -66,17 +66,22 @@ def snap_to_state(rho) -> np.ndarray:
 
 def maximally_mixed(n: int) -> np.ndarray:
     """The state I/N."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
+    n = matcore.as_dimension(n, "dimension", 1)
     return np.eye(n, dtype=np.complex128) / n
+
+
+def unit_vector(psi, name: str = "psi") -> np.ndarray:
+    """A state vector: a finite complex vector of unit norm within ``ADMIT_TOL``."""
+    v = matcore.as_vector(psi, name, dtype=np.complex128)
+    norm = float(np.linalg.norm(v))
+    if not abs(norm - 1.0) <= matcore.ADMIT_TOL:
+        raise ValueError(f"{name} is not normalized: |{name}| = {norm!r}")
+    return v
 
 
 def pure_density(psi) -> np.ndarray:
     """Rank-1 projector |psi><psi| for a unit vector psi."""
-    v = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= matcore.ADMIT_TOL:
-        raise ValueError(f"state vector is not normalized: |psi| = {norm!r}")
+    v = unit_vector(psi)
     return np.outer(v, v.conj())
 
 
@@ -94,22 +99,20 @@ def w_state() -> np.ndarray:
     return v
 
 
-def werner(kind: str, p: float, n_qubits: int = 3) -> np.ndarray:
+def werner(kind: str, p: float) -> np.ndarray:
     """Werner mixture (1 - p) I/8 + p |Phi><Phi| with Phi in {GHZ, W}.
 
     The spectrum is {(1 + 7p)/8 once, (1 - p)/8 sevenfold} for either kind;
     only the eigenvectors differ.
     """
-    if n_qubits != 3:
-        raise ValueError(f"only 3-qubit Werner states are supported, got {n_qubits}")
+    p = matcore.as_real_scalar(p, "p")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing probability must lie in [0, 1], got {p}")
     kinds = {"GHZ": ghz_state, "W": w_state}
     if not isinstance(kind, str) or kind.upper() not in kinds:
         raise ValueError(f"kind must be one of {sorted(kinds)}, got {kind!r}")
     phi = kinds[kind.upper()]()
-    dim = 2 ** n_qubits
-    return (1.0 - p) * np.eye(dim, dtype=np.complex128) / dim + p * np.outer(phi, phi.conj())
+    return (1.0 - p) * np.eye(8, dtype=np.complex128) / 8 + p * np.outer(phi, phi.conj())
 
 
 def density_from_bloch(x, basis: sun.GeneratorBasis) -> np.ndarray:
@@ -140,8 +143,7 @@ class Purification:
     def __post_init__(self):
         a = matcore.as_complex_matrix(self.matrix)
         target = np.asarray(self.target)
-        if a.shape != target.shape:
-            raise ValueError(f"dimension mismatch: {a.shape} vs {target.shape}")
+        matcore.require_same_shape(a, target)
         defect = float(np.max(np.abs(a @ a.conj().T - target)))
         if not defect <= matcore.ADMIT_TOL:
             raise ValueError(
@@ -158,10 +160,8 @@ def canonical_purification(rho, gauge=None) -> Purification:
     st = admit(rho)
     r, a = st.matrix, st.sqrt
     if gauge is not None:
-        u = matcore.as_complex_matrix(gauge)
-        if u.shape != r.shape:
-            raise ValueError(f"gauge shape {u.shape} does not match state "
-                             f"shape {r.shape}")
+        u = matcore.as_complex_matrix(gauge, "gauge")
+        matcore.require_same_shape(u, r)
         defect = float(np.max(np.abs(u.conj().T @ u - np.eye(r.shape[0]))))
         if not defect <= matcore.ADMIT_TOL:
             raise ValueError(f"gauge is not unitary: max |U^dag U - I| = {defect:.3e}")
@@ -171,19 +171,6 @@ def canonical_purification(rho, gauge=None) -> Purification:
 
 def project(a) -> np.ndarray:
     """Projection pi(A) = A A^dagger, validated as a density matrix."""
-    m = matcore.as_complex_matrix(a)
+    m = matcore.as_complex_matrix(a, "a")
     return validate_density(m @ m.conj().T, trace_tol=matcore.ADMIT_TOL)
 
-
-def purification_vector(a) -> np.ndarray:
-    """State-vector form of a matrix purification.
-
-    Flattens A row-major into a bipartite vector whose partial trace over the
-    second factor reproduces A A^dag. Provided as a conversion for tests; the
-    matrix form is primary everywhere else.
-    """
-    m = matcore.as_complex_matrix(a)
-    if not np.isfinite(m).all():
-        raise ValueError(f"a has non-finite entries (NaN or inf): "
-                         f"max |a| = {float(np.abs(m).max())!r}")
-    return m.reshape(-1).copy()

@@ -105,11 +105,10 @@ def generator_basis(n: int) -> GeneratorBasis:
     For N = 2 the generators are the Pauli matrices in (x, y, z) order, with
     f the Levi-Civita symbol and d identically zero.
     """
-    if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_DIM:
-        raise ValueError(f"dimension must be an integer between 2 and {MAX_DIM}, got {n!r}")
+    n = matcore.as_dimension(n, "dimension", 2, MAX_DIM)
     sig = _generator_matrices(n)
     sig.setflags(write=False)
-    return GeneratorBasis(dim=int(n), sigmas=sig)
+    return GeneratorBasis(dim=n, sigmas=sig)
 
 
 @lru_cache(maxsize=None)
@@ -143,35 +142,23 @@ def _project(a: np.ndarray, n: int) -> np.ndarray:
                                        ladder @ flat[::n + 1].real))
 
 
-def _coordinates(basis: GeneratorBasis, *vectors) -> tuple[np.ndarray, ...]:
-    """Validate real coordinate vectors: length N^2 - 1 and finite entries."""
-    out = tuple(np.asarray(v, dtype=float) for v in vectors)
-    for v in out:
-        if v.shape != (basis.size,):
-            raise ValueError(f"coordinate vectors must have length {basis.size}, got {v.shape}")
-        if not np.isfinite(v).all():
-            i = np.flatnonzero(~np.isfinite(v))[0]
-            raise ValueError(f"coordinate vector has a non-finite entry {v[i]} at index {i}")
-    return out
+def _coordinates(basis: GeneratorBasis, **vectors) -> tuple[np.ndarray, ...]:
+    """The named real coordinate vectors, each of length N^2 - 1, in order."""
+    return tuple(matcore.as_vector(v, name, basis.size) for name, v in vectors.items())
 
 
 def expand(coeff0: float, coeffs, basis: GeneratorBasis) -> np.ndarray:
     """Assemble (1/N) (coeff0 I + coeffs . sigma) as a matrix."""
-    (c,) = _coordinates(basis, coeffs)
-    if not np.isfinite(coeff0):
-        raise ValueError(f"coeff0 must be finite: non-finite entry {coeff0}")
-    return _assemble(coeff0, c, basis.dim)
+    return _assemble(matcore.as_real_scalar(coeff0, "coeff0", finite=True),
+                     matcore.as_vector(coeffs, "coeffs", basis.size), basis.dim)
 
 
 def coefficients(m, basis: GeneratorBasis) -> tuple[float, np.ndarray]:
     """Project a matrix onto (coeff0, coeffs) with coeff_i = (N/2) Tr[m sigma_i]."""
-    a = matcore.as_complex_matrix(m)
+    a = matcore.as_complex_matrix(m, "m")
     if a.shape[0] != basis.dim:
         raise ValueError(f"matrix dimension {a.shape[0]} does not match basis "
                          f"dimension {basis.dim}")
-    if not np.isfinite(a).all():
-        j, k = np.argwhere(~np.isfinite(a))[0]
-        raise ValueError(f"matrix has a non-finite entry {a[j, k]} at ({j}, {k})")
     return float(np.trace(a).real), _project(a, basis.dim)
 
 
@@ -194,7 +181,7 @@ def solve_tangent_G(x, xdot, basis: GeneratorBasis) -> TangentGenerator:
     ``matcore.CONDITION_LIMIT`` (x on or near the pure-state boundary) the
     solve is refused.
     """
-    x, xdot = _coordinates(basis, x, xdot)
+    x, xdot = _coordinates(basis, x=x, xdot=xdot)
     dec = matcore.spectral_decompose(_assemble(1.0, x, basis.dim))
     lam = dec.eigenvalues
     if not lam[0] >= -matcore.ADMIT_TOL:
@@ -219,7 +206,7 @@ def unitary_tangent(y, x, basis: GeneratorBasis) -> TangentGenerator:
     With X = x . sigma and Y = y . sigma this is g = Dt y with
     Dt_kj = sum_i x_i f_ijk and g0 = 0; x . g vanishes identically.
     """
-    x, y = _coordinates(basis, x, y)
+    x, y = _coordinates(basis, x=x, y=y)
     c = _assemble(0.0, x, basis.dim) @ _assemble(0.0, y, basis.dim)  # C = XY / N^2
     gm = (basis.dim / 2j) * (c - c.conj().T)  # [X, Y] / N^2 = C - C^dag
     return TangentGenerator(g0=0.0, g=_project(gm, basis.dim), matrix=gm)
@@ -234,7 +221,7 @@ def hamiltonian_from_Y(y, x, basis: GeneratorBasis
     generates rotations about x (a dynamical phase); the perpendicular part
     drives the orbit. For x = 0 the split is (0, B).
     """
-    x, y = _coordinates(basis, x, y)
+    x, y = _coordinates(basis, x=x, y=y)
     n = basis.dim
     c = _assemble(0.0, x, n) @ _assemble(0.0, y, n)  # C = XY / N^2, {X, Y} / N^2 = C + C^dag
     dy = _project((n / 2.0) * (c + c.conj().T), n)

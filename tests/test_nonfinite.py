@@ -15,7 +15,6 @@ MIXED = states.maximally_mixed(2)
 MATRIX_ENTRY_POINTS = {
     "validate_density": states.validate_density,
     "spectral_decompose": matcore.spectral_decompose,
-    "purification_vector": states.purification_vector,
     "root_fidelity_first": lambda rho: geodesy.root_fidelity(rho, MIXED),
     "root_fidelity_second": lambda rho: geodesy.root_fidelity(MIXED, rho),
 }
@@ -79,6 +78,8 @@ DIMENSION_ENTRY_POINTS = {
     "maximally_mixed": states.maximally_mixed,
     "generator_basis": sun.generator_basis,
     "maxmixed_to_pure": lambda n: closedform.maxmixed_to_pure(n, [1.0, 0.0, 0.0], 0.1),
+    "state_from_json": lambda n: cli.state_from_json(
+        {"dim": n, "re": (np.eye(3) / 3).tolist(), "im": np.zeros((3, 3)).tolist()}, 1e-10),
 }
 
 
@@ -134,11 +135,48 @@ S_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(S_ENTRY_POINTS))
-@pytest.mark.parametrize("s", [None, np.array([0.1, 0.2]), np.array([0.1])],
-                         ids=["None", "vector", "length-1"])
+@pytest.mark.parametrize("s", [None, np.array([0.1, 0.2]), np.array([0.1]), "0.1"],
+                         ids=["None", "vector", "length-1", "string"])
 def test_non_scalar_s_is_named(entry, s):
     with pytest.raises(ValueError, match=r"^s = .* is not a real scalar$"):
         S_ENTRY_POINTS[entry](s)
+
+
+SCALAR_ENTRY_POINTS = {
+    "werner_ghz": ("p", lambda p: states.werner("GHZ", p)),
+    "werner_w": ("p", lambda p: states.werner("W", p)),
+    "werner_root_fidelity_p": ("p", lambda p: closedform.werner_root_fidelity(p, 0.5)),
+    "werner_root_fidelity_q": ("q", lambda q: closedform.werner_root_fidelity(0.5, q)),
+    "werner_mean_operator": ("p", closedform.werner_mean_operator),
+    "werner_cross_term": ("p", closedform.werner_cross_term),
+    "expand": ("coeff0", lambda c: sun.expand(c, np.zeros(8), sun.generator_basis(3))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [None, "0.5", np.array([0.1, 0.2]), np.array([0.1])],
+                         ids=["None", "string", "vector", "length-1"])
+def test_non_scalar_argument_is_named(entry, value):
+    name, call = SCALAR_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=rf"^{name} = .* is not a real scalar$"):
+        call(value)
+
+
+MALFORMED_ENTRY_POINTS = {
+    "hlc_residual_empty": ("a", lambda: geodesy.hlc_residual(np.zeros((0, 0)), np.zeros((0, 0)))),
+    "hlc_residual_vector": ("a", lambda: geodesy.hlc_residual([1, 2], [3, 4])),
+    "hlc_residual_2x3": ("a", lambda: geodesy.hlc_residual(np.ones((2, 3)), np.ones((2, 3)))),
+    "pure_density_matrix_psi": ("psi", lambda: states.pure_density(np.eye(2) / np.sqrt(2))),
+    "maxmixed_to_pure_matrix_psi": ("psi", lambda: closedform.maxmixed_to_pure(
+        4, np.eye(2) / np.sqrt(2), 0.1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MALFORMED_ENTRY_POINTS))
+def test_malformed_input_is_named(entry):
+    name, call = MALFORMED_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
 
 
 @pytest.mark.parametrize("rho, kwargs, message", [

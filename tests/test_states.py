@@ -75,8 +75,6 @@ class TestWerner:
             states.werner("GHZ", 1.5)
         with pytest.raises(ValueError, match="kind"):
             states.werner("BELL", 0.5)
-        with pytest.raises(ValueError, match="3-qubit"):
-            states.werner("GHZ", 0.5, n_qubits=2)
 
     @pytest.mark.parametrize("kind", [3, None, b"GHZ"])
     def test_rejects_a_kind_that_is_not_a_string(self, kind):
@@ -136,16 +134,6 @@ class TestPurifications:
         with pytest.raises(ValueError, match=r"dimension mismatch: \(3, 3\) vs \(2, 2\)"):
             states.Purification(matrix=np.eye(3) / np.sqrt(3),
                                 target=states.maximally_mixed(2))
-
-    def test_vector_form_partial_trace(self):
-        rng = np.random.default_rng(15)
-        rho = random_density(rng, 3)
-        u = random_unitary(rng, 3)
-        a = states.canonical_purification(rho, gauge=u)
-        vec = states.purification_vector(a.matrix)
-        full = np.outer(vec, vec.conj()).reshape(3, 3, 3, 3)
-        reduced = np.trace(full, axis1=1, axis2=3)
-        assert np.max(np.abs(reduced - rho)) < 1e-12
 
 
 class TestSnapToState:
