@@ -33,6 +33,7 @@ and ``uhlmann_unitary``. Its arrays are read-only.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,7 @@ class GeodesicPath:
     orthogonal: bool = False
 
     def __post_init__(self):
-        self.cross.flags.writeable = False
+        self.cross.setflags(write=False)
 
     @property
     def rho1(self) -> np.ndarray:
@@ -94,7 +95,7 @@ class GeodesicPath:
         v = self.start.eigenvectors
         m = v @ m_eig @ v.conj().T
         m = (m + m.conj().T) / 2
-        m.flags.writeable = False
+        m.setflags(write=False)
         return m
 
     @property
@@ -118,6 +119,15 @@ def _unit(x) -> float:
     return float(min(max(float(x), 0.0), 1.0))
 
 
+def _same(st1: matcore.SpectralDecomposition, st2: matcore.SpectralDecomposition) -> bool:
+    """Equal content: one memo entry, or else equal traces and first entries, then
+    equal matrices. Unit traces are often equal to the last bit, so the first
+    entry settles most distinct pairs before the full comparison."""
+    a, b = st1.matrix, st2.matrix
+    return st1 is st2 or (st1.trace == st2.trace and a[0, 0] == b[0, 0]
+                          and np.array_equal(a, b))
+
+
 @dataclass(frozen=True, eq=False)
 class _PolarPair:
     """Of the SVD sqrt(rho1) F2 = U S W'^dag of a pair (F2 = V2 diag(sqrt(l2))):
@@ -134,7 +144,7 @@ class _PolarPair:
 
     def __post_init__(self):
         for a in (self.gauge_eig, self.a2):
-            a.flags.writeable = False
+            a.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=PAIR_MEMO_SIZE)
@@ -144,9 +154,9 @@ def _polar_pair(st1: matcore.SpectralDecomposition,
     f2 = matcore.spectral_factor(st2, np.sqrt)
     u, sigma, wh = np.linalg.svd(st1.sqrt @ f2)
     gauge_eig = u @ wh
-    scale = np.sqrt(st1.eigenvalues[-1] * st2.eigenvalues[-1])
+    scale = math.sqrt(float(st1.eigenvalues[-1]) * float(st2.eigenvalues[-1]))
     rank = int(np.count_nonzero(sigma > matcore.CLAMP * scale))
-    if np.array_equal(st1.matrix, st2.matrix):
+    if _same(st1, st2):
         return _PolarPair(gauge_eig, rank, st2.sqrt, BuresSummary(1.0, 0.0, 0.0))
     a2 = f2 @ gauge_eig.conj().T
     if rank == 0:
@@ -168,7 +178,7 @@ def root_fidelity(rho1, rho2) -> float:
     to [0, 1].
     """
     st1, st2 = _admit_pair(rho1, rho2)
-    if np.array_equal(st1.matrix, st2.matrix):
+    if _same(st1, st2):
         return 1.0
     f2 = matcore.spectral_factor(st2, np.sqrt)
     return _unit(np.linalg.svd(st1.sqrt @ f2, compute_uv=False).sum())
@@ -212,11 +222,12 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
     """
     st1, st2 = _admit_pair(rho1, rho2)
     polar = _polar_pair(st1, st2)
-    rank_b, rank1, rank2 = polar.rank, st1.rank, st2.rank
-    orthogonal = rank_b == 0 and rank1 == rank2 == 1
-    if rank_b == rank2 or rank_b == rank1:
+    rank_b = polar.rank
+    orthogonal = False
+    if rank_b == st2.rank or rank_b == st1.rank:  # rank rho1 is read only if needed
         a2 = polar.a2
-    elif orthogonal:
+    elif rank_b == 0 and st1.rank == st2.rank == 1:
+        orthogonal = True
         a2 = np.outer(_phase_fixed_top_eigenvector(st2),
                       _phase_fixed_top_eigenvector(st1).conj())
     elif rank_b == 0:
@@ -226,7 +237,7 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
     else:
         raise GeodesicUndefinedError(
             f"geodesic not unique: sqrt(rho1) sqrt(rho2) has rank {rank_b} below "
-            f"both rank rho1 = {rank1} and rank rho2 = {rank2}")
+            f"both rank rho1 = {st1.rank} and rank rho2 = {st2.rank}")
     half = st1.sqrt @ a2.conj().T
     return GeodesicPath(start=st1, end=st2, cross=half + half.conj().T,
                         s_star=polar.summary.bures_angle, orthogonal=orthogonal)
@@ -249,26 +260,39 @@ def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
     return float(np.sin(s_star - s) / sin_star), float(np.sin(s) / sin_star)
 
 
+def _m_star(path: GeodesicPath) -> np.ndarray:
+    """``path.m_star``, or the refusal of a path that has none."""
+    if path.m_star is None:
+        raise GeodesicUndefinedError(
+            f"no M*: rank rho1 = {path.start.rank} < rank rho2 = {path.end.rank}, "
+            "and M rho1 M cannot raise the rank")
+    return path.m_star
+
+
+def _transport(m_star: np.ndarray, f: float, g: float) -> np.ndarray:
+    """M = f I + g M*: g M* with f added on the diagonal."""
+    m = g * m_star
+    m.flat[::m.shape[0] + 1] += f
+    return m
+
+
+def _point(path: GeodesicPath, f: float, g: float) -> np.ndarray:
+    """rho = f^2 rho1 + f g C + g^2 rho2."""
+    return (f * f) * path.rho1 + (f * g) * path.cross + (g * g) * path.rho2
+
+
 def transport_operator(path: GeodesicPath, s: float) -> np.ndarray:
     """Transport operator M(s) = f(s) I + g(s) M* on 0 <= s <= s*.
 
     M(0) = I and M(s*) = M*; on a degenerate path only s = 0 is in range.
     A path with rank rho1 < rank rho2 has no M* and is refused.
     """
-    if path.m_star is None:
-        raise GeodesicUndefinedError(
-            f"no M*: rank rho1 = {path.start.rank} < rank rho2 = {path.end.rank}, "
-            "and M rho1 M cannot raise the rank")
-    f, g = transport_coefficients(s, path.s_star)
-    m = g * path.m_star
-    m.flat[::path.dim + 1] += f  # the diagonal
-    return m
+    return _transport(_m_star(path), *transport_coefficients(s, path.s_star))
 
 
 def geodesic_point(path: GeodesicPath, s: float) -> np.ndarray:
     """Intermediate state rho(s) = f^2 rho1 + f g C + g^2 rho2, exactly rho2 at s*."""
-    f, g = transport_coefficients(s, path.s_star)
-    return (f * f) * path.rho1 + (f * g) * path.cross + (g * g) * path.rho2
+    return _point(path, *transport_coefficients(s, path.s_star))
 
 
 def initial_tangent(path: GeodesicPath) -> np.ndarray:
@@ -288,7 +312,8 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
                     s: float) -> states.Purification:
     """Horizontal lift A(s) = M(s) A(0) of the geodesic through a0.
 
-    The starting purification must project onto the initial endpoint.
+    The starting purification must project onto the initial endpoint. One
+    evaluation of f(s), g(s) gives both M(s) and the target rho(s).
     """
     a0m = (a0.matrix if isinstance(a0, states.Purification)
            else matcore.as_complex_matrix(a0, "a0"))
@@ -298,8 +323,9 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
         raise ValueError(
             f"purification does not project to the initial state: max entry "
             f"defect {defect:.3e}")
-    m = transport_operator(path, s)
-    return states.Purification(matrix=m @ a0m, target=geodesic_point(path, s))
+    m_star = _m_star(path)
+    f, g = transport_coefficients(s, path.s_star)  # one f, g for M(s) and rho(s)
+    return states.Purification(matrix=_transport(m_star, f, g) @ a0m, target=_point(path, f, g))
 
 
 def hlc_residual(a, adot) -> float:

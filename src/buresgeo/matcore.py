@@ -79,14 +79,35 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a non-empty, square, finite complex128 array."""
-    m = _as_array(a, name, np.complex128)
+def _max_modulus(a: np.ndarray) -> float:
+    """max |a_jk|, NaN when an entry is NaN: the reduction ``ndarray.max`` wraps,
+    without its Python frame (this runs twice per admitted state)."""
+    return float(np.maximum.reduce(np.abs(a), axis=None))
+
+
+def _gate(m: np.ndarray, name: str) -> float:
+    """The largest modulus of a complex128 array ``m``, refused unless ``m`` is a
+    square, non-empty, finite matrix.
+
+    One pass: a NaN or inf entry makes the maximum non-finite, and only then
+    does :func:`_finite` look for the entry to name. Finite entries whose
+    moduli overflow (|1.5e308 + 1.5e308j|) pass with the maximum inf.
+    """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if m.size == 0:
         raise ValueError(f"{name} must be non-empty, got the empty shape {m.shape}")
-    return _finite(m, name)
+    top = _max_modulus(m)
+    if not math.isfinite(top):
+        _finite(m, name)
+    return top
+
+
+def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce input to a non-empty, square, finite complex128 array."""
+    m = _as_array(a, name, np.complex128)
+    _gate(m, name)
+    return m
 
 
 def as_vector(v, name: str, length: int | None = None, dtype=np.float64) -> np.ndarray:
@@ -99,21 +120,21 @@ def as_vector(v, name: str, length: int | None = None, dtype=np.float64) -> np.n
 
 
 def as_real_scalar(x, name: str, finite: bool = False) -> float:
-    """Coerce a 0-d real number (not a string, an array or None) to a float.
+    """Coerce a 0-d real number (not a bool, a string, an array or None) to a float.
 
     NaN and inf pass unless ``finite``; a caller's range check refuses them.
     """
     if not isinstance(x, float):  # Python and numpy floats need no conversion
         a = _as_array(x, name, None)
-        if a.ndim != 0 or a.dtype.kind not in "biuf":
+        if a.ndim != 0 or a.dtype.kind not in "iuf":
             raise ValueError(f"{name} = {x!r} is not a real scalar")
         x = float(a)
     return float(_finite(np.asarray(x), name) if finite else x)
 
 
 def as_dimension(n, name: str, lo: int, hi: float = math.inf) -> int:
-    """An integer (Python or numpy, not a float such as 3.0) with lo <= n <= hi."""
-    if not isinstance(n, (int, np.integer)) or not lo <= n <= hi:
+    """An integer (Python or numpy, not a bool or a float such as 3.0) with lo <= n <= hi."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not lo <= n <= hi:
         bound = f"between {lo} and {hi}" if hi < math.inf else f"of at least {lo}"
         raise ValueError(f"{name} must be an integer {bound}, got {n!r}")
     return int(n)
@@ -131,12 +152,13 @@ def require_hermitian(a) -> np.ndarray:
     Symmetrization absorbs the roundoff asymmetry accumulated by repeated
     matrix products; an asymmetry larger than ``ADMIT_TOL`` (relative to the
     largest entry, with a floor of 1) is rejected. Input that
-    :func:`as_complex_matrix` refuses is refused first.
+    :func:`as_complex_matrix` refuses is refused first; the largest entry is
+    the one the gate takes.
     """
-    m = as_complex_matrix(a)
-    scale = max(float(np.abs(m).max()), 1.0)
+    m = _as_array(a, "matrix", np.complex128)
+    scale = max(_gate(m, "matrix"), 1.0)
     mh = m.conj().T
-    defect = float(np.abs(m - mh).max())
+    defect = _max_modulus(m - mh)
     if not defect <= ADMIT_TOL * scale:
         raise NotHermitianError(
             f"matrix is not Hermitian: max |H - H^dagger| = {defect:.3e} "
@@ -166,27 +188,38 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         for a in (self.matrix, self.eigenvalues, self.eigenvectors):
-            a.flags.writeable = False
+            a.setflags(write=False)
 
     @functools.cached_property
     def sqrt(self) -> np.ndarray:
         a = spectral_function(self, np.sqrt)
-        a.flags.writeable = False
+        a.setflags(write=False)
         return a
 
     @functools.cached_property
     def rank(self) -> int:
-        w = self.eigenvalues
-        return int(np.count_nonzero(w > CLAMP * max(w[-1], 0.0)))
+        w = self.eigenvalues  # ascending, so the count above the cut is a search
+        return w.size - int(w.searchsorted(CLAMP * max(float(w[-1]), 0.0), side="right"))
+
+    @functools.cached_property
+    def _pair_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sums l_i + l_j of :func:`lyapunov_eigenbasis` and where they are
+        above ``CLAMP`` * l_max (on the support)."""
+        lam = self.eigenvalues
+        denom = lam[:, None] + lam[None, :]
+        keep = denom > CLAMP * float(lam[-1])
+        denom.setflags(write=False)
+        keep.setflags(write=False)
+        return denom, keep
 
 
 @functools.lru_cache(maxsize=32)  # distinct decomposed matrices one process keeps
 def _decompose(data: bytes, shape: tuple[int, int]) -> SpectralDecomposition:
     """The decomposition of the matrix with the given complex128 bytes; a
     refusal raises and so is not cached."""
-    m = require_hermitian(np.frombuffer(data, dtype=np.complex128).reshape(shape))
+    m = require_hermitian(np.ndarray(shape, np.complex128, data))
     w, v = np.linalg.eigh(m)
-    return SpectralDecomposition(m, float(np.trace(m).real), w, v)
+    return SpectralDecomposition(m, float(m.trace().real), w, v)
 
 
 def spectral_decompose(h) -> SpectralDecomposition:
@@ -209,13 +242,10 @@ def lyapunov_eigenbasis(dec: SpectralDecomposition, h) -> tuple[np.ndarray, np.n
     l_i + l_j <= CLAMP * l_max (off the support), so X = V X' V^dag. The Bures
     metric (1/2) Tr[X H] and the tangent generator share this kernel.
     """
-    lam, v = dec.eigenvalues, dec.eigenvectors
+    v = dec.eigenvectors
     h_eig = v.conj().T @ h @ v
-    denom = lam[:, None] + lam[None, :]
-    keep = denom > CLAMP * float(lam[-1])
-    x_eig = np.zeros_like(h_eig)
-    x_eig[keep] = h_eig[keep] / denom[keep]
-    return h_eig, x_eig
+    denom, keep = dec._pair_sums
+    return h_eig, np.divide(h_eig, denom, out=np.zeros_like(h_eig), where=keep)
 
 
 def spectral_factor(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]
@@ -230,11 +260,14 @@ def spectral_factor(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.nda
     costs no product with V^dag.
     """
     w = dec.eigenvalues
-    threshold = CLAMP * float(np.abs(w).max())
-    if not w[0] >= -threshold:
+    low = float(w[0])
+    threshold = CLAMP * max(-low, float(w[-1]))  # max|w| of an ascending w
+    if not low >= -threshold:
         raise NotPositiveSemidefiniteError(
-            f"not positive semidefinite: min eigenvalue {w[0]:.6e} is below "
+            f"not positive semidefinite: min eigenvalue {low:.6e} is below "
             f"-{threshold:.1e}")
+    if low > threshold:  # full support: nothing to mask
+        return dec.eigenvectors * f(w)
     support = w > threshold
     fw = np.zeros_like(w)
     fw[support] = f(w[support])

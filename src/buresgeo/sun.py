@@ -142,19 +142,28 @@ def _project(a: np.ndarray, n: int) -> np.ndarray:
                                        ladder @ flat[::n + 1].real))
 
 
+def _require_basis(basis) -> None:
+    """Refuse a ``basis`` that is not a :class:`GeneratorBasis`."""
+    if not isinstance(basis, GeneratorBasis):
+        raise ValueError(f"basis must be a GeneratorBasis, got {type(basis).__name__}")
+
+
 def _coordinates(basis: GeneratorBasis, **vectors) -> tuple[np.ndarray, ...]:
     """The named real coordinate vectors, each of length N^2 - 1, in order."""
+    _require_basis(basis)
     return tuple(matcore.as_vector(v, name, basis.size) for name, v in vectors.items())
 
 
 def expand(coeff0: float, coeffs, basis: GeneratorBasis) -> np.ndarray:
     """Assemble (1/N) (coeff0 I + coeffs . sigma) as a matrix."""
+    _require_basis(basis)
     return _assemble(matcore.as_real_scalar(coeff0, "coeff0", finite=True),
                      matcore.as_vector(coeffs, "coeffs", basis.size), basis.dim)
 
 
 def coefficients(m, basis: GeneratorBasis) -> tuple[float, np.ndarray]:
     """Project a matrix onto (coeff0, coeffs) with coeff_i = (N/2) Tr[m sigma_i]."""
+    _require_basis(basis)
     a = matcore.as_complex_matrix(m, "m")
     if a.shape[0] != basis.dim:
         raise ValueError(f"matrix dimension {a.shape[0]} does not match basis "

@@ -37,3 +37,32 @@ def polar_gauge(rho1, rho2) -> np.ndarray:
     """The unitary L R^dag of sqrt(rho1) sqrt(rho2) = L S R^dag, both roots formed."""
     left, _, right_h = np.linalg.svd(sqrtm_psd(rho1) @ sqrtm_psd(rho2))
     return left @ right_h
+
+
+def masked_spectral_factor(dec, f) -> np.ndarray:
+    """The factor V diag(f(w')) by the support mask on every spectrum, the
+    formula ``matcore.spectral_factor`` skips when the support is full."""
+    w = dec.eigenvalues
+    threshold = matcore.CLAMP * float(np.abs(w).max())
+    support = w > threshold
+    fw = np.zeros_like(w)
+    fw[support] = f(w[support])
+    return dec.eigenvectors * fw
+
+
+def masked_lyapunov_eigenbasis(dec, h) -> tuple[np.ndarray, np.ndarray]:
+    """(H', X') of ``matcore.lyapunov_eigenbasis``, with the sums l_i + l_j,
+    their mask and the fancy-indexed division rebuilt on every call."""
+    lam, v = dec.eigenvalues, dec.eigenvectors
+    h_eig = v.conj().T @ h @ v
+    denom = lam[:, None] + lam[None, :]
+    keep = denom > matcore.CLAMP * float(lam[-1])
+    x_eig = np.zeros_like(h_eig)
+    x_eig[keep] = h_eig[keep] / denom[keep]
+    return h_eig, x_eig
+
+
+def counted_rank(dec) -> int:
+    """Eigenvalues above ``CLAMP`` * the largest, counted one by one."""
+    w = dec.eigenvalues
+    return int(np.count_nonzero(w > matcore.CLAMP * max(w[-1], 0.0)))

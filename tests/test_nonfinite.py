@@ -169,6 +169,16 @@ MALFORMED_ENTRY_POINTS = {
     "pure_density_matrix_psi": ("psi", lambda: states.pure_density(np.eye(2) / np.sqrt(2))),
     "maxmixed_to_pure_matrix_psi": ("psi", lambda: closedform.maxmixed_to_pure(
         4, np.eye(2) / np.sqrt(2), 0.1)),
+    "expand_no_basis": ("basis", lambda: sun.expand(1, np.zeros(8), None)),
+    "coefficients_no_basis": ("basis", lambda: sun.coefficients(np.eye(3) / 3, 3)),
+    "solve_tangent_G_string_basis": ("basis", lambda: sun.solve_tangent_G(
+        np.zeros(8), np.zeros(8), "b")),
+    "unitary_tangent_no_basis": ("basis", lambda: sun.unitary_tangent(
+        np.zeros(8), np.zeros(8), None)),
+    "hamiltonian_from_Y_no_basis": ("basis", lambda: sun.hamiltonian_from_Y(
+        np.zeros(8), np.zeros(8), None)),
+    "density_from_bloch_no_basis": ("basis", lambda: states.density_from_bloch(
+        np.zeros(8), None)),
 }
 
 
@@ -176,6 +186,26 @@ MALFORMED_ENTRY_POINTS = {
 def test_malformed_input_is_named(entry):
     name, call = MALFORMED_ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
+
+BOOL_ENTRY_POINTS = {
+    "maximally_mixed": ("dimension", lambda: states.maximally_mixed(True)),
+    "state_from_json": ("dim", lambda: cli.state_from_json(
+        {"dim": True, "re": [[1.0]], "im": [[0.0]]}, 1e-10)),
+    "werner": ("p", lambda: states.werner("GHZ", True)),
+    "werner_numpy_bool": ("p", lambda: states.werner("W", np.True_)),
+    "transport_coefficients": ("s", lambda: geodesy.transport_coefficients(True, 1.0)),
+    "geodesic_point": ("s", lambda: geodesy.geodesic_point(PATH, False)),
+    "expand_coeff0": ("coeff0", lambda: sun.expand(True, np.zeros(8), sun.generator_basis(3))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BOOL_ENTRY_POINTS))
+def test_bool_is_not_a_number(entry):
+    name, call = BOOL_ENTRY_POINTS[entry]
+    pattern = rf"^{name} (must be an integer .*, got |= )(np\.)?(True|False)"
+    with pytest.raises(ValueError, match=pattern):
         call()
 
 
