@@ -110,7 +110,8 @@ class GeodesicPath:
 
 def _admit_pair(rho1, rho2) -> tuple[matcore.SpectralDecomposition,
                                      matcore.SpectralDecomposition]:
-    st1, st2 = states.admit(rho1), states.admit(rho2)
+    st1 = matcore._named(states.admit, rho1, "rho1")
+    st2 = matcore._named(states.admit, rho2, "rho2")
     matcore.require_same_shape(st1.matrix, st2.matrix)
     return st1, st2
 
@@ -152,7 +153,7 @@ def _polar_pair(st1: matcore.SpectralDecomposition,
                 st2: matcore.SpectralDecomposition) -> _PolarPair:
     """The polar data of a pair of memoised states, kept per pair (keyed by identity)."""
     f2 = matcore.spectral_factor(st2, np.sqrt)
-    u, sigma, wh = np.linalg.svd(st1.sqrt @ f2)
+    u, sigma, wh = matcore._lapack("svd_f", st1.sqrt @ f2)
     gauge_eig = u @ wh
     scale = math.sqrt(float(st1.eigenvalues[-1]) * float(st2.eigenvalues[-1]))
     rank = int(np.count_nonzero(sigma > matcore.CLAMP * scale))
@@ -181,7 +182,7 @@ def root_fidelity(rho1, rho2) -> float:
     if _same(st1, st2):
         return 1.0
     f2 = matcore.spectral_factor(st2, np.sqrt)
-    return _unit(np.linalg.svd(st1.sqrt @ f2, compute_uv=False).sum())
+    return _unit(matcore._lapack("svd", st1.sqrt @ f2).sum())
 
 
 def bures(rho1, rho2) -> BuresSummary:
@@ -312,17 +313,22 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
                     s: float) -> states.Purification:
     """Horizontal lift A(s) = M(s) A(0) of the geodesic through a0.
 
-    The starting purification must project onto the initial endpoint. One
-    evaluation of f(s), g(s) gives both M(s) and the target rho(s).
+    The starting purification must project onto the initial endpoint. That is
+    checked unless its matrix is the start's own read-only root
+    ``path.start.sqrt`` (``canonical_purification(rho1)`` without a gauge), whose
+    defect |sqrt(rho1) sqrt(rho1)^dag - rho1| is the clamp, at most
+    ``CLAMP`` * l_max, plus roundoff. One evaluation of f(s), g(s) gives both
+    M(s) and the target rho(s).
     """
     a0m = (a0.matrix if isinstance(a0, states.Purification)
            else matcore.as_complex_matrix(a0, "a0"))
-    matcore.require_same_shape(a0m, path.rho1)
-    defect = float(np.max(np.abs(a0m @ a0m.conj().T - path.rho1)))
-    if not defect <= matcore.ADMIT_TOL:
-        raise ValueError(
-            f"purification does not project to the initial state: max entry "
-            f"defect {defect:.3e}")
+    if a0m is not path.start.sqrt:
+        matcore.require_same_shape(a0m, path.rho1)
+        defect = matcore._max_modulus(a0m @ a0m.conj().T - path.rho1)
+        if not defect <= matcore.ADMIT_TOL:
+            raise ValueError(
+                f"purification does not project to the initial state: max entry "
+                f"defect {defect:.3e}")
     m_star = _m_star(path)
     f, g = transport_coefficients(s, path.s_star)  # one f, g for M(s) and rho(s)
     return states.Purification(matrix=_transport(m_star, f, g) @ a0m, target=_point(path, f, g))
@@ -338,7 +344,7 @@ def hlc_residual(a, adot) -> float:
     am, dm = matcore.as_complex_matrix(a, "a"), matcore.as_complex_matrix(adot, "adot")
     matcore.require_same_shape(am, dm)
     k = dm.conj().T @ am
-    return float(np.max(np.abs(k - k.conj().T)))
+    return matcore._max_modulus(k - k.conj().T)
 
 
 def hubner_metric(rho, drho) -> float:
@@ -349,10 +355,10 @@ def hubner_metric(rho, drho) -> float:
     eigenvalue pairs with l_i + l_j below the clamp are skipped, which
     restricts the sum to the support. The variation must be traceless.
     """
-    st = states.admit(rho)
-    d = matcore.require_hermitian(drho)
+    st = matcore._named(states.admit, rho, "rho")
+    d = matcore._named(matcore.require_hermitian, drho, "drho")
     matcore.require_same_shape(st.matrix, d)
-    scale = max(float(np.max(np.abs(d))), 1.0)
+    scale = max(matcore._max_modulus(d), 1.0)
     tr = float(np.trace(d).real)
     if not abs(tr) <= matcore.ADMIT_TOL * scale:
         raise ValueError(f"variation must be traceless: Tr[drho] = {tr!r}")

@@ -13,6 +13,8 @@ check, the trace and the ``eigh``), so no refusal and no tolerance is
 memoised. Its decompositions, and the polar pairs ``geodesy`` keeps of them,
 are shared read-only; every other result is a fresh array. When two threads
 miss on one matrix at once, both decompose it, with bit-identical results.
+Every eigensolve and SVD of the package is one call of :func:`_lapack`, the
+one LAPACK site, which calls numpy.linalg's gufuncs without numpy's wrapper.
 
 Tolerance policy: every numerical threshold is named once, in the table
 below, which every module reads; the only per-call override is the admission
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 # One name per numerical decision.
 CLAMP = 1e-12                 # relative spectral zero: |l| <= CLAMP * max|l| counts as 0
@@ -140,6 +143,50 @@ def as_dimension(n, name: str, lo: int, hi: float = math.inf) -> int:
     return int(n)
 
 
+def _lapack(routine: str, a: np.ndarray):
+    """The one LAPACK call of the package: numpy.linalg's gufunc ``routine`` on a
+    complex128 matrix ``a``, without numpy's per-call wrapper (its errstate,
+    type promotion and result wrapping cost about as much as a 4x4 solve).
+
+    ``"eigh_lo"`` returns (w, V) as ``np.linalg.eigh``, ``"svd_f"`` (U, s, Vh)
+    as ``np.linalg.svd`` and ``"svd"`` s as ``np.linalg.svd(compute_uv=False)``,
+    bit for bit. A gufunc that fails fills its outputs with NaN and flags an
+    invalid value; either is raised as numpy's ``LinAlgError`` (a
+    ``ValueError``) with numpy's message.
+    """
+    try:
+        if routine == "eigh_lo":
+            out = _umath_linalg.eigh_lo(a, signature="D->dD")
+            first = out[0][0]
+        elif routine == "svd_f":
+            out = _umath_linalg.svd_f(a, signature="D->DdD")
+            first = out[1][0]
+        else:
+            out = _umath_linalg.svd(a, signature="D->d")
+            first = out[0]
+    except (RuntimeWarning, FloatingPointError):  # the invalid flag of a failure,
+        first = math.nan                           # under an "error" filter or errstate
+    if not math.isfinite(first):
+        raise LinAlgError("Eigenvalues did not converge" if routine == "eigh_lo"
+                          else "SVD did not converge")
+    return out
+
+
+def _named(check: Callable, a, name: str):
+    """``check(a)``, with a refusal re-raised, of the same type, under the name the
+    caller gives ``a``: "matrix has ..." becomes "name has ...", "not a state: ..."
+    "name is not a state: ...", and any other message follows "name: "."""
+    try:
+        return check(a)
+    except ValueError as exc:
+        msg = str(exc)
+        if msg.startswith("matrix"):
+            msg = name + msg.removeprefix("matrix")
+        else:
+            msg = f"{name} is {msg}" if msg.startswith("not ") else f"{name}: {msg}"
+        raise type(exc)(msg) from None
+
+
 def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
     """Refuse two arrays of different shapes."""
     if a.shape != b.shape:
@@ -153,10 +200,16 @@ def require_hermitian(a) -> np.ndarray:
     matrix products; an asymmetry larger than ``ADMIT_TOL`` (relative to the
     largest entry, with a floor of 1) is rejected. Input that
     :func:`as_complex_matrix` refuses is refused first; the largest entry is
-    the one the gate takes.
+    the one the gate takes. Finite entries so large that H +- H^dag could
+    overflow (twice the largest modulus is inf) are refused as well, since
+    neither the asymmetry nor the symmetrized matrix can be formed.
     """
     m = _as_array(a, "matrix", np.complex128)
-    scale = max(_gate(m, "matrix"), 1.0)
+    top = _gate(m, "matrix")
+    if not math.isfinite(2.0 * top):
+        raise ValueError(f"matrix entries overflow: max |H_jk| = {top:.3e} leaves "
+                         "H +- H^dagger no finite value")
+    scale = max(top, 1.0)
     mh = m.conj().T
     defect = _max_modulus(m - mh)
     if not defect <= ADMIT_TOL * scale:
@@ -218,7 +271,7 @@ def _decompose(data: bytes, shape: tuple[int, int]) -> SpectralDecomposition:
     """The decomposition of the matrix with the given complex128 bytes; a
     refusal raises and so is not cached."""
     m = require_hermitian(np.ndarray(shape, np.complex128, data))
-    w, v = np.linalg.eigh(m)
+    w, v = _lapack("eigh_lo", m)
     return SpectralDecomposition(m, float(m.trace().real), w, v)
 
 

@@ -144,7 +144,7 @@ class Purification:
         a = matcore.as_complex_matrix(self.matrix)
         target = np.asarray(self.target)
         matcore.require_same_shape(a, target)
-        defect = float(np.max(np.abs(a @ a.conj().T - target)))
+        defect = matcore._max_modulus(a @ a.conj().T - target)
         if not defect <= matcore.ADMIT_TOL:
             raise ValueError(
                 f"matrix does not purify the target state: max entry defect "
@@ -162,7 +162,7 @@ def canonical_purification(rho, gauge=None) -> Purification:
     if gauge is not None:
         u = matcore.as_complex_matrix(gauge, "gauge")
         matcore.require_same_shape(u, r)
-        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(r.shape[0]))))
+        defect = matcore._max_modulus(u.conj().T @ u - np.eye(r.shape[0]))
         if not defect <= matcore.ADMIT_TOL:
             raise ValueError(f"gauge is not unitary: max |U^dag U - I| = {defect:.3e}")
         a = a @ u

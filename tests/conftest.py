@@ -23,19 +23,20 @@ settings.load_profile("buresgeo")
 
 @pytest.fixture
 def solver_counts(monkeypatch):
-    """Calls of numpy.linalg eigh/eigvalsh/svd made during the test, which
-    starts with the state and polar-pair memos empty, so counts are cold."""
+    """Eigensolves (``eigh``) and SVDs (``svd``, with or without vectors) made
+    during the test at the package's one LAPACK site, ``matcore._lapack``; the
+    test starts with the state and polar-pair memos empty, so counts are cold."""
     matcore._decompose.cache_clear()
     geodesy._polar_pair.cache_clear()
     counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
-    for name in counts:
-        original = getattr(np.linalg, name)
+    kinds = {"eigh_lo": "eigh", "svd_f": "svd", "svd": "svd"}
+    original = matcore._lapack
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    def counted(routine, a):
+        counts[kinds[routine]] += 1
+        return original(routine, a)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(matcore, "_lapack", counted)
     return counts
 
 

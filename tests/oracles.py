@@ -9,7 +9,7 @@ the gauge as the nuclear norm and the polar factor of sqrt(rho1) sqrt(rho2).
 
 import numpy as np
 
-from buresgeo import matcore
+from buresgeo import geodesy, matcore, states
 
 
 def sqrtm_psd(h) -> np.ndarray:
@@ -66,3 +66,20 @@ def counted_rank(dec) -> int:
     """Eigenvalues above ``CLAMP`` * the largest, counted one by one."""
     w = dec.eigenvalues
     return int(np.count_nonzero(w > matcore.CLAMP * max(w[-1], 0.0)))
+
+
+def checked_horizontal_lift(a0, path, s):
+    """``geodesy.horizontal_lift`` with the a0 projection check run for every a0,
+    the start's own root too, and its defect taken by ``np.max(np.abs(.))``."""
+    a0m = (a0.matrix if isinstance(a0, states.Purification)
+           else matcore.as_complex_matrix(a0, "a0"))
+    matcore.require_same_shape(a0m, path.rho1)
+    defect = float(np.max(np.abs(a0m @ a0m.conj().T - path.rho1)))
+    if not defect <= matcore.ADMIT_TOL:
+        raise ValueError(f"purification does not project to the initial state: max "
+                         f"entry defect {defect:.3e}")
+    f, g = geodesy.transport_coefficients(s, path.s_star)
+    m = g * path.m_star
+    m.flat[::m.shape[0] + 1] += f
+    rho = (f * f) * path.rho1 + (f * g) * path.cross + (g * g) * path.rho2
+    return states.Purification(matrix=m @ a0m, target=rho)

@@ -205,9 +205,9 @@ def test_cli_invariants_reads_the_loaded_spectrum(solver_counts, tmp_path, capsy
     assert solver_counts == {"eigh": 1, "eigvalsh": 0, "svd": 0}
 
 
-SOLVERS = {"eigh", "eigvalsh", "svd"}
-SOLVER_SITES = {("matcore", "_decompose", "eigh"),
-                ("geodesy", "_polar_pair", "svd"), ("geodesy", "root_fidelity", "svd")}
+SOLVERS = {"eigh", "eigvalsh", "svd", "eigh_lo", "eigvalsh_lo", "svd_f", "svd_s"}
+SOLVER_SITES = {("matcore", "_lapack", "eigh_lo"), ("matcore", "_lapack", "svd_f"),
+                ("matcore", "_lapack", "svd")}
 
 
 def test_eigensolvers_are_reached_only_at_their_sites():

@@ -1,0 +1,104 @@
+"""``horizontal_lift`` trusts only the start's own root and checks every other a0.
+
+The lift skips the a0 projection check when the matrix of a0 is the array
+``path.start.sqrt``, which ``canonical_purification(rho1)`` returns without a
+gauge. The skip never hides a refusal: that root's explicit defect stays two
+orders below ``ADMIT_TOL`` on random, ill-conditioned, rank-deficient and
+pure states up to N = 64. Any other a0 (gauged, a raw matrix, or a
+Purification of equal content and a different array) is checked as before,
+the lift's result keeps its own Purification check, and the bytes of the
+lift equal the always-checking formula of ``oracles.checked_horizontal_lift``.
+"""
+
+import numpy as np
+import pytest
+
+from buresgeo import geodesy, matcore, states
+import oracles
+from conftest import (conditioned_density, random_density, random_state_vector,
+                      random_unitary)
+
+SIZES = (2, 4, 8, 16, 64)
+KINDS = ("random", "cond-1e-12", "cond-1e-15", "rank-deficient", "pure")
+
+
+def _state(rng, n, kind):
+    if kind == "random":
+        return random_density(rng, n)
+    if kind.startswith("cond"):
+        return conditioned_density(rng, n, float(kind[5:]))
+    if kind == "pure":
+        return states.pure_density(random_state_vector(rng, n))
+    g = rng.normal(size=(n, n // 2)) + 1j * rng.normal(size=(n, n // 2))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _path(rng, n, kind):
+    """A path whose start is of the given kind, to a random state from a random
+    start and to a pure state otherwise, so that M* exists (rank rho2 <= rank rho1
+    also when the conditioning puts the smallest eigenvalue at the clamp)."""
+    rho1 = _state(rng, n, kind)
+    rho2 = _state(rng, n, "random" if kind == "random" else "pure")
+    return rho1, geodesy.geometric_mean_operator(rho1, rho2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", SIZES)
+def test_the_trusted_root_purifies_its_state_well_inside_the_tolerance(n, kind):
+    rng = np.random.default_rng([1810, n, KINDS.index(kind)])
+    for _ in range(3):
+        rho = _state(rng, n, kind)
+        st = states.admit(rho)
+        a = states.canonical_purification(rho).matrix
+        assert a is st.sqrt
+        assert float(np.max(np.abs(a @ a.conj().T - st.matrix))) <= matcore.ADMIT_TOL / 100
+
+
+def _starts(rng, rho1, path):
+    """Every kind of a0 the lift accepts, by name."""
+    root = states.canonical_purification(rho1)
+    n = rho1.shape[0]
+    return {"trusted": root,
+            "gauged": states.canonical_purification(rho1, gauge=random_unitary(rng, n)),
+            "raw": path.start.sqrt.copy(),
+            "copy": states.Purification(matrix=root.matrix.copy(), target=root.target)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", (2, 4, 8, 16))
+def test_lift_bytes_equal_the_checking_formula(n, kind):
+    rng = np.random.default_rng([1811, n, KINDS.index(kind)])
+    rho1, path = _path(rng, n, kind)
+    for name, a0 in _starts(rng, rho1, path).items():
+        for s in (0.0, path.s_star / 3, path.s_star):
+            got = geodesy.horizontal_lift(a0, path, s)
+            want = oracles.checked_horizontal_lift(a0, path, s)
+            assert got.matrix.tobytes() == want.matrix.tobytes(), (name, s)
+            assert got.target.tobytes() == want.target.tobytes(), (name, s)
+
+
+def test_only_the_start_root_itself_skips_the_check(monkeypatch):
+    # With a tolerance no defect meets, a checked a0 is refused for not
+    # projecting, while the trusted root reaches the result's own check.
+    rng = np.random.default_rng(1812)
+    rho1, path = _path(rng, 4, "random")
+    starts = _starts(rng, rho1, path)
+    matcore._decompose.cache_clear()
+    starts["re-decomposed"] = states.canonical_purification(rho1)  # equal, another array
+    monkeypatch.setattr(matcore, "ADMIT_TOL", -1.0)
+    with pytest.raises(ValueError, match="does not purify the target"):
+        geodesy.horizontal_lift(starts.pop("trusted"), path, 0.1)
+    for name, a0 in starts.items():
+        with pytest.raises(ValueError, match="does not project"):
+            geodesy.horizontal_lift(a0, path, 0.1)
+
+
+def test_a_wrong_start_is_still_refused():
+    rng = np.random.default_rng(1813)
+    rho1, path = _path(rng, 4, "random")
+    for a0 in (states.canonical_purification(path.rho2),
+               states.canonical_purification(path.rho2).matrix,
+               states.canonical_purification(rho1).matrix[::-1]):
+        with pytest.raises(ValueError, match="does not project"):
+            geodesy.horizontal_lift(a0, path, 0.1)

@@ -226,3 +226,59 @@ def test_nan_admission_tolerance_refuses(rho, kwargs, message):
 def test_cli_gates_fail_closed_on_nan_tolerance(argv, capsys):
     assert cli.main([*argv, "--tol", "nan"]) == cli.EXIT_GATE
     assert "> nan" in capsys.readouterr().err
+
+
+OVERFLOWING = np.array([[1.5e308 + 1.5e308j, 1e308], [-1e308, 1.0]])
+
+
+@pytest.mark.parametrize("entry", [
+    matcore.require_hermitian,
+    matcore.spectral_decompose,
+    lambda m: geodesy.hubner_metric(MIXED, m),
+])
+def test_overflowing_entries_are_refused_before_any_eigensolve(entry, solver_counts):
+    # The entries are finite, so the gate passes them; their moduli overflow,
+    # and with them H - H^dag and (H + H^dag)/2.
+    assert matcore.as_complex_matrix(OVERFLOWING) is not None
+    states.admit(MIXED)  # the metric's state, decomposed before the count
+    solver_counts.update(dict.fromkeys(solver_counts, 0))
+    with pytest.raises(ValueError, match="overflow"):
+        entry(OVERFLOWING)
+    assert solver_counts == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+
+NAN_MIXED = MIXED.copy()
+NAN_MIXED[1, 1] = np.nan
+SKEW = np.array([[0.5, 0.3], [-0.3, 0.5]], dtype=np.complex128)
+PAIR_ENTRY_POINTS = ["root_fidelity", "bures", "geometric_mean_operator", "uhlmann_unitary"]
+
+
+@pytest.mark.parametrize("entry", PAIR_ENTRY_POINTS)
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("bad, message", [
+    (NAN_MIXED, r"has non-finite entries \(NaN or inf\): non-finite entry \(?nan"),
+    (SKEW, r"is not Hermitian: max \|H - H\^dagger\|"),
+    (2 * MIXED, r"is not normalized: trace = 2.0"),
+], ids=["nan", "skew", "trace"])
+def test_pair_refusals_name_the_argument(entry, position, bad, message):
+    args = [MIXED, MIXED]
+    args[position] = bad
+    with pytest.raises(ValueError, match=f"^rho{position + 1} {message}"):
+        getattr(geodesy, entry)(*args)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((NAN_MIXED, np.zeros((2, 2))), r"^rho has non-finite entries"),
+    ((MIXED, NAN_MIXED), r"^drho has non-finite entries"),
+    ((MIXED, SKEW - 0.5 * np.eye(2)), r"^drho is not Hermitian"),
+    ((MIXED, np.ones((2, 3))), r"^drho must be a square matrix"),
+    ((MIXED, OVERFLOWING), r"^drho entries overflow"),
+], ids=["rho-nan", "drho-nan", "drho-skew", "drho-shape", "drho-overflow"])
+def test_metric_refusals_name_the_argument(args, message):
+    with pytest.raises(ValueError, match=message):
+        geodesy.hubner_metric(*args)
+
+
+def test_a_renamed_refusal_keeps_its_type():
+    with pytest.raises(matcore.NotHermitianError, match="^rho2 is not Hermitian"):
+        geodesy.root_fidelity(MIXED, SKEW)
