@@ -99,7 +99,7 @@ def _parse_vector(text: str, length: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be comma-separated reals: {exc}") from exc
     if vec.shape != (length,):
         raise ValueError(f"{name} must have {length} components, got {vec.size}")
-    return vec
+    return matcore.as_vector(vec, name)
 
 
 def cmd_fidelity(args) -> int:

@@ -152,8 +152,14 @@ class _PolarPair:
 def _polar_pair(st1: matcore.SpectralDecomposition,
                 st2: matcore.SpectralDecomposition) -> _PolarPair:
     """The polar data of a pair of memoised states, kept per pair (keyed by identity)."""
-    f2 = matcore.spectral_factor(st2, np.sqrt)
-    u, sigma, wh = matcore._lapack("svd_f", st1.sqrt @ f2)
+    name = "rho2"
+    try:
+        f2 = matcore.spectral_factor(st2, np.sqrt)
+        name = "rho1"
+        b = st1.sqrt @ f2
+    except matcore.NotPositiveSemidefiniteError as exc:
+        raise type(exc)(f"{name} is {exc}") from None
+    u, sigma, wh = matcore._lapack("svd_f", b)
     gauge_eig = u @ wh
     scale = math.sqrt(float(st1.eigenvalues[-1]) * float(st2.eigenvalues[-1]))
     rank = int(np.count_nonzero(sigma > matcore.CLAMP * scale))
@@ -181,8 +187,14 @@ def root_fidelity(rho1, rho2) -> float:
     st1, st2 = _admit_pair(rho1, rho2)
     if _same(st1, st2):
         return 1.0
-    f2 = matcore.spectral_factor(st2, np.sqrt)
-    return _unit(matcore._lapack("svd", st1.sqrt @ f2).sum())
+    name = "rho2"
+    try:
+        f2 = matcore.spectral_factor(st2, np.sqrt)
+        name = "rho1"
+        b = st1.sqrt @ f2
+    except matcore.NotPositiveSemidefiniteError as exc:
+        raise type(exc)(f"{name} is {exc}") from None
+    return _unit(matcore._lapack("svd", b).sum())
 
 
 def bures(rho1, rho2) -> BuresSummary:
@@ -353,17 +365,22 @@ def hubner_metric(rho, drho) -> float:
     Evaluated in the eigenbasis of rho by :func:`matcore.lyapunov_eigenbasis`,
     the kernel that also solves for the tangent generator in :mod:`sun`;
     eigenvalue pairs with l_i + l_j below the clamp are skipped, which
-    restricts the sum to the support. The variation must be traceless.
+    restricts the sum to the support. The variation must be traceless, and
+    small enough that the sum has a finite value.
     """
     st = matcore._named(states.admit, rho, "rho")
     d = matcore._named(matcore.require_hermitian, drho, "drho")
     matcore.require_same_shape(st.matrix, d)
-    scale = max(matcore._max_modulus(d), 1.0)
-    tr = float(np.trace(d).real)
-    if not abs(tr) <= matcore.ADMIT_TOL * scale:
-        raise ValueError(f"variation must be traceless: Tr[drho] = {tr!r}")
+    tr = float(d.trace().real)
+    if not abs(tr) <= matcore.ADMIT_TOL:  # the scale is at least 1: only then can it matter
+        scale = max(matcore._max_modulus(d), 1.0)
+        if not abs(tr) <= matcore.ADMIT_TOL * scale:
+            raise ValueError(f"variation must be traceless: Tr[drho] = {tr!r}")
     d_eig, x_eig = matcore.lyapunov_eigenbasis(st, d)
-    return float(0.5 * np.vdot(d_eig, x_eig).real)
+    metric = float(0.5 * np.vdot(d_eig, x_eig).real)
+    if not metric < math.inf:  # NaN fails too
+        raise ValueError(f"drho is too large: the metric overflows to {metric!r}")
+    return metric
 
 
 def uhlmann_unitary(rho1, rho2) -> np.ndarray:

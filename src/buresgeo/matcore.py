@@ -198,7 +198,9 @@ def require_hermitian(a) -> np.ndarray:
 
     Symmetrization absorbs the roundoff asymmetry accumulated by repeated
     matrix products; an asymmetry larger than ``ADMIT_TOL`` (relative to the
-    largest entry, with a floor of 1) is rejected. Input that
+    largest entry, with a floor of 1) is rejected. Input equal to its adjoint
+    entry for entry has no asymmetry to measure and skips the measurement; it
+    is still symmetrized, which fixes the signs of its zero entries. Input that
     :func:`as_complex_matrix` refuses is refused first; the largest entry is
     the one the gate takes. Finite entries so large that H +- H^dag could
     overflow (twice the largest modulus is inf) are refused as well, since
@@ -209,13 +211,14 @@ def require_hermitian(a) -> np.ndarray:
     if not math.isfinite(2.0 * top):
         raise ValueError(f"matrix entries overflow: max |H_jk| = {top:.3e} leaves "
                          "H +- H^dagger no finite value")
-    scale = max(top, 1.0)
     mh = m.conj().T
-    defect = _max_modulus(m - mh)
-    if not defect <= ADMIT_TOL * scale:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max |H - H^dagger| = {defect:.3e} "
-            f"exceeds tolerance {ADMIT_TOL:.1e} (scale {scale:.3e})")
+    if not (m == mh).all():  # exactly Hermitian input has no defect to measure
+        scale = max(top, 1.0)
+        defect = _max_modulus(m - mh)
+        if not defect <= ADMIT_TOL * scale:
+            raise NotHermitianError(
+                f"matrix is not Hermitian: max |H - H^dagger| = {defect:.3e} "
+                f"exceeds tolerance {ADMIT_TOL:.1e} (scale {scale:.3e})")
     return (m + mh) / 2
 
 
@@ -255,13 +258,20 @@ class SpectralDecomposition:
         return w.size - int(w.searchsorted(CLAMP * max(float(w[-1]), 0.0), side="right"))
 
     @functools.cached_property
-    def _pair_sums(self) -> tuple[np.ndarray, np.ndarray]:
+    def _pair_sums(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The sums l_i + l_j of :func:`lyapunov_eigenbasis` and where they are
-        above ``CLAMP`` * l_max (on the support)."""
+        above ``CLAMP`` * l_max (on the support), None when that is everywhere.
+
+        Rounded addition is monotone, so l_0 + l_0 = 2 l_0 is the smallest sum
+        and the support is full exactly when it is above the cut.
+        """
         lam = self.eigenvalues
         denom = lam[:, None] + lam[None, :]
-        keep = denom > CLAMP * float(lam[-1])
         denom.setflags(write=False)
+        cut = CLAMP * float(lam[-1])
+        if 2.0 * float(lam[0]) > cut:
+            return denom, None
+        keep = denom > cut
         keep.setflags(write=False)
         return denom, keep
 
@@ -298,6 +308,8 @@ def lyapunov_eigenbasis(dec: SpectralDecomposition, h) -> tuple[np.ndarray, np.n
     v = dec.eigenvectors
     h_eig = v.conj().T @ h @ v
     denom, keep = dec._pair_sums
+    if keep is None:  # full support: the same division, unmasked
+        return h_eig, h_eig / denom
     return h_eig, np.divide(h_eig, denom, out=np.zeros_like(h_eig), where=keep)
 
 

@@ -148,12 +148,6 @@ def _require_basis(basis) -> None:
         raise ValueError(f"basis must be a GeneratorBasis, got {type(basis).__name__}")
 
 
-def _coordinates(basis: GeneratorBasis, **vectors) -> tuple[np.ndarray, ...]:
-    """The named real coordinate vectors, each of length N^2 - 1, in order."""
-    _require_basis(basis)
-    return tuple(matcore.as_vector(v, name, basis.size) for name, v in vectors.items())
-
-
 def expand(coeff0: float, coeffs, basis: GeneratorBasis) -> np.ndarray:
     """Assemble (1/N) (coeff0 I + coeffs . sigma) as a matrix."""
     _require_basis(basis)
@@ -190,7 +184,9 @@ def solve_tangent_G(x, xdot, basis: GeneratorBasis) -> TangentGenerator:
     ``matcore.CONDITION_LIMIT`` (x on or near the pure-state boundary) the
     solve is refused.
     """
-    x, xdot = _coordinates(basis, x=x, xdot=xdot)
+    _require_basis(basis)
+    x = matcore.as_vector(x, "x", basis.size)
+    xdot = matcore.as_vector(xdot, "xdot", basis.size)
     dec = matcore.spectral_decompose(_assemble(1.0, x, basis.dim))
     lam = dec.eigenvalues
     if not lam[0] >= -matcore.ADMIT_TOL:
@@ -215,7 +211,9 @@ def unitary_tangent(y, x, basis: GeneratorBasis) -> TangentGenerator:
     With X = x . sigma and Y = y . sigma this is g = Dt y with
     Dt_kj = sum_i x_i f_ijk and g0 = 0; x . g vanishes identically.
     """
-    x, y = _coordinates(basis, x=x, y=y)
+    _require_basis(basis)
+    x = matcore.as_vector(x, "x", basis.size)
+    y = matcore.as_vector(y, "y", basis.size)
     c = _assemble(0.0, x, basis.dim) @ _assemble(0.0, y, basis.dim)  # C = XY / N^2
     gm = (basis.dim / 2j) * (c - c.conj().T)  # [X, Y] / N^2 = C - C^dag
     return TangentGenerator(g0=0.0, g=_project(gm, basis.dim), matrix=gm)
@@ -230,12 +228,19 @@ def hamiltonian_from_Y(y, x, basis: GeneratorBasis
     generates rotations about x (a dynamical phase); the perpendicular part
     drives the orbit. For x = 0 the split is (0, B).
     """
-    x, y = _coordinates(basis, x=x, y=y)
+    _require_basis(basis)
+    x = matcore.as_vector(x, "x", basis.size)
+    y = matcore.as_vector(y, "y", basis.size)
     n = basis.dim
-    c = _assemble(0.0, x, n) @ _assemble(0.0, y, n)  # C = XY / N^2, {X, Y} / N^2 = C + C^dag
-    dy = _project((n / 2.0) * (c + c.conj().T), n)
-    b = y - (2.0 / n) * x * (x @ y) + dy
-    norm = float(np.linalg.norm(x))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            c = _assemble(0.0, x, n) @ _assemble(0.0, y, n)  # C = XY / N^2
+            dy = _project((n / 2.0) * (c + c.conj().T), n)  # {X, Y} / N^2 = C + C^dag
+            b = y - (2.0 / n) * x * (x @ y) + dy
+            norm = float(np.linalg.norm(x))
+    except FloatingPointError as exc:
+        raise ValueError(f"x and y are too large: the effective field overflows ({exc})"
+                         ) from None
     if norm < matcore.ROUNDOFF:
         return b, np.zeros_like(b), b
     xhat = x / norm
@@ -257,13 +262,17 @@ def characteristic_invariants(rho) -> np.ndarray:
     n = r.shape[0]
     power = np.eye(n, dtype=np.complex128)
     ptraces = []
-    for _ in range(n):
-        power = power @ r
-        ptraces.append(float(np.trace(power).real))
     s = [1.0]
-    for k in range(1, n + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += (-1.0) ** (j - 1) * s[k - j] * ptraces[j - 1]
-        s.append(acc / k)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(n):
+                power = power @ r
+                ptraces.append(np.trace(power).real)  # numpy floats obey the errstate
+            for k in range(1, n + 1):
+                acc = 0.0
+                for j in range(1, k + 1):
+                    acc += (-1.0) ** (j - 1) * s[k - j] * ptraces[j - 1]
+                s.append(acc / k)
+    except FloatingPointError as exc:
+        raise ValueError(f"rho is too large: its power traces overflow ({exc})") from None
     return np.array(s[1:])

@@ -5,11 +5,13 @@ The library takes every function of a state through
 apply it to a bare matrix, so a test can build the textbook square root,
 inverse root and polar factor directly, and from them the root fidelity and
 the gauge as the nuclear norm and the polar factor of sqrt(rho1) sqrt(rho2).
+The other helpers rebuild the library's hot paths by the general formulas
+they skip.
 """
 
 import numpy as np
 
-from buresgeo import geodesy, matcore, states
+from buresgeo import geodesy, matcore, states, sun
 
 
 def sqrtm_psd(h) -> np.ndarray:
@@ -60,6 +62,61 @@ def masked_lyapunov_eigenbasis(dec, h) -> tuple[np.ndarray, np.ndarray]:
     x_eig = np.zeros_like(h_eig)
     x_eig[keep] = h_eig[keep] / denom[keep]
     return h_eig, x_eig
+
+
+def measured_require_hermitian(a) -> np.ndarray:
+    """``matcore.require_hermitian`` with the asymmetry measured on every input,
+    exactly Hermitian input too, and its maxima taken by ``np.max(np.abs(.))``."""
+    m = matcore.as_complex_matrix(a, "matrix")
+    scale = max(float(np.max(np.abs(m))), 1.0)
+    mh = m.conj().T
+    defect = float(np.max(np.abs(m - mh)))
+    if not defect <= matcore.ADMIT_TOL * scale:
+        raise matcore.NotHermitianError(
+            f"matrix is not Hermitian: max |H - H^dagger| = {defect:.3e} "
+            f"exceeds tolerance {matcore.ADMIT_TOL:.1e} (scale {scale:.3e})")
+    return (m + mh) / 2
+
+
+def measured_decomposition(h) -> matcore.SpectralDecomposition:
+    """A decomposition of ``measured_require_hermitian(h)`` by ``np.linalg.eigh``,
+    outside the memo."""
+    m = measured_require_hermitian(h)
+    w, v = np.linalg.eigh(m)
+    return matcore.SpectralDecomposition(m, float(m.trace().real), w, v)
+
+
+def scaled_traceless_rule(d) -> bool:
+    """Whether ``geodesy.hubner_metric`` accepts the variation ``d`` as traceless:
+    |Tr d| <= ``ADMIT_TOL`` * max(max|d|, 1), the scale taken on every call."""
+    scale = max(float(np.max(np.abs(d))), 1.0)
+    return abs(float(np.trace(d).real)) <= matcore.ADMIT_TOL * scale
+
+
+def masked_hubner_metric(rho, drho) -> float:
+    """(1/2) Tr[X' H'] by the masked kernel on measured decompositions."""
+    d_eig, x_eig = masked_lyapunov_eigenbasis(measured_decomposition(rho),
+                                              measured_require_hermitian(drho))
+    return float(0.5 * np.vdot(d_eig, x_eig).real)
+
+
+def masked_tangent_solve(x, xdot, basis) -> tuple[float, np.ndarray, np.ndarray]:
+    """(g0, g, G) of ``sun.solve_tangent_G`` from ``sun.expand``, a measured
+    decomposition and the masked kernel."""
+    dec = measured_decomposition(sun.expand(1.0, x, basis))
+    _, g_eig = masked_lyapunov_eigenbasis(dec, sun.expand(0.0, xdot, basis))
+    v = dec.eigenvectors
+    gm = v @ g_eig @ v.conj().T
+    gm = (gm + gm.conj().T) / 2
+    _, g = sun.coefficients(gm, basis)
+    return float(-(2.0 / basis.dim) * (x @ g) + 0.0), g, gm
+
+
+def expanded_unitary_tangent(y, x, basis) -> tuple[np.ndarray, np.ndarray]:
+    """(g, G) of ``sun.unitary_tangent``, G = [X, Y] / (2 i N) from ``sun.expand``."""
+    c = sun.expand(0.0, x, basis) @ sun.expand(0.0, y, basis)
+    gm = (basis.dim / 2j) * (c - c.conj().T)
+    return sun.coefficients(gm, basis)[1], gm
 
 
 def counted_rank(dec) -> int:

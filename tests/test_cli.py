@@ -202,6 +202,17 @@ class TestQubitOrbit:
         assert code == 2
         assert "3 components" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["qubit-orbit", "--x=0,0,0", "--y=nan,0,0"], "--y"),
+        (["qubit-orbit", "--x=0,inf,0", "--y=0,0,0"], "--x"),
+        (["solve-g", "--dim", "2", "--x", "0,0,0", "--xdot", "1,0,-inf"], "--xdot"),
+    ], ids=["qubit-orbit-y", "qubit-orbit-x", "solve-g-xdot"])
+    def test_non_finite_component_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} has non-finite entries (NaN or inf)")
+
 
 class TestSolveG:
     def test_maximally_mixed_qubit(self, capsys):

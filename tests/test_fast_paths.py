@@ -1,17 +1,20 @@
 """The hot paths return what the general formulas return, bit for bit.
 
-Admission reads finiteness off the one maximum it already takes, the
-square-root factor of a full-support spectrum skips the mask, the Lyapunov
-weights of a state are built once, identical endpoints are recognised by
-memo identity, then trace and first entry, then every entry, ranks are a
-search on the ascending spectrum, and a horizontal lift evaluates f(s), g(s) once. Each test pins
-one of them against the formula it replaced (``oracles``).
+Admission reads finiteness off the one maximum it already takes, exactly
+Hermitian input skips the asymmetry measurement, the square-root factor and
+the Lyapunov kernel of a full-support spectrum skip the mask, the Lyapunov
+weights of a state are built once, the metric takes the scale of its
+traceless check only when the trace could need it, identical endpoints are
+recognised by memo identity, then trace and first entry, then every entry,
+ranks are a search on the ascending spectrum, and a horizontal lift evaluates
+f(s), g(s) once. Each test pins one of them against the formula it replaced
+(``oracles``).
 """
 
 import numpy as np
 import pytest
 
-from buresgeo import geodesy, matcore, states
+from buresgeo import geodesy, matcore, states, sun
 import oracles
 from conftest import random_density, random_hermitian, random_unitary
 
@@ -71,16 +74,123 @@ def test_spectral_factor_equals_the_masked_formula(f):
     assert seen_full and seen_deficient
 
 
+def _at_the_cut(n, above):
+    """A decomposition whose 2 l_min is the cut ``CLAMP`` * l_max, or the next
+    float above it, with a random eigenbasis."""
+    rng = np.random.default_rng(16)
+    cut = matcore.CLAMP * 1.0
+    low = np.nextafter(cut / 2, 1.0) if above else cut / 2
+    w = np.concatenate(([low], np.sort(rng.uniform(0.1, 0.9, size=n - 2)), [1.0]))
+    v = random_unitary(rng, n)
+    m = (v * w) @ v.conj().T
+    return matcore.SpectralDecomposition(m, float(m.trace().real), w, v)
+
+
 def test_lyapunov_eigenbasis_equals_the_masked_formula():
     rng = np.random.default_rng(12)
-    for rho in _ensemble(12):
-        dec = matcore.spectral_decompose(rho)
-        h = random_hermitian(rng, rho.shape[0])
+    decs = [matcore.spectral_decompose(rho) for rho in _ensemble(12)]
+    full, at_cut = _at_the_cut(5, above=True), _at_the_cut(5, above=False)
+    seen = set()
+    for dec in decs + [full, at_cut]:
+        h = random_hermitian(rng, dec.matrix.shape[0])
         for _ in range(2):  # the second call reads the cached weights
             h_eig, x_eig = matcore.lyapunov_eigenbasis(dec, h)
             want_h, want_x = oracles.masked_lyapunov_eigenbasis(dec, h)
             assert h_eig.tobytes() == want_h.tobytes()
             assert x_eig.tobytes() == want_x.tobytes()
+        seen.add(dec._pair_sums[1] is None)
+    assert seen == {True, False}  # full and deficient supports both ran
+    assert full._pair_sums[1] is None
+    assert at_cut._pair_sums[1] is not None and not at_cut._pair_sums[1][0, 0]
+
+
+def _signed_zeros(rng, v):
+    """``v`` with about a third of its entries set to +0.0 or -0.0."""
+    v = v.copy()
+    hit = rng.uniform(size=v.size) < 0.35
+    v[hit] = np.where(rng.uniform(size=hit.sum()) < 0.5, 0.0, -0.0)
+    return v
+
+
+def _exact_hermitian_inputs():
+    """Werner, diagonal, real pure (negative amplitudes) and assembled su(N)
+    states, coordinates with signed zeros: each equal to its adjoint."""
+    rng = np.random.default_rng(17)
+    out = [states.werner(kind, p) for kind in ("GHZ", "W") for p in (0.0, 0.3, 1.0)]
+    out += [np.diag(rng.dirichlet(np.ones(n))).astype(np.complex128) for n in (2, 3, 8)]
+    for n in (2, 4, 6):
+        psi = rng.normal(size=n)
+        psi[0] = -abs(psi[0])
+        out.append(states.pure_density(psi / np.linalg.norm(psi)))
+    for n in (2, 3, 4, 8, 12):
+        basis = sun.generator_basis(n)
+        _, x = sun.coefficients(random_density(rng, n, floor=0.3), basis)
+        out.append(sun.expand(1.0, _signed_zeros(rng, x), basis))
+        out.append(sun.expand(0.0, _signed_zeros(rng, rng.normal(size=basis.size)), basis))
+    return out
+
+
+def test_exact_hermitian_input_is_symmetrized_as_before():
+    for m in _exact_hermitian_inputs():
+        assert (m == m.conj().T).all()
+        got = matcore.require_hermitian(m)
+        assert got.tobytes() == oracles.measured_require_hermitian(m).tobytes()
+        assert got.tobytes() == ((m + m.conj().T) / 2).tobytes()
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("scale", [1.0, 10.0])
+def test_near_hermitian_input_is_measured_as_before(factor, scale):
+    rng = np.random.default_rng(18)
+    for _ in range(8):
+        n = int(rng.integers(2, 7))
+        m = scale * random_hermitian(rng, n) / 8
+        m[0, n - 1] += factor * matcore.ADMIT_TOL * max(np.abs(m).max(), 1.0)
+        assert not (m == m.conj().T).all()
+        try:
+            want = oracles.measured_require_hermitian(m)
+        except matcore.NotHermitianError as exc:
+            with pytest.raises(matcore.NotHermitianError) as got:
+                matcore.require_hermitian(m)
+            assert str(got.value) == str(exc)
+            assert factor > 1.0
+        else:
+            assert matcore.require_hermitian(m).tobytes() == want.tobytes()
+            assert factor < 1.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0])
+@pytest.mark.parametrize("factor", [0.5, 0.999999, 1.000001, 2.0, 9.99999, 10.00001, 20.0])
+def test_metric_traceless_decision_equals_the_scaled_rule(scale, factor):
+    rho = states.maximally_mixed(2)
+    drho = np.diag([scale, factor * matcore.ADMIT_TOL - scale]).astype(np.complex128)
+    if oracles.scaled_traceless_rule(drho):
+        got = geodesy.hubner_metric(rho, drho)
+        assert got == oracles.masked_hubner_metric(rho, drho)
+    else:
+        with pytest.raises(ValueError, match="^variation must be traceless"):
+            geodesy.hubner_metric(rho, drho)
+    accepted = factor <= 1.0 or (scale == 10.0 and factor < 10.0)
+    assert oracles.scaled_traceless_rule(drho) == accepted
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
+def test_tangent_solvers_equal_the_masked_formulas_on_signed_zeros(n):
+    rng = np.random.default_rng(19 + n)
+    basis = sun.generator_basis(n)
+    for _ in range(12):
+        _, x = sun.coefficients(random_density(rng, n, floor=0.3), basis)
+        x = _signed_zeros(rng, x)
+        xdot = _signed_zeros(rng, rng.normal(size=basis.size))
+        y = _signed_zeros(rng, rng.normal(size=basis.size))
+        gen = sun.solve_tangent_G(x, xdot, basis)
+        g0, g, gm = oracles.masked_tangent_solve(x, xdot, basis)
+        assert (gen.g0, gen.g.tobytes(), gen.matrix.tobytes()) == (g0, g.tobytes(), gm.tobytes())
+        rho, rhodot = sun.expand(1.0, x, basis), sun.expand(0.0, xdot, basis)
+        assert geodesy.hubner_metric(rho, rhodot) == oracles.masked_hubner_metric(rho, rhodot)
+        unitary = sun.unitary_tangent(y, x, basis)
+        g, gm = oracles.expanded_unitary_tangent(y, x, basis)
+        assert (unitary.g.tobytes(), unitary.matrix.tobytes()) == (g.tobytes(), gm.tobytes())
 
 
 def test_rank_equals_the_counting_rule():

@@ -279,6 +279,34 @@ def test_metric_refusals_name_the_argument(args, message):
         geodesy.hubner_metric(*args)
 
 
+BELOW_CLAMP = np.diag([1.0 + 5e-11, -5e-11]).astype(np.complex128)
+
+
+@pytest.mark.parametrize("entry", ["root_fidelity", "bures", "geometric_mean_operator"])
+@pytest.mark.parametrize("position", [0, 1])
+def test_a_square_root_refusal_names_the_argument(entry, position):
+    # Admitted at the PSD tolerance, but below the clamp of the square root.
+    args = [MIXED, MIXED]
+    args[position] = BELOW_CLAMP
+    with pytest.raises(matcore.NotPositiveSemidefiniteError,
+                       match=f"^rho{position + 1} is not positive semidefinite: "
+                             r"min eigenvalue -5\.0+e-11"):
+        getattr(geodesy, entry)(*args)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: sun.characteristic_invariants(1e100 * np.eye(4)), "rho"),
+    (lambda: sun.characteristic_invariants(1.33e19 * np.eye(16)), "rho"),
+    (lambda: sun.hamiltonian_from_Y(1e200 * np.ones(8), 1e200 * np.ones(8),
+                                    sun.generator_basis(3)), "x and y"),
+    (lambda: geodesy.hubner_metric(MIXED, np.diag([1e154, -1e154])), "drho"),
+], ids=["invariants-matmul", "invariants-newton", "hamiltonian", "metric"])
+def test_overflowing_results_are_refused(call, name):
+    # Each input passes the gate; its result has no finite value.
+    with pytest.raises(ValueError, match=f"^{name} .*overflow"):
+        call()
+
+
 def test_a_renamed_refusal_keeps_its_type():
     with pytest.raises(matcore.NotHermitianError, match="^rho2 is not Hermitian"):
         geodesy.root_fidelity(MIXED, SKEW)
