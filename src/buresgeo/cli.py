@@ -58,7 +58,7 @@ def state_from_json(data: dict, tol: float) -> np.ndarray:
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"re/im arrays must be {dim}x{dim}, got {re.shape} "
                          f"and {im.shape}")
-    return states.snap_to_state(states.admit(re + 1j * im, trace_tol=tol, psd_tol=tol))
+    return states._snap_to_state(states.admit(re + 1j * im, trace_tol=tol, psd_tol=tol))
 
 
 def load_state(path: str, tol: float) -> np.ndarray:
@@ -164,13 +164,15 @@ def cmd_werner_sweep(args) -> int:
     worst = 0.0
     for p in np.linspace(0.0, 1.0, args.steps):
         p = float(p)
-        sf = geodesy.root_fidelity(states.werner("GHZ", p), states.werner("W", p))
+        rho_ghz, rho_w = states.werner("GHZ", p), states.werner("W", p)
+        sf = geodesy.root_fidelity(rho_ghz, rho_w)
+        angle = geodesy.bures(rho_ghz, rho_w).bures_angle
         closed = closedform.werner_root_fidelity(p, p)
         if p < 1.0:
             worst = max(worst, abs(sf - closed))
         rows.append({"p": p,
                      "root_fidelity": sf,
-                     "s_star_over_half_pi": float(np.arccos(sf) / (np.pi / 2)),
+                     "s_star_over_half_pi": angle / (np.pi / 2),
                      "root_fidelity_closed_form": closed})
     if args.format == "json":
         _emit(json.dumps({"steps": args.steps, "rows": rows}) + "\n", args.out)

@@ -156,15 +156,11 @@ def orthogonal_pure_geodesic(psi1, psi2, s: float) -> tuple[np.ndarray, np.ndarr
 # Qubit closed forms
 # ---------------------------------------------------------------------------
 
-def _direction(x: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
-    """Unit vector along x; ill-defined directions fall back to y-hat or z-hat."""
+def _direction(x: np.ndarray) -> np.ndarray:
+    """Unit vector along x; an ill-defined direction falls back to z-hat."""
     norm = float(np.linalg.norm(x))
     if norm >= matcore.ROUNDOFF:
         return x / norm
-    if fallback is not None:
-        fnorm = float(np.linalg.norm(fallback))
-        if fnorm >= matcore.ROUNDOFF:
-            return fallback / fnorm
     return np.array([0.0, 0.0, 1.0])
 
 
@@ -193,16 +189,6 @@ def qubit_root(x) -> tuple[np.ndarray, np.ndarray]:
     return root, np.linalg.inv(root)
 
 
-@dataclass(frozen=True)
-class QubitTau:
-    """Coefficients of tau = sqrt(rho1) rho2 sqrt(rho1) = tau0 I + tau_vec.sigma."""
-
-    tau0: float
-    tau_vec: np.ndarray
-    lambda_plus: float
-    lambda_minus: float
-
-
 def _bloch_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     """x and y as real 3-vectors of qubit endpoints: |x| < 1 and |y| <= 1."""
     x, y = matcore.as_vector(x, "x", 3), matcore.as_vector(y, "y", 3)
@@ -212,33 +198,6 @@ def _bloch_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     if not yn <= 1.0 + matcore.ROUNDOFF:
         raise ValueError(f"|y| = {yn!r} must be at most 1")
     return x, y
-
-
-def qubit_tau(x, y) -> QubitTau:
-    """Bloch coefficients of tau = sqrt(rho1) rho2 sqrt(rho1) for qubit endpoints.
-
-    With y split along xhat into y_par xhat + y_perp,
-
-        tau0    = (1 + |x| y_par) / 4,
-        tau_vec = ((|x| + y_par) xhat + sqrt(1 - |x|^2) y_perp) / 4,
-
-    and eigenvalues lambda_pm = tau0 +- |tau_vec|. The perpendicular
-    coefficient sqrt(1 - |x|^2) is fixed by the x -> 0 limit tau = rho2/2
-    and by the entrywise spectral oracle (see ERRATA).
-    """
-    x, y = _bloch_pair(x, y)
-    xn = float(np.linalg.norm(x))
-    xhat = _direction(x, fallback=y)
-    y_par = float(y @ xhat)
-    y_perp = y - y_par * xhat
-    tau0 = 0.25 * (1.0 + xn * y_par)
-    tau_vec = 0.25 * ((xn + y_par) * xhat + np.sqrt(1.0 - xn * xn) * y_perp)
-    tnorm = float(np.linalg.norm(tau_vec))
-    lam_minus = tau0 - tnorm
-    if not lam_minus >= -matcore.ROUNDOFF:
-        raise ValueError(f"tau is not PSD: lambda_minus = {lam_minus!r}")
-    return QubitTau(tau0=tau0, tau_vec=tau_vec,
-                    lambda_plus=tau0 + tnorm, lambda_minus=max(lam_minus, 0.0))
 
 
 def _fidelity_legs(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -258,8 +217,8 @@ def qubit_fidelity(x, y) -> float:
     """Root fidelity sqrt(F) = sqrt(Tr[rho1 rho2] + 2 sqrt(det rho1 det rho2)).
 
     This trace-determinant form equals sqrt(lambda_plus) + sqrt(lambda_minus)
-    of tau and matches the general spectral route; y.y = 1 gives exactly
-    sqrt((1 + x.y)/2).
+    of tau = sqrt(rho1) rho2 sqrt(rho1) and matches the general spectral
+    route; y.y = 1 gives exactly sqrt((1 + x.y)/2).
     """
     return _fidelity_legs(*_bloch_pair(x, y))[0]
 

@@ -148,10 +148,10 @@ class _PolarPair:
             a.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=PAIR_MEMO_SIZE)
-def _polar_pair(st1: matcore.SpectralDecomposition,
-                st2: matcore.SpectralDecomposition) -> _PolarPair:
-    """The polar data of a pair of memoised states, kept per pair (keyed by identity)."""
+def _root_product(st1: matcore.SpectralDecomposition, st2: matcore.SpectralDecomposition
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(F2, B): the eigen-factor F2 = V2 diag(sqrt(l2)) and B = sqrt(rho1) F2, with
+    a square-root refusal named after the state it concerns."""
     name = "rho2"
     try:
         f2 = matcore.spectral_factor(st2, np.sqrt)
@@ -159,6 +159,14 @@ def _polar_pair(st1: matcore.SpectralDecomposition,
         b = st1.sqrt @ f2
     except matcore.NotPositiveSemidefiniteError as exc:
         raise type(exc)(f"{name} is {exc}") from None
+    return f2, b
+
+
+@functools.lru_cache(maxsize=PAIR_MEMO_SIZE)
+def _polar_pair(st1: matcore.SpectralDecomposition,
+                st2: matcore.SpectralDecomposition) -> _PolarPair:
+    """The polar data of a pair of memoised states, kept per pair (keyed by identity)."""
+    f2, b = _root_product(st1, st2)
     u, sigma, wh = matcore._lapack("svd_f", b)
     gauge_eig = u @ wh
     scale = math.sqrt(float(st1.eigenvalues[-1]) * float(st2.eigenvalues[-1]))
@@ -187,14 +195,7 @@ def root_fidelity(rho1, rho2) -> float:
     st1, st2 = _admit_pair(rho1, rho2)
     if _same(st1, st2):
         return 1.0
-    name = "rho2"
-    try:
-        f2 = matcore.spectral_factor(st2, np.sqrt)
-        name = "rho1"
-        b = st1.sqrt @ f2
-    except matcore.NotPositiveSemidefiniteError as exc:
-        raise type(exc)(f"{name} is {exc}") from None
-    return _unit(matcore._lapack("svd", b).sum())
+    return _unit(matcore._lapack("svd", _root_product(st1, st2)[1]).sum())
 
 
 def bures(rho1, rho2) -> BuresSummary:

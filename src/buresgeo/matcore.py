@@ -18,10 +18,10 @@ one LAPACK site, which calls numpy.linalg's gufuncs without numpy's wrapper.
 
 Tolerance policy: every numerical threshold is named once, in the table
 below, which every module reads; the only per-call override is the admission
-tolerance of ``states.admit``/``validate_density`` (the CLI ``--tol``).
-One spectral rule takes every function of a state, in two shapes: the factor
-V diag(f(l)) of :func:`spectral_factor` and the matrix V diag(f(l)) V^dag of
-:func:`spectral_function`. Eigenvalues within ``CLAMP * max|eigenvalue|`` of
+tolerance of ``states.admit`` (the CLI ``--tol``). One spectral rule,
+:func:`spectral_factor`, takes every function of a state as the factor
+V diag(f(l)); the square root ``SpectralDecomposition.sqrt`` is that factor
+times V^dag. Eigenvalues within ``CLAMP * max|eigenvalue|`` of
 zero count as exact zeros, so boundary (rank-deficient) states reached
 through roundoff behave like their idealized counterparts. Every refusal is
 written so that a NaN measurement triggers it.
@@ -50,7 +50,7 @@ ADMIT_TOL = 1e-10             # invariants of outside input: Hermiticity, PSD, n
                               # gauge, purification, orthogonality, traceless variation
 TRACE_TOL = 1e-12             # strict unit trace of a density matrix
 ROUNDOFF = 1e-12              # absolute slack: s range, direction and phase cuts,
-                              # qubit |y| <= 1 and tau's l_minus >= 0
+                              # qubit |y| <= 1
 CONDITION_LIMIT = 1e12        # l_max / l_min beyond which the tangent solve is refused
 # Default ``--tol`` of the CLI gates, and the fixed sun-check reconstruction gate.
 GATE_TOL = {"werner-sweep": 1e-10, "qubit-orbit": 1e-9, "solve-g": 1e-8,
@@ -248,7 +248,9 @@ class SpectralDecomposition:
 
     @functools.cached_property
     def sqrt(self) -> np.ndarray:
-        a = spectral_function(self, np.sqrt)
+        """V diag(sqrt(l')) V^dag: the :func:`spectral_factor` times V^dag, symmetrized."""
+        a = spectral_factor(self, np.sqrt) @ self.eigenvectors.conj().T
+        a = (a + a.conj().T) / 2
         a.setflags(write=False)
         return a
 
@@ -337,14 +339,3 @@ def spectral_factor(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.nda
     fw = np.zeros_like(w)
     fw[support] = f(w[support])
     return dec.eigenvectors * fw
-
-
-def spectral_function(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]
-                      ) -> np.ndarray:
-    """Apply a scalar function f to the spectrum of a positive semidefinite matrix.
-
-    Returns V diag(f(w')) V^dag, the :func:`spectral_factor` times V^dag,
-    symmetrized.
-    """
-    out = spectral_factor(dec, f) @ dec.eigenvectors.conj().T
-    return (out + out.conj().T) / 2

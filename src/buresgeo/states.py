@@ -4,9 +4,11 @@ A state enters through :func:`admit`, the one density check: Hermitian, unit
 trace, and positive semidefinite within tolerance. It returns the state's
 memoised :class:`matcore.SpectralDecomposition`, so each distinct state is
 decomposed once per process; the trace and PSD tolerance checks run again on
-every call against its cached values. A purification is a square matrix A
-with A A^dag = rho; the projection back to the state is pi(A) = A A^dag and
-is invariant under the gauge freedom A -> A U for unitary U.
+every call against its cached values, and ``admit(rho).matrix`` is the
+checked, symmetrized state. Loosely admitted input (Bloch vectors, state
+files) is snapped onto the state space by :func:`_snap_to_state`. A
+purification is a square matrix A with A A^dag = rho; the state is recovered
+as A A^dag, which is invariant under the gauge freedom A -> A U for unitary U.
 """
 
 from __future__ import annotations
@@ -35,13 +37,7 @@ def admit(rho, trace_tol: float = matcore.TRACE_TOL,
     return st
 
 
-def validate_density(rho, trace_tol: float = matcore.TRACE_TOL,
-                     psd_tol: float = matcore.ADMIT_TOL) -> np.ndarray:
-    """The symmetrized state checked by :func:`admit`, read-only."""
-    return admit(rho, trace_tol, psd_tol).matrix
-
-
-def snap_to_state(rho) -> np.ndarray:
+def _snap_to_state(rho) -> np.ndarray:
     """Canonicalize a matrix or decomposition admitted near the boundary of the state space.
 
     Eigenvalues below the spectral-function clamp are clipped to zero and the
@@ -123,14 +119,7 @@ def density_from_bloch(x, basis: sun.GeneratorBasis) -> np.ndarray:
     tolerance band are snapped onto the cone.
     """
     rho = sun.expand(1.0, x, basis)
-    return snap_to_state(admit(rho, trace_tol=matcore.ADMIT_TOL))
-
-
-def bloch_from_density(rho, basis: sun.GeneratorBasis) -> np.ndarray:
-    """Coordinates x_i = (N/2) Tr[rho sigma_i] of a state."""
-    r = validate_density(rho)
-    _, x = sun.coefficients(r, basis)
-    return x
+    return _snap_to_state(admit(rho, trace_tol=matcore.ADMIT_TOL))
 
 
 @dataclass(frozen=True)
@@ -167,10 +156,4 @@ def canonical_purification(rho, gauge=None) -> Purification:
             raise ValueError(f"gauge is not unitary: max |U^dag U - I| = {defect:.3e}")
         a = a @ u
     return Purification(matrix=a, target=r)
-
-
-def project(a) -> np.ndarray:
-    """Projection pi(A) = A A^dagger, validated as a density matrix."""
-    m = matcore.as_complex_matrix(a, "a")
-    return validate_density(m @ m.conj().T, trace_tol=matcore.ADMIT_TOL)
 

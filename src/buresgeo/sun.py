@@ -151,8 +151,14 @@ def _require_basis(basis) -> None:
 def expand(coeff0: float, coeffs, basis: GeneratorBasis) -> np.ndarray:
     """Assemble (1/N) (coeff0 I + coeffs . sigma) as a matrix."""
     _require_basis(basis)
-    return _assemble(matcore.as_real_scalar(coeff0, "coeff0", finite=True),
-                     matcore.as_vector(coeffs, "coeffs", basis.size), basis.dim)
+    c0 = matcore.as_real_scalar(coeff0, "coeff0", finite=True)
+    c = matcore.as_vector(coeffs, "coeffs", basis.size)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _assemble(c0, c, basis.dim)
+    except FloatingPointError as exc:
+        raise ValueError(f"coeff0 and coeffs are too large: the matrix overflows ({exc})"
+                         ) from None
 
 
 def coefficients(m, basis: GeneratorBasis) -> tuple[float, np.ndarray]:
@@ -162,7 +168,11 @@ def coefficients(m, basis: GeneratorBasis) -> tuple[float, np.ndarray]:
     if a.shape[0] != basis.dim:
         raise ValueError(f"matrix dimension {a.shape[0]} does not match basis "
                          f"dimension {basis.dim}")
-    return float(np.trace(a).real), _project(a, basis.dim)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return float(np.trace(a).real), _project(a, basis.dim)
+    except FloatingPointError as exc:
+        raise ValueError(f"m is too large: its coefficients overflow ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -214,9 +224,14 @@ def unitary_tangent(y, x, basis: GeneratorBasis) -> TangentGenerator:
     _require_basis(basis)
     x = matcore.as_vector(x, "x", basis.size)
     y = matcore.as_vector(y, "y", basis.size)
-    c = _assemble(0.0, x, basis.dim) @ _assemble(0.0, y, basis.dim)  # C = XY / N^2
-    gm = (basis.dim / 2j) * (c - c.conj().T)  # [X, Y] / N^2 = C - C^dag
-    return TangentGenerator(g0=0.0, g=_project(gm, basis.dim), matrix=gm)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            c = _assemble(0.0, x, basis.dim) @ _assemble(0.0, y, basis.dim)  # C = XY / N^2
+            gm = (basis.dim / 2j) * (c - c.conj().T)  # [X, Y] / N^2 = C - C^dag
+            g = _project(gm, basis.dim)
+    except FloatingPointError as exc:
+        raise ValueError(f"x and y are too large: the generator overflows ({exc})") from None
+    return TangentGenerator(g0=0.0, g=g, matrix=gm)
 
 
 def hamiltonian_from_Y(y, x, basis: GeneratorBasis
@@ -258,7 +273,7 @@ def characteristic_invariants(rho) -> np.ndarray:
     so no diagonalization is involved. S_1 = Tr[rho] = 1 for any state, and
     S_N = det(rho).
     """
-    r = matcore.require_hermitian(rho)
+    r = matcore._named(matcore.require_hermitian, rho, "rho")
     n = r.shape[0]
     power = np.eye(n, dtype=np.complex128)
     ptraces = []

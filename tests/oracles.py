@@ -1,27 +1,96 @@
-"""Spectral-function oracles for the tests.
+"""Spectral-function oracles and test-only helpers.
 
-The library takes every function of a state through
-``matcore.spectral_function`` on a memoised decomposition; these wrappers
-apply it to a bare matrix, so a test can build the textbook square root,
-inverse root and polar factor directly, and from them the root fidelity and
-the gauge as the nuclear norm and the polar factor of sqrt(rho1) sqrt(rho2).
-The other helpers rebuild the library's hot paths by the general formulas
-they skip.
+The library takes every function of a state through ``matcore.spectral_factor``
+on a memoised decomposition; :func:`spectral_function` multiplies that factor
+by V^dag, and the wrappers below apply it to a bare matrix, so a test can
+build the textbook square root, inverse root and polar factor directly, and
+from them the root fidelity and the gauge as the nuclear norm and the polar
+factor of sqrt(rho1) sqrt(rho2). The state helpers read a purification or a
+state back through ``states.admit``, and ``qubit_tau`` is the closed form of
+tau that the erratum ledger's checks read. The other helpers rebuild the
+library's hot paths by the general formulas they skip.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from buresgeo import geodesy, matcore, states, sun
+from buresgeo import closedform, geodesy, matcore, states, sun
+
+
+def spectral_function(dec, f) -> np.ndarray:
+    """V diag(f(w')) V^dag of a PSD decomposition: the ``matcore.spectral_factor``
+    times V^dag, symmetrized, as ``SpectralDecomposition.sqrt`` forms it for sqrt."""
+    out = matcore.spectral_factor(dec, f) @ dec.eigenvectors.conj().T
+    return (out + out.conj().T) / 2
 
 
 def sqrtm_psd(h) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix."""
-    return matcore.spectral_function(matcore.spectral_decompose(h), np.sqrt)
+    return spectral_function(matcore.spectral_decompose(h), np.sqrt)
 
 
 def inv_sqrtm_psd(h) -> np.ndarray:
     """Inverse square root on the support of a PSD matrix (the pseudo-inverse root)."""
-    return matcore.spectral_function(matcore.spectral_decompose(h), lambda w: 1.0 / np.sqrt(w))
+    return spectral_function(matcore.spectral_decompose(h), lambda w: 1.0 / np.sqrt(w))
+
+
+def project(a) -> np.ndarray:
+    """The state A A^dag of a purification A, admitted at the loose trace ``ADMIT_TOL``."""
+    m = matcore.as_complex_matrix(a, "a")
+    return states.admit(m @ m.conj().T, trace_tol=matcore.ADMIT_TOL).matrix
+
+
+def bloch_from_density(rho, basis) -> np.ndarray:
+    """Coordinates x_i = (N/2) Tr[rho sigma_i] of an admitted state."""
+    return sun.coefficients(states.admit(rho).matrix, basis)[1]
+
+
+def _direction(x, fallback) -> np.ndarray:
+    """Unit vector along x; ill-defined directions fall back to y-hat or z-hat."""
+    for v in (x, fallback):
+        norm = float(np.linalg.norm(v))
+        if norm >= matcore.ROUNDOFF:
+            return v / norm
+    return np.array([0.0, 0.0, 1.0])
+
+
+@dataclass(frozen=True)
+class QubitTau:
+    """Coefficients of tau = sqrt(rho1) rho2 sqrt(rho1) = tau0 I + tau_vec.sigma."""
+
+    tau0: float
+    tau_vec: np.ndarray
+    lambda_plus: float
+    lambda_minus: float
+
+
+def qubit_tau(x, y) -> QubitTau:
+    """Bloch coefficients of tau = sqrt(rho1) rho2 sqrt(rho1) for qubit endpoints.
+
+    With y split along xhat into y_par xhat + y_perp,
+
+        tau0    = (1 + |x| y_par) / 4,
+        tau_vec = ((|x| + y_par) xhat + sqrt(1 - |x|^2) y_perp) / 4,
+
+    and eigenvalues lambda_pm = tau0 +- |tau_vec|. An ill-defined xhat falls
+    back to y-hat, then z-hat. The perpendicular coefficient sqrt(1 - |x|^2)
+    is fixed by the x -> 0 limit tau = rho2/2 and by the entrywise spectral
+    oracle (see ``closedform.ERRATA``).
+    """
+    x, y = closedform._bloch_pair(x, y)
+    xn = float(np.linalg.norm(x))
+    xhat = _direction(x, fallback=y)
+    y_par = float(y @ xhat)
+    y_perp = y - y_par * xhat
+    tau0 = 0.25 * (1.0 + xn * y_par)
+    tau_vec = 0.25 * ((xn + y_par) * xhat + np.sqrt(1.0 - xn * xn) * y_perp)
+    tnorm = float(np.linalg.norm(tau_vec))
+    lam_minus = tau0 - tnorm
+    if not lam_minus >= -matcore.ROUNDOFF:
+        raise ValueError(f"tau is not PSD: lambda_minus = {lam_minus!r}")
+    return QubitTau(tau0=tau0, tau_vec=tau_vec,
+                    lambda_plus=tau0 + tnorm, lambda_minus=max(lam_minus, 0.0))
 
 
 def polar_positive(a) -> np.ndarray:

@@ -172,7 +172,7 @@ def test_criterion_08_metric_consistency(capsys):
             metric = geodesy.hubner_metric(rho, drho)
 
             def quotient(t):
-                moved = states.validate_density(rho + t * drho, trace_tol=1e-8)
+                moved = states.admit(rho + t * drho, trace_tol=1e-8).matrix
                 d = geodesy.bures(rho, moved).bures_distance
                 return d * d / (t * t)
 

@@ -163,6 +163,20 @@ class TestWernerSweep:
             if vals[0] < 1.0:
                 assert abs(vals[1] - vals[3]) < 1e-10
 
+    def test_angle_column_near_p_zero(self, capsys):
+        # At p = 1e-3 the root fidelity is within 1e-4 of 1, where arccos loses
+        # about half its digits; the polar Bures angle keeps them.
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run(["werner-sweep", "--steps", "1001"], capsys)
+        assert code == 0
+        p, _, angle, _ = out.splitlines()[2].split(",")
+        assert float(p) == 1e-3
+        with mpmath.workdps(50):
+            q = mpmath.mpf(float(p))
+            sqrt_f = (3 * (1 - q) + mpmath.sqrt((1 - q) * (1 + 7 * q))) / 4
+            exact = mpmath.acos(sqrt_f) / (mpmath.pi / 2)
+            assert abs(mpmath.mpf(angle) - exact) < 1e-15
+
     def test_unreachable_gate_exits_3(self, capsys):
         code, _, err = run(["werner-sweep", "--steps", "11", "--tol", "1e-30"],
                            capsys)

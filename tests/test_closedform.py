@@ -200,7 +200,7 @@ class TestQubitRoot:
 class TestQubitTau:
     def test_commuting_case(self):
         x, y = 0.5, -0.3
-        tau = closedform.qubit_tau(np.array([0, 0, x]), np.array([0, 0, y]))
+        tau = oracles.qubit_tau(np.array([0, 0, x]), np.array([0, 0, y]))
         assert abs(tau.tau0 - 0.25 * (1 + x * y)) < 1e-15
         np.testing.assert_allclose(tau.tau_vec, [0, 0, 0.25 * (x + y)],
                                    atol=1e-15)
@@ -208,7 +208,7 @@ class TestQubitTau:
     def test_x_zero_gives_half_rho2(self):
         rng = np.random.default_rng(84)
         y = random_ball_vector(rng)
-        tau = closedform.qubit_tau(np.zeros(3), y)
+        tau = oracles.qubit_tau(np.zeros(3), y)
         assert abs(tau.tau0 - 0.25) < 1e-15
         np.testing.assert_allclose(tau.tau_vec, y / 4, atol=1e-14)
 
@@ -216,7 +216,7 @@ class TestQubitTau:
         rng = np.random.default_rng(85)
         for _ in range(100):
             x, y = random_ball_vector(rng), random_ball_vector(rng)
-            tau = closedform.qubit_tau(x, y)
+            tau = oracles.qubit_tau(x, y)
             s1 = oracles.sqrtm_psd(bloch_matrix(1.0, x))
             oracle = s1 @ bloch_matrix(1.0, y) @ s1
             closed = bloch_matrix(2.0 * tau.tau0, 2.0 * tau.tau_vec)
@@ -358,7 +358,7 @@ class TestErrata:
         assert "+-tau_vec/|tau_vec|" in entry.implemented
         rng = np.random.default_rng(94)
         x, y = random_ball_vector(rng, radius=0.8), random_ball_vector(rng, radius=0.8)
-        tau = closedform.qubit_tau(x, y)
+        tau = oracles.qubit_tau(x, y)
         t1, t2, t3 = tau.tau_vec
         tnorm = np.linalg.norm(tau.tau_vec)
         assert abs(t2) > 1e-3
@@ -381,7 +381,7 @@ class TestErrata:
         rng = np.random.default_rng(95)
         basis = sun.generator_basis(2)
         x, y = random_ball_vector(rng, radius=0.8), random_ball_vector(rng, radius=0.8)
-        tau = closedform.qubit_tau(x, y)
+        tau = oracles.qubit_tau(x, y)
         w = tau.tau_vec / np.linalg.norm(tau.tau_vec)
         xhat = x / np.linalg.norm(x)
 

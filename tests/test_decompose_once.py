@@ -230,23 +230,9 @@ def test_eigensolvers_are_reached_only_at_their_sites():
 def test_admission_snaps_like_snap_to_state(load):
     for rho in _admitted_states():
         admitted, loaded = LOADERS[load](rho)
-        expected = states.snap_to_state(
-            states.validate_density(admitted, trace_tol=1e-10, psd_tol=1e-10))
+        expected = states._snap_to_state(
+            states.admit(admitted, trace_tol=1e-10, psd_tol=1e-10).matrix)
         assert np.array_equal(loaded, expected)
-
-
-def test_qubit_orbit_builds_tau_once(monkeypatch):
-    # The orbit reads the trace-determinant fidelity and builds no tau.
-    calls = []
-    qubit_tau = closedform.qubit_tau
-
-    def counted(x, y):
-        calls.append((x, y))
-        return qubit_tau(x, y)
-
-    monkeypatch.setattr(closedform, "qubit_tau", counted)
-    closedform.qubit_orbit([0.1, -0.2, 0.3], [-0.4, 0.1, 0.2], 0.1)
-    assert len(calls) == 0
 
 
 def test_qubit_closed_forms_make_no_eigensolve(solver_counts):
@@ -261,7 +247,7 @@ def test_decompose_density_matches_validate_density():
     rho = _pair(4)[0]
     st = states.admit(rho)
     r, dec = st.matrix, st
-    assert np.array_equal(r, states.validate_density(rho))
+    assert np.array_equal(r, (rho + rho.conj().T) / 2)
     v, w = dec.eigenvectors, dec.eigenvalues
     assert np.max(np.abs((v * w) @ v.conj().T - r)) < 1e-15
 
@@ -280,7 +266,7 @@ def test_spectral_function_matches_hermitian_function():
     rng = np.random.default_rng(99)
     h = random_density(rng, 5, floor=0.05)
     dec = matcore.spectral_decompose(h)
-    assert np.array_equal(matcore.spectral_function(dec, np.sqrt), oracles.sqrtm_psd(h))
+    assert np.array_equal(dec.sqrt, oracles.sqrtm_psd(h))
 
 
 def test_solvers_leave_the_structure_constant_pair_unbuilt():

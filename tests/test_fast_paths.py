@@ -39,7 +39,7 @@ MATRIX_GATES = {
     "as_complex_matrix": matcore.as_complex_matrix,
     "require_hermitian": matcore.require_hermitian,
     "spectral_decompose": matcore.spectral_decompose,
-    "validate_density": states.validate_density,
+    "validate_density": lambda rho: states.admit(rho).matrix,
 }
 
 

@@ -13,7 +13,7 @@ from buresgeo import cli, closedform, geodesy, matcore, states, sun
 MIXED = states.maximally_mixed(2)
 
 MATRIX_ENTRY_POINTS = {
-    "validate_density": states.validate_density,
+    "validate_density": lambda rho: states.admit(rho).matrix,
     "spectral_decompose": matcore.spectral_decompose,
     "root_fidelity_first": lambda rho: geodesy.root_fidelity(rho, MIXED),
     "root_fidelity_second": lambda rho: geodesy.root_fidelity(MIXED, rho),
@@ -63,7 +63,7 @@ def test_expand_names_the_entry(value):
         sun.expand(1.0, coeffs, basis)
 
 
-@pytest.mark.parametrize("closed_form", ["qubit_tau", "qubit_fidelity", "qubit_orbit"])
+@pytest.mark.parametrize("closed_form", ["qubit_fidelity", "qubit_orbit"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name, position", [("x", 0), ("y", 1)])
 def test_qubit_closed_forms_name_the_vector(closed_form, value, name, position):
@@ -215,7 +215,7 @@ def test_bool_is_not_a_number(entry):
 ])
 def test_nan_admission_tolerance_refuses(rho, kwargs, message):
     with pytest.raises(ValueError, match=message):
-        states.validate_density(rho, **kwargs)
+        states.admit(rho, **kwargs)
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,6 +279,16 @@ def test_metric_refusals_name_the_argument(args, message):
         geodesy.hubner_metric(*args)
 
 
+@pytest.mark.parametrize("rho, message", [
+    (NAN_MIXED, r"^rho has non-finite entries"),
+    (1e308 * np.eye(2), r"^rho entries overflow"),
+    (SKEW, r"^rho is not Hermitian"),
+], ids=["nan", "overflow", "skew"])
+def test_invariants_refusals_name_rho(rho, message):
+    with pytest.raises(ValueError, match=message):
+        sun.characteristic_invariants(rho)
+
+
 BELOW_CLAMP = np.diag([1.0 + 5e-11, -5e-11]).astype(np.complex128)
 
 
@@ -300,7 +310,13 @@ def test_a_square_root_refusal_names_the_argument(entry, position):
     (lambda: sun.hamiltonian_from_Y(1e200 * np.ones(8), 1e200 * np.ones(8),
                                     sun.generator_basis(3)), "x and y"),
     (lambda: geodesy.hubner_metric(MIXED, np.diag([1e154, -1e154])), "drho"),
-], ids=["invariants-matmul", "invariants-newton", "hamiltonian", "metric"])
+    (lambda: sun.unitary_tangent(1e200 * np.ones(8), 1e200 * np.ones(8),
+                                 sun.generator_basis(3)), "x and y"),
+    (lambda: sun.expand(1e308, 1e308 * np.ones(8), sun.generator_basis(3)),
+     "coeff0 and coeffs"),
+    (lambda: sun.coefficients(1e308 * np.ones((3, 3)), sun.generator_basis(3)), "m"),
+], ids=["invariants-matmul", "invariants-newton", "hamiltonian", "metric",
+        "unitary-tangent", "expand", "coefficients"])
 def test_overflowing_results_are_refused(call, name):
     # Each input passes the gate; its result has no finite value.
     with pytest.raises(ValueError, match=f"^{name} .*overflow"):

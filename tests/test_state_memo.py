@@ -58,7 +58,7 @@ BAND = np.diag([0.7, 0.3 + 5e-11, -5e-11]).astype(np.complex128)
 def test_refusal_repeats_on_every_call(rho, error, message):
     for _ in range(3):
         with pytest.raises(error, match=message):
-            states.validate_density(rho)
+            states.admit(rho)
         with pytest.raises(error, match=message):
             geodesy.bures(rho, rho)
 
@@ -73,15 +73,15 @@ def test_square_root_refusal_repeats_on_every_call():
 
 def test_tolerance_is_checked_on_every_call():
     rho = np.diag([0.6, 0.4 + 5e-11]).astype(np.complex128)
-    states.validate_density(rho, trace_tol=1e-10)
+    states.admit(rho, trace_tol=1e-10)
     with pytest.raises(ValueError, match="not normalized"):
-        states.validate_density(rho)
+        states.admit(rho)
     with pytest.raises(ValueError, match="not normalized"):
         geodesy.root_fidelity(rho, rho)
-    assert np.array_equal(states.validate_density(rho, trace_tol=1e-10), rho)
-    states.validate_density(BAND)
+    assert np.array_equal(states.admit(rho, trace_tol=1e-10).matrix, rho)
+    states.admit(BAND)
     with pytest.raises(ValueError, match="not a state"):
-        states.validate_density(BAND, psd_tol=1e-11)
+        states.admit(BAND, psd_tol=1e-11)
 
 
 def test_memos_stay_within_their_sizes():
@@ -90,7 +90,7 @@ def test_memos_stay_within_their_sizes():
     rng = np.random.default_rng(111)
     pool = [random_density(rng, 3, floor=0.1) for _ in range(10 * size)]
     for rho in pool:
-        states.validate_density(rho)
+        states.admit(rho)
     assert matcore._decompose.cache_info().currsize == size
     for k in range(10 * geodesy.PAIR_MEMO_SIZE):
         geodesy.bures(pool[k], pool[k + 1])

@@ -26,7 +26,7 @@ class TestBlochConversions:
             basis = sun.generator_basis(n)
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
             v /= np.linalg.norm(v)
-            x = states.bloch_from_density(states.pure_density(v), basis)
+            x = oracles.bloch_from_density(states.pure_density(v), basis)
             assert abs(x @ x - n * (n - 1) / 2) < 1e-10
 
     def test_round_trip(self):
@@ -35,7 +35,7 @@ class TestBlochConversions:
             basis = sun.generator_basis(n)
             for _ in range(20):
                 rho = random_density(rng, n)
-                x = states.bloch_from_density(rho, basis)
+                x = oracles.bloch_from_density(rho, basis)
                 back = states.density_from_bloch(x, basis)
                 assert np.max(np.abs(back - rho)) < 1e-12
 
@@ -97,7 +97,7 @@ class TestPurifications:
                 rho = random_density(rng, n)
                 u = random_unitary(rng, n)
                 a = states.canonical_purification(rho, gauge=u)
-                assert np.max(np.abs(states.project(a.matrix) - rho)) < 1e-10
+                assert np.max(np.abs(oracles.project(a.matrix) - rho)) < 1e-10
 
     def test_canonical_root_is_hermitian_square_root(self):
         rng = np.random.default_rng(13)
@@ -113,18 +113,14 @@ class TestPurifications:
 
     def test_project_examples(self):
         n = 3
-        np.testing.assert_allclose(states.project(np.eye(n) / np.sqrt(n)),
+        np.testing.assert_allclose(oracles.project(np.eye(n) / np.sqrt(n)),
                                    np.eye(n) / n, atol=1e-14)
         rng = np.random.default_rng(14)
         rho = random_density(rng, 4)
         u = random_unitary(rng, 4)
         root = oracles.sqrtm_psd(rho)
-        np.testing.assert_allclose(states.project(root @ u),
-                                   states.project(root), atol=1e-12)
-
-    def test_project_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            states.project(np.eye(2))
+        np.testing.assert_allclose(oracles.project(root @ u),
+                                   oracles.project(root), atol=1e-12)
 
     def test_purification_invariant_enforced(self):
         with pytest.raises(ValueError, match="does not purify"):
@@ -139,17 +135,17 @@ class TestPurifications:
 class TestSnapToState:
     def test_exact_input_returned_unchanged(self):
         rho = states.werner("GHZ", 0.5)
-        out = states.snap_to_state(rho)
+        out = states._snap_to_state(rho)
         assert np.array_equal(out, (rho + rho.conj().T) / 2)
 
     def test_boundary_band_state_repaired(self):
         # Admitted at the loose -1e-10 tolerance but below the spectral
         # clamp; after the snap it flows through the strict pipeline.
         dirty = np.diag([0.7, 0.3 + 5e-11, -5e-11]).astype(complex)
-        clean = states.snap_to_state(dirty)
+        clean = states._snap_to_state(dirty)
         assert np.linalg.eigvalsh(clean)[0] >= 0.0
         assert abs(np.trace(clean).real - 1.0) < 1e-15
-        states.validate_density(clean)
+        states.admit(clean)
 
     def test_bloch_admission_band_flows_through(self):
         from buresgeo import geodesy
@@ -162,14 +158,14 @@ class TestSnapToState:
                              ids=["clipped", "unclipped"])
     def test_non_positive_trace_refused(self, diagonal):
         with pytest.raises(ValueError, match="trace to renormalize by, 0.0, is not positive"):
-            states.snap_to_state(np.diag(diagonal))
+            states._snap_to_state(np.diag(diagonal))
 
 
 def test_validate_density_rejects_bad_trace():
     with pytest.raises(ValueError, match="not normalized"):
-        states.validate_density(np.eye(2))
+        states.admit(np.eye(2))
 
 
 def test_validate_density_rejects_negative_eigenvalue():
     with pytest.raises(ValueError, match="most negative eigenvalue"):
-        states.validate_density(np.diag([1.5, -0.5]))
+        states.admit(np.diag([1.5, -0.5]))

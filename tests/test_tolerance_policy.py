@@ -5,7 +5,7 @@ small or large enough to be a tolerance (0 < |v| < 1e-3 or |v| > 1e6) may
 appear only in a module-level assignment of ``matcore``; no other module
 binds a float constant, or an alias of one, at module level; and no
 function takes a per-call tolerance except the admission tolerances of the
-density checks and the CLI loaders that pass ``--tol`` to them. Every name of
+density check and the CLI loaders that pass ``--tol`` to them. Every name of
 the table governs a decision somewhere, and the README's tolerance table
 lists exactly the table's names.
 """
@@ -20,9 +20,8 @@ import buresgeo
 
 MODULES = sorted(pathlib.Path(buresgeo.__file__).parent.glob("*.py"))
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-TOLERANCE_PARAMETERS = {("states", "admit"), ("states", "validate_density"),
-                        ("cli", "state_from_json"), ("cli", "load_state"),
-                        ("cli", "add_common")}
+TOLERANCE_PARAMETERS = {("states", "admit"), ("cli", "state_from_json"),
+                        ("cli", "load_state"), ("cli", "add_common")}
 
 
 def _tree(path):
