@@ -62,11 +62,13 @@ def state_from_json(data: dict, tol: float) -> np.ndarray:
 
 
 def load_state(path: str, tol: float) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """The state in the JSON file ``path``; every defect of its content (a JSON
+    syntax or UTF-8 decoding error, or a refused state) is named with the path."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
         return state_from_json(data, tol)
-    except ValueError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -12,13 +12,17 @@ geodesic is the projection of the great circle through them,
     rho(s) = f(s)^2 rho1 + f(s) g(s) C + g(s)^2 rho2,   C = A1 A2^dag + A2 A1^dag,
 
 with f(s) = sin(s* - s)/sin(s*), g(s) = sin(s)/sin(s*) and the Bures angle
-s* = 2 arcsin(|A1 - A2|_F / 2); no inverse root is taken. When rank rho1 >=
-rank rho2, the paper's operator M* solves M* rho1 + rho1 M* = C (for invertible
-rho1 it is rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}) and maps A1
-to A2, so M(s) = f(s) I + g(s) M* gives rho(s) = M(s) rho1 M(s) and the
-horizontal lift A(s) = M(s) A(0); otherwise no M* exists, as M rho1 M cannot
-raise the rank. The path builds M* on first read, from the start's
-decomposition it holds, since sampling rho(s) never needs it. The root
+s* = 2 arcsin(|A1 - A2|_F / 2); no inverse root is taken. The great circle
+itself, A(s) = f(s) A1 + g(s) A2, is the horizontal lift through A1: it
+projects to rho(s) = A(s) A(s)^dag, and A1^dag A(s) = f A1^dag A1 + g U S U^dag
+is Hermitian (Uhlmann's parallel transport). When rank rho1 >= rank rho2, the
+paper's operator M* solves M* rho1 + rho1 M* = C (for invertible rho1 it is
+rho1^{-1/2} sqrt(rho1^{1/2} rho2 rho1^{1/2}) rho1^{-1/2}) and maps A1 to A2, so
+M(s) = f(s) I + g(s) M* gives rho(s) = M(s) rho1 M(s), and the lift through
+any other purification A(0) of rho1 is M(s) A(0); otherwise no M* exists, as
+M rho1 M cannot raise the rank, and only the lift through A1 does. The path
+builds C and M* on first read, from the start's decomposition and the parallel
+root A2 it holds, so sampling rho(s) or lifting A1 never needs M*. The root
 fidelity from the start decays as cos(s).
 
 Endpoints are the memoised decompositions of ``states.admit``. A second LRU
@@ -61,23 +65,27 @@ class GeodesicPath:
     """Endpoints with the cached data for geodesic sampling.
 
     ``start`` and ``end`` are the decompositions of the endpoints ``rho1`` and
-    ``rho2``, ``s_star`` the total Bures angle and ``cross`` the cross term C.
-    ``m_star``, the solution of M* rho1 + rho1 M* = C, is built on first read
-    from ``start``, so reading it makes no eigensolve; it is None when
+    ``rho2``, ``a2`` the purification of rho2 parallel to A1 = sqrt(rho1)
+    (A1^dag A2 >= 0) and ``s_star`` the total Bures angle; A1 and A2 are the
+    ends of the great circle that :func:`horizontal_lift` returns for A1.
+    ``cross``, the cross term C = A1 A2^dag + A2 A1^dag, and ``m_star``, the
+    solution of M* rho1 + rho1 M* = C, are built on first read from ``start``
+    and ``a2``, so reading them makes no eigensolve; ``m_star`` is None when
     rank rho1 < rank rho2 and no M* exists. ``orthogonal`` marks orthogonal
     pure endpoints, joined through the gauge A2 = |psi2><psi1|. Every array is
     read-only, so instances are immutable and safe to share across concurrent
-    samplers; threads that read ``m_star`` first at once build the same bytes.
+    samplers; threads that read ``cross`` or ``m_star`` first at once build the
+    same bytes.
     """
 
     start: matcore.SpectralDecomposition
     end: matcore.SpectralDecomposition
-    cross: np.ndarray
+    a2: np.ndarray
     s_star: float
     orthogonal: bool = False
 
     def __post_init__(self):
-        self.cross.setflags(write=False)
+        self.a2.setflags(write=False)
 
     @property
     def rho1(self) -> np.ndarray:
@@ -86,6 +94,13 @@ class GeodesicPath:
     @property
     def rho2(self) -> np.ndarray:
         return self.end.matrix
+
+    @functools.cached_property
+    def cross(self) -> np.ndarray:
+        half = self.start.sqrt @ self.a2.conj().T
+        c = half + half.conj().T
+        c.setflags(write=False)
+        return c
 
     @functools.cached_property
     def m_star(self) -> np.ndarray | None:
@@ -195,7 +210,7 @@ def root_fidelity(rho1, rho2) -> float:
     st1, st2 = _admit_pair(rho1, rho2)
     if _same(st1, st2):
         return 1.0
-    return _unit(matcore._lapack("svd", _root_product(st1, st2)[1]).sum())
+    return _unit(np.add.reduce(matcore._lapack("svd", _root_product(st1, st2)[1])))
 
 
 def bures(rho1, rho2) -> BuresSummary:
@@ -219,7 +234,7 @@ def _phase_fixed_top_eigenvector(dec: matcore.SpectralDecomposition) -> np.ndarr
 
 
 def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
-    """Construct the geodesic cache (C, s*, and M* on first read) for the given endpoints.
+    """Construct the geodesic cache (A2, s*, and C and M* on first read) for the given endpoints.
 
     The geodesic is unique exactly when rank B = min(rank rho1, rank rho2), for
     B = sqrt(rho1) sqrt(rho2) = U S V^dag with its singular values counted at
@@ -252,9 +267,8 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
         raise GeodesicUndefinedError(
             f"geodesic not unique: sqrt(rho1) sqrt(rho2) has rank {rank_b} below "
             f"both rank rho1 = {st1.rank} and rank rho2 = {st2.rank}")
-    half = st1.sqrt @ a2.conj().T
-    return GeodesicPath(start=st1, end=st2, cross=half + half.conj().T,
-                        s_star=polar.summary.bures_angle, orthogonal=orthogonal)
+    return GeodesicPath(start=st1, end=st2, a2=a2, s_star=polar.summary.bures_angle,
+                        orthogonal=orthogonal)
 
 
 def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
@@ -262,16 +276,18 @@ def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
 
     f(0) = g(s*) = 1, f(s*) = g(0) = 0, and s* = 0 gives (1, 0). s is clamped
     onto [0, s*] within matcore.ROUNDOFF and refused farther out, or when
-    :func:`matcore.as_real_scalar` refuses it.
+    :func:`matcore.as_real_scalar` refuses it. s* must be finite and >= 0.
     """
+    if not 0.0 <= s_star < math.inf:  # NaN fails too
+        raise ValueError(f"s_star = {s_star!r} is not a finite angle >= 0")
     s = matcore.as_real_scalar(s, "s")
     if not -matcore.ROUNDOFF <= s <= s_star + matcore.ROUNDOFF:
         raise ValueError(f"s = {s!r} outside the geodesic range [0, {s_star!r}]")
     s = min(max(s, 0.0), s_star)
-    sin_star = np.sin(s_star)
+    sin_star = math.sin(s_star)  # the bytes of np.sin, without the ufunc call
     if sin_star == 0.0:
         return 1.0, 0.0
-    return float(np.sin(s_star - s) / sin_star), float(np.sin(s) / sin_star)
+    return math.sin(s_star - s) / sin_star, math.sin(s) / sin_star
 
 
 def _m_star(path: GeodesicPath) -> np.ndarray:
@@ -291,8 +307,13 @@ def _transport(m_star: np.ndarray, f: float, g: float) -> np.ndarray:
 
 
 def _point(path: GeodesicPath, f: float, g: float) -> np.ndarray:
-    """rho = f^2 rho1 + f g C + g^2 rho2."""
-    return (f * f) * path.rho1 + (f * g) * path.cross + (g * g) * path.rho2
+    """rho = f^2 rho1 + f g C + g^2 rho2, summed left to right into the first
+    product, with one temporary for the other two."""
+    rho = path.rho1 * (f * f)
+    term = path.cross * (f * g)
+    rho += term
+    rho += np.multiply(path.rho2, g * g, out=term)
+    return rho
 
 
 def transport_operator(path: GeodesicPath, s: float) -> np.ndarray:
@@ -324,27 +345,36 @@ def initial_tangent(path: GeodesicPath) -> np.ndarray:
 
 def horizontal_lift(a0: states.Purification, path: GeodesicPath,
                     s: float) -> states.Purification:
-    """Horizontal lift A(s) = M(s) A(0) of the geodesic through a0.
+    """Horizontal lift A(s) of the geodesic through a0.
 
-    The starting purification must project onto the initial endpoint. That is
-    checked unless its matrix is the start's own read-only root
-    ``path.start.sqrt`` (``canonical_purification(rho1)`` without a gauge), whose
-    defect |sqrt(rho1) sqrt(rho1)^dag - rho1| is the clamp, at most
-    ``CLAMP`` * l_max, plus roundoff. One evaluation of f(s), g(s) gives both
-    M(s) and the target rho(s).
+    When the matrix of a0 is the start's own read-only root ``path.start.sqrt``
+    (``canonical_purification(rho1)`` without a gauge), the lift is the great
+    circle A(s) = f(s) A1 + g(s) A2 through the parallel roots. It exists on
+    every built path, rank-raising ones included, and reads no M*; where M*
+    exists it agrees with M(s) A1 to a few ulps. That root is not checked:
+    its defect |sqrt(rho1) sqrt(rho1)^dag - rho1| is the clamp, at most
+    ``CLAMP`` * l_max, plus roundoff. Any other a0 must project onto the
+    initial endpoint, is lifted as M(s) A(0) and is refused on a path with no
+    M*. One evaluation of f(s), g(s) gives both the lift and the target
+    rho(s), and the result keeps its own :class:`states.Purification` check.
     """
     a0m = (a0.matrix if isinstance(a0, states.Purification)
            else matcore.as_complex_matrix(a0, "a0"))
-    if a0m is not path.start.sqrt:
+    if a0m is path.start.sqrt:
+        f, g = transport_coefficients(s, path.s_star)
+        lift = path.a2 * g
+        lift += a0m * f  # f A1 + g A2: addition is commutative to the bit
+    else:
         matcore.require_same_shape(a0m, path.rho1)
         defect = matcore._max_modulus(a0m @ a0m.conj().T - path.rho1)
         if not defect <= matcore.ADMIT_TOL:
             raise ValueError(
                 f"purification does not project to the initial state: max entry "
                 f"defect {defect:.3e}")
-    m_star = _m_star(path)
-    f, g = transport_coefficients(s, path.s_star)  # one f, g for M(s) and rho(s)
-    return states.Purification(matrix=_transport(m_star, f, g) @ a0m, target=_point(path, f, g))
+        m_star = _m_star(path)
+        f, g = transport_coefficients(s, path.s_star)
+        lift = _transport(m_star, f, g) @ a0m
+    return states.Purification(matrix=lift, target=_point(path, f, g))
 
 
 def hlc_residual(a, adot) -> float:

@@ -83,9 +83,11 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def _max_modulus(a: np.ndarray) -> float:
-    """max |a_jk|, NaN when an entry is NaN: the reduction ``ndarray.max`` wraps,
-    without its Python frame (this runs twice per admitted state)."""
-    return float(np.maximum.reduce(np.abs(a), axis=None))
+    """max |a_jk|, NaN when an entry is NaN: the modulus at the flat ``argmax``,
+    which is the first NaN if there is one. It takes no ``axis=None`` reduction
+    (this runs three times per sampled point)."""
+    m = np.abs(a)
+    return m.item(m.argmax())
 
 
 def _gate(m: np.ndarray, name: str) -> float:
@@ -198,9 +200,11 @@ def require_hermitian(a) -> np.ndarray:
 
     Symmetrization absorbs the roundoff asymmetry accumulated by repeated
     matrix products; an asymmetry larger than ``ADMIT_TOL`` (relative to the
-    largest entry, with a floor of 1) is rejected. Input equal to its adjoint
-    entry for entry has no asymmetry to measure and skips the measurement; it
-    is still symmetrized, which fixes the signs of its zero entries. Input that
+    largest entry, with a floor of 1) is rejected. The symmetrized matrix is
+    exactly Hermitian, so input with its bytes is too and skips the
+    measurement. That is all exactly Hermitian input but one with a zero whose
+    sign the sum flips, which is measured and passes; the symmetrized matrix is
+    returned either way, which fixes the signs of the zero entries. Input that
     :func:`as_complex_matrix` refuses is refused first; the largest entry is
     the one the gate takes. Finite entries so large that H +- H^dag could
     overflow (twice the largest modulus is inf) are refused as well, since
@@ -212,14 +216,16 @@ def require_hermitian(a) -> np.ndarray:
         raise ValueError(f"matrix entries overflow: max |H_jk| = {top:.3e} leaves "
                          "H +- H^dagger no finite value")
     mh = m.conj().T
-    if not (m == mh).all():  # exactly Hermitian input has no defect to measure
+    h = m + mh
+    h /= 2  # (m + mh)/2 in place: the same complex division, the same bytes
+    if h.tobytes() != m.tobytes():  # equal bytes: m is exactly Hermitian
         scale = max(top, 1.0)
         defect = _max_modulus(m - mh)
         if not defect <= ADMIT_TOL * scale:
             raise NotHermitianError(
                 f"matrix is not Hermitian: max |H - H^dagger| = {defect:.3e} "
                 f"exceeds tolerance {ADMIT_TOL:.1e} (scale {scale:.3e})")
-    return (m + mh) / 2
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +290,8 @@ def _decompose(data: bytes, shape: tuple[int, int]) -> SpectralDecomposition:
     refusal raises and so is not cached."""
     m = require_hermitian(np.ndarray(shape, np.complex128, data))
     w, v = _lapack("eigh_lo", m)
-    return SpectralDecomposition(m, float(m.trace().real), w, v)
+    # The reduction ``m.trace()`` makes, without its method call.
+    return SpectralDecomposition(m, float(np.add.reduce(m.diagonal()).real), w, v)
 
 
 def spectral_decompose(h) -> SpectralDecomposition:

@@ -166,7 +166,7 @@ def coefficients(m, basis: GeneratorBasis) -> tuple[float, np.ndarray]:
     _require_basis(basis)
     a = matcore.as_complex_matrix(m, "m")
     if a.shape[0] != basis.dim:
-        raise ValueError(f"matrix dimension {a.shape[0]} does not match basis "
+        raise ValueError(f"m: matrix dimension {a.shape[0]} does not match basis "
                          f"dimension {basis.dim}")
     try:
         with np.errstate(over="raise", invalid="raise"):

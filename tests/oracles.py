@@ -196,7 +196,9 @@ def counted_rank(dec) -> int:
 
 def checked_horizontal_lift(a0, path, s):
     """``geodesy.horizontal_lift`` with the a0 projection check run for every a0,
-    the start's own root too, and its defect taken by ``np.max(np.abs(.))``."""
+    the start's own root too, and its defect taken by ``np.max(np.abs(.))``. The
+    start's own root (the array ``path.start.sqrt``) takes the great circle
+    f A1 + g A2, every other a0 M(s) a0."""
     a0m = (a0.matrix if isinstance(a0, states.Purification)
            else matcore.as_complex_matrix(a0, "a0"))
     matcore.require_same_shape(a0m, path.rho1)
@@ -205,7 +207,11 @@ def checked_horizontal_lift(a0, path, s):
         raise ValueError(f"purification does not project to the initial state: max "
                          f"entry defect {defect:.3e}")
     f, g = geodesy.transport_coefficients(s, path.s_star)
-    m = g * path.m_star
-    m.flat[::m.shape[0] + 1] += f
+    if a0m is path.start.sqrt:
+        lift = f * a0m + g * path.a2
+    else:
+        m = g * path.m_star
+        m.flat[::m.shape[0] + 1] += f
+        lift = m @ a0m
     rho = (f * f) * path.rho1 + (f * g) * path.cross + (g * g) * path.rho2
-    return states.Purification(matrix=m @ a0m, target=rho)
+    return states.Purification(matrix=lift, target=rho)

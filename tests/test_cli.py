@@ -73,6 +73,30 @@ class TestFidelity:
         assert code == 2
         assert "error:" in err
 
+    def test_json_syntax_error_names_the_file(self, state_file, tmp_path, capsys):
+        good = state_file("mm.json", states.maximally_mixed(2))
+        bad = tmp_path / "truncated.json"
+        bad.write_text('{"dim": 2, "re": [[1,0],[0,0]]')
+        code, out, err = run(["fidelity", good, str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: Expecting ',' delimiter")
+
+    def test_non_utf8_file_names_the_file(self, state_file, tmp_path, capsys):
+        good = state_file("mm.json", states.maximally_mixed(2))
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"dim": 2, "note": "\u00e9"}'.encode("latin-1"))
+        code, out, err = run(["fidelity", good, str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+
+    def test_re_im_shape_mismatch_names_the_file_and_the_arrays(self, tmp_path, capsys):
+        bad = tmp_path / "shapes.json"
+        bad.write_text(json.dumps({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]],
+                                   "im": [[0.0, 0.0, 0.0]] * 3}))
+        code, out, err = run(["invariants", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: {bad}: re/im arrays must be 2x2, got (2, 2) and (3, 3)\n")
+
 
 class TestGeodesic:
     def test_middle_row_fidelity(self, state_file, capsys):
@@ -177,6 +201,22 @@ class TestWernerSweep:
             exact = mpmath.acos(sqrt_f) / (mpmath.pi / 2)
             assert abs(mpmath.mpf(angle) - exact) < 1e-15
 
+    def test_step_count_validated(self, capsys):
+        code, out, err = run(["werner-sweep", "--steps", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --steps must be at least 2, got 1\n"
+
+    def test_json_output(self, capsys):
+        _, csv_out, _ = run(["werner-sweep", "--steps", "5"], capsys)
+        code, out, _ = run(["werner-sweep", "--steps", "5", "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["steps"] == 5
+        header = csv_out.splitlines()[0].split(",")
+        assert [list(row) for row in payload["rows"]] == [header] * 5
+        for row, line in zip(payload["rows"], csv_out.splitlines()[1:]):
+            assert [cli._fmt17(row[h]) for h in header] == line.split(",")
+
     def test_unreachable_gate_exits_3(self, capsys):
         code, _, err = run(["werner-sweep", "--steps", "11", "--tol", "1e-30"],
                            capsys)
@@ -210,6 +250,31 @@ class TestQubitOrbit:
         assert code == 0, err
         for line in out.strip().splitlines()[1:]:
             assert float(line.split(",")[-1]) < 1e-9
+
+    def test_sample_count_validated(self, capsys):
+        code, out, err = run(["qubit-orbit", "--x=0.1,0.2,0.3", "--y=0.3,0.2,0.1",
+                              "--samples", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --samples must be at least 2, got 1\n"
+
+    def test_vector_that_does_not_parse_names_the_flag(self, capsys):
+        code, out, err = run(["qubit-orbit", "--x=0.1,zero,0.3", "--y=0,0,0"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --x must be comma-separated reals: ")
+        assert "'zero'" in err
+
+    def test_json_output(self, capsys):
+        argv = ["qubit-orbit", "--x=0.1,-0.2,0.3", "--y=-0.4,0.1,0.2", "--samples", "4"]
+        _, csv_out, _ = run(argv, capsys)
+        code, out, _ = run([*argv, "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert 0.0 < payload["s_star"] < np.pi / 2
+        header = csv_out.splitlines()[0].split(",")
+        assert [list(row) for row in payload["rows"]] == [header] * 4
+        assert payload["rows"][-1]["s"] == payload["s_star"]
+        for row, line in zip(payload["rows"], csv_out.splitlines()[1:]):
+            assert [cli._fmt17(row[h]) for h in header] == line.split(",")
 
     def test_bad_vector_exits_2(self, capsys):
         code, _, err = run(["qubit-orbit", "--x", "0,0", "--y", "0,0,0"], capsys)

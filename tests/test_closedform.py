@@ -402,3 +402,25 @@ class TestErrata:
                for sign, v in sums.items()}
         assert dev[1] < 1e-9
         assert dev[-1] > 1e-3
+
+
+class TestRefusalsNameTheArgument:
+    def test_maxmixed_to_pure_psi_of_another_dimension(self):
+        psi = random_state_vector(np.random.default_rng(116), 3)
+        with pytest.raises(ValueError, match=r"^psi has dimension 3, expected 2$"):
+            closedform.maxmixed_to_pure(2, psi, 0.1)
+
+    def test_werner_cross_term_at_p_one(self):
+        with pytest.raises(ValueError, match=r"singular at p=1; got 1\.0$"):
+            closedform.werner_cross_term(1.0)
+
+    @pytest.mark.parametrize("x, y, match", [
+        ([1.0, 0.0, 0.0], [0.1, 0.2, 0.3], r"^\|x\| = 1\.0 must be below 1$"),
+        ([0.0, 0.6, 0.8], [0.1, 0.2, 0.3], r"^\|x\| = 1\.0 must be below 1$"),
+        ([0.1, 0.2, 0.3], [0.0, 0.0, 1.1], r"^\|y\| = 1\.1 must be at most 1$"),
+    ], ids=["x-on-sphere", "x-unit-norm", "y-outside"])
+    def test_bloch_vectors_out_of_the_ball(self, x, y, match):
+        for call in (lambda: closedform.qubit_fidelity(x, y),
+                     lambda: closedform.qubit_orbit(x, y, 0.0)):
+            with pytest.raises(ValueError, match=match):
+                call()

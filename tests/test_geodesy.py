@@ -147,20 +147,26 @@ class TestGeometricMeanOperator:
 
     def test_rank_raising_pair_built_without_m_star(self):
         # rank B = 2 = rank rho1 < rank rho2 = 3: the geodesic is unique, but
-        # M rho1 M cannot raise the rank, so no M* exists.
+        # M rho1 M cannot raise the rank, so no M* exists. The great circle
+        # through the start's own root lifts it all the same; a gauged root
+        # needs M(s) and is refused.
         r1 = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         r2 = np.diag([0.25, 0.25, 0.5, 0.0]).astype(complex)
         path = geodesy.geometric_mean_operator(r1, r2)
         assert path.m_star is None
         assert np.max(np.abs(geodesy.geodesic_point(path, path.s_star) - r2)) < 1e-12
+        a0 = states.canonical_purification(r1)
         for s in np.linspace(0, path.s_star, 7):
             rho_s = geodesy.geodesic_point(path, s)
             assert abs(geodesy.root_fidelity(r1, rho_s) - np.cos(s)) < 1e-12
             assert abs(geodesy.root_fidelity(rho_s, r2) - np.cos(path.s_star - s)) < 1e-12
-        a0 = states.canonical_purification(r1)
+            lifted = geodesy.horizontal_lift(a0, path, s).matrix
+            assert np.max(np.abs(oracles.project(lifted) - rho_s)) < 1e-12
+        gauged = states.canonical_purification(
+            r1, gauge=random_unitary(np.random.default_rng(148), 4))
         for call in (lambda: geodesy.transport_operator(path, 0.1),
                      lambda: geodesy.initial_tangent(path),
-                     lambda: geodesy.horizontal_lift(a0, path, 0.1)):
+                     lambda: geodesy.horizontal_lift(gauged, path, 0.1)):
             with pytest.raises(geodesy.GeodesicUndefinedError,
                                match=r"no M\*: rank rho1 = 2 < rank rho2 = 3"):
                 call()

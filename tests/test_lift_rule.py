@@ -7,7 +7,8 @@ orders below ``ADMIT_TOL`` on random, ill-conditioned, rank-deficient and
 pure states up to N = 64. Any other a0 (gauged, a raw matrix, or a
 Purification of equal content and a different array) is checked as before,
 the lift's result keeps its own Purification check, and the bytes of the
-lift equal the always-checking formula of ``oracles.checked_horizontal_lift``.
+lift equal the always-checking formula of ``oracles.checked_horizontal_lift``:
+the great circle f A1 + g A2 for the start's own root, M(s) a0 for any other.
 """
 
 import numpy as np

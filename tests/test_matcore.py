@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from buresgeo import geodesy, matcore
+from buresgeo import geodesy, matcore, states
 import oracles
 from conftest import random_density, random_hermitian, random_unitary
 
@@ -154,3 +154,18 @@ def test_spectral_factor_is_the_function_before_v_dagger():
 def test_empty_matrix_refused_naming_the_shape(entry):
     with pytest.raises(ValueError, match=r"empty shape \(0, 0\)"):
         entry(np.zeros((0, 0)))
+
+
+class TestCoercionRefusalsNameTheArgument:
+    @pytest.mark.parametrize("value", [[[1.0, "x"], [0.0, 1.0]], {"re": 1.0}, object()],
+                             ids=["string-entry", "dict", "object"])
+    def test_a_value_numpy_cannot_convert_is_not_a_numeric_array(self, value):
+        with pytest.raises(ValueError, match=r"^rho is not a numeric array: "):
+            matcore.as_complex_matrix(value, "rho")
+        with pytest.raises(ValueError, match=r"^rho1 is not a numeric array: "):
+            geodesy.root_fidelity(value, np.eye(2) / 2)
+
+    def test_an_integer_scalar_is_converted_to_float(self):
+        assert matcore.as_real_scalar(1, "p") == 1.0
+        assert type(matcore.as_real_scalar(np.int64(1), "p")) is float
+        assert states.werner("GHZ", 1).tobytes() == states.werner("GHZ", 1.0).tobytes()

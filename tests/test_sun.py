@@ -363,3 +363,9 @@ class TestCharacteristicInvariants:
             for k in range(1, n + 1):
                 esp = sum(np.prod(c) for c in itertools.combinations(lam, k))
                 assert abs(inv[k - 1] - esp) < 1e-10
+
+
+def test_coefficients_of_a_matrix_of_another_dimension_name_m():
+    with pytest.raises(ValueError, match=r"^m: matrix dimension 3 does not match basis "
+                                         r"dimension 2$"):
+        sun.coefficients(np.eye(3) / 3, sun.generator_basis(2))
