@@ -220,10 +220,9 @@ def cmd_qubit_orbit(args) -> int:
 
 
 def cmd_solve_g(args) -> int:
-    size = args.dim * args.dim - 1
-    x = _parse_vector(args.x, size, "--x")
-    xdot = _parse_vector(args.xdot, size, "--xdot")
-    basis = sun.generator_basis(args.dim)
+    basis = matcore._named(sun.generator_basis, args.dim, "--dim")  # sizes --x and --xdot
+    x = _parse_vector(args.x, basis.size, "--x")
+    xdot = _parse_vector(args.xdot, basis.size, "--xdot")
     gen = sun.solve_tangent_G(x, xdot, basis)
     rho = sun.expand(1.0, x, basis)
     rhodot = sun.expand(0.0, xdot, basis)

@@ -106,10 +106,7 @@ class GeodesicPath:
     def m_star(self) -> np.ndarray | None:
         if self.start.rank < self.end.rank:
             return None
-        _, m_eig = matcore.lyapunov_eigenbasis(self.start, self.cross)
-        v = self.start.eigenvectors
-        m = v @ m_eig @ v.conj().T
-        m = (m + m.conj().T) / 2
+        m = matcore._lyapunov_solution(self.start, self.cross)
         m.setflags(write=False)
         return m
 

@@ -322,6 +322,15 @@ def lyapunov_eigenbasis(dec: SpectralDecomposition, h) -> tuple[np.ndarray, np.n
     return h_eig, np.divide(h_eig, denom, out=np.zeros_like(h_eig), where=keep)
 
 
+def _lyapunov_solution(dec: SpectralDecomposition, h) -> np.ndarray:
+    """X of X rho + rho X = H: the X' of :func:`lyapunov_eigenbasis` rotated back,
+    V X' V^dag, and symmetrized, (X + X^dag) / 2."""
+    _, x_eig = lyapunov_eigenbasis(dec, h)
+    v = dec.eigenvectors
+    x = v @ x_eig @ v.conj().T
+    return (x + x.conj().T) / 2
+
+
 def spectral_factor(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]
                     ) -> np.ndarray:
     """The factor V diag(f(w')) of a positive semidefinite matrix's spectral function.

@@ -11,9 +11,10 @@ through the eigenbasis kernel it shares with the Bures metric, gives the
 unitary-evolution specialization as commutator products, and computes the
 characteristic-polynomial invariants of a state (which need no
 diagonalization). Coordinates and matrices convert in O(N^2) through an index
-map of the generator ordering. The dense generator stack and the structure
-constants f and d of :class:`GeneratorBasis` are oracles for the tests and the
-identity report; f and d are built only on request.
+map of the generator ordering. A :class:`GeneratorBasis` is its dimension: its
+dense generator stack is scattered through the same map on first read, and it
+and the structure constants f and d are oracles read only by ``sun-check``,
+the tests and the bench tracer.
 """
 
 from __future__ import annotations
@@ -30,21 +31,44 @@ MAX_DIM = 16
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """Traceless Hermitian generators of su(N).
+    """Traceless Hermitian generators of su(N): the basis is its dimension.
 
     Generator ordering: all symmetric off-diagonal pairs first (lexicographic
     in (j, k)), then all antisymmetric pairs, then the diagonal ladder. The
-    ordering is part of the coordinate contract. The dense stack ``sigmas``
-    and the structure constants ``f`` and ``d`` (m x m x m with m = N^2 - 1,
-    built on first access) are read-only oracles; no conversion reads them.
+    ordering is part of the coordinate contract; :func:`_index_map` writes it.
+    The dense stack ``sigmas`` (scattered through that map) and the structure
+    constants ``f`` and ``d`` (m x m x m with m = N^2 - 1) are read-only oracles,
+    built on first read; no conversion or solver reads them.
     """
 
     dim: int
-    sigmas: np.ndarray  # (N^2 - 1, N, N)
+
+    def __post_init__(self):
+        n = matcore.as_dimension(self.dim, "dimension", 2, MAX_DIM)
+        object.__setattr__(self, "dim", n)  # a numpy integer is stored as an int
 
     @property
     def size(self) -> int:
         return self.dim * self.dim - 1
+
+    @cached_property
+    def sigmas(self) -> np.ndarray:
+        """The (N^2 - 1, N, N) stack scattered through the index map. The antisymmetric
+        pairs are written as -1j and 1j, not as conjugates, so that the signed
+        zeros are those of a matrix-by-matrix build."""
+        n, m = self.dim, self.size
+        upper, lower, ladder = _index_map(n)
+        p = upper.size
+        pair = np.arange(p)
+        sig = np.zeros((m, n, n), dtype=np.complex128)
+        flat = sig.reshape(m, n * n)
+        flat[pair, upper] = 1.0
+        flat[pair, lower] = 1.0
+        flat[p + pair, upper] = -1j
+        flat[p + pair, lower] = 1j
+        flat[2 * p:, ::n + 1] = ladder
+        sig.setflags(write=False)
+        return sig
 
     @property
     def f(self) -> np.ndarray:
@@ -76,39 +100,14 @@ class GeneratorBasis:
         return f, d
 
 
-def _generator_matrices(n: int) -> np.ndarray:
-    mats = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=np.complex128)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(m)
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=np.complex128)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            mats.append(m)
-    for k in range(1, n):
-        diag = np.zeros(n)
-        diag[:k] = 1.0
-        diag[k] = -k
-        mats.append(np.sqrt(2.0 / (k * (k + 1))) * np.diag(diag).astype(np.complex128))
-    return np.array(mats)
-
-
 @lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3
 def generator_basis(n: int) -> GeneratorBasis:
-    """Build (and cache) the su(N) generator basis for 2 <= N <= 16.
+    """The cached su(N) generator basis for 2 <= N <= 16.
 
     For N = 2 the generators are the Pauli matrices in (x, y, z) order, with
     f the Levi-Civita symbol and d identically zero.
     """
-    n = matcore.as_dimension(n, "dimension", 2, MAX_DIM)
-    sig = _generator_matrices(n)
-    sig.setflags(write=False)
-    return GeneratorBasis(dim=n, sigmas=sig)
+    return GeneratorBasis(n)
 
 
 @lru_cache(maxsize=None)
@@ -142,6 +141,25 @@ def _project(a: np.ndarray, n: int) -> np.ndarray:
                                        ladder @ flat[::n + 1].real))
 
 
+class _OverflowGuard:
+    """``with _OverflowGuard(what):`` runs a block under numpy's overflow and
+    invalid-value traps and refuses a trap as ``ValueError(f"{what} ({exc})")``.
+    A class, not a generator-based context manager, which costs about 1 us more
+    on every solver call."""
+
+    def __init__(self, what: str):
+        self.what = what
+        self.traps = np.errstate(over="raise", invalid="raise")
+
+    def __enter__(self):
+        self.traps.__enter__()
+
+    def __exit__(self, kind, exc, tb):
+        self.traps.__exit__(kind, exc, tb)
+        if isinstance(exc, FloatingPointError):
+            raise ValueError(f"{self.what} ({exc})") from None
+
+
 def _require_basis(basis) -> None:
     """Refuse a ``basis`` that is not a :class:`GeneratorBasis`."""
     if not isinstance(basis, GeneratorBasis):
@@ -153,12 +171,8 @@ def expand(coeff0: float, coeffs, basis: GeneratorBasis) -> np.ndarray:
     _require_basis(basis)
     c0 = matcore.as_real_scalar(coeff0, "coeff0", finite=True)
     c = matcore.as_vector(coeffs, "coeffs", basis.size)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _assemble(c0, c, basis.dim)
-    except FloatingPointError as exc:
-        raise ValueError(f"coeff0 and coeffs are too large: the matrix overflows ({exc})"
-                         ) from None
+    with _OverflowGuard("coeff0 and coeffs are too large: the matrix overflows"):
+        return _assemble(c0, c, basis.dim)
 
 
 def coefficients(m, basis: GeneratorBasis) -> tuple[float, np.ndarray]:
@@ -168,11 +182,8 @@ def coefficients(m, basis: GeneratorBasis) -> tuple[float, np.ndarray]:
     if a.shape[0] != basis.dim:
         raise ValueError(f"m: matrix dimension {a.shape[0]} does not match basis "
                          f"dimension {basis.dim}")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return float(np.trace(a).real), _project(a, basis.dim)
-    except FloatingPointError as exc:
-        raise ValueError(f"m is too large: its coefficients overflow ({exc})") from None
+    with _OverflowGuard("m is too large: its coefficients overflow"):
+        return float(np.trace(a).real), _project(a, basis.dim)
 
 
 @dataclass(frozen=True)
@@ -206,10 +217,7 @@ def solve_tangent_G(x, xdot, basis: GeneratorBasis) -> TangentGenerator:
         raise ValueError(
             f"tangent system is singular beyond the conditioning threshold "
             f"(cond = {cond:.3e}); the state is on or beyond the boundary")
-    _, g_eig = matcore.lyapunov_eigenbasis(dec, _assemble(0.0, xdot, basis.dim))
-    v = dec.eigenvectors
-    gm = v @ g_eig @ v.conj().T
-    gm = (gm + gm.conj().T) / 2
+    gm = matcore._lyapunov_solution(dec, _assemble(0.0, xdot, basis.dim))
     g = _project(gm, basis.dim)
     g0 = float(-(2.0 / basis.dim) * (x @ g) + 0.0)
     return TangentGenerator(g0=g0, g=g, matrix=gm)
@@ -224,13 +232,10 @@ def unitary_tangent(y, x, basis: GeneratorBasis) -> TangentGenerator:
     _require_basis(basis)
     x = matcore.as_vector(x, "x", basis.size)
     y = matcore.as_vector(y, "y", basis.size)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            c = _assemble(0.0, x, basis.dim) @ _assemble(0.0, y, basis.dim)  # C = XY / N^2
-            gm = (basis.dim / 2j) * (c - c.conj().T)  # [X, Y] / N^2 = C - C^dag
-            g = _project(gm, basis.dim)
-    except FloatingPointError as exc:
-        raise ValueError(f"x and y are too large: the generator overflows ({exc})") from None
+    with _OverflowGuard("x and y are too large: the generator overflows"):
+        c = _assemble(0.0, x, basis.dim) @ _assemble(0.0, y, basis.dim)  # C = XY / N^2
+        gm = (basis.dim / 2j) * (c - c.conj().T)  # [X, Y] / N^2 = C - C^dag
+        g = _project(gm, basis.dim)
     return TangentGenerator(g0=0.0, g=g, matrix=gm)
 
 
@@ -247,15 +252,11 @@ def hamiltonian_from_Y(y, x, basis: GeneratorBasis
     x = matcore.as_vector(x, "x", basis.size)
     y = matcore.as_vector(y, "y", basis.size)
     n = basis.dim
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            c = _assemble(0.0, x, n) @ _assemble(0.0, y, n)  # C = XY / N^2
-            dy = _project((n / 2.0) * (c + c.conj().T), n)  # {X, Y} / N^2 = C + C^dag
-            b = y - (2.0 / n) * x * (x @ y) + dy
-            norm = float(np.linalg.norm(x))
-    except FloatingPointError as exc:
-        raise ValueError(f"x and y are too large: the effective field overflows ({exc})"
-                         ) from None
+    with _OverflowGuard("x and y are too large: the effective field overflows"):
+        c = _assemble(0.0, x, n) @ _assemble(0.0, y, n)  # C = XY / N^2
+        dy = _project((n / 2.0) * (c + c.conj().T), n)  # {X, Y} / N^2 = C + C^dag
+        b = y - (2.0 / n) * x * (x @ y) + dy
+        norm = float(np.linalg.norm(x))
     if norm < matcore.ROUNDOFF:
         return b, np.zeros_like(b), b
     xhat = x / norm
@@ -278,16 +279,13 @@ def characteristic_invariants(rho) -> np.ndarray:
     power = np.eye(n, dtype=np.complex128)
     ptraces = []
     s = [1.0]
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for _ in range(n):
-                power = power @ r
-                ptraces.append(np.trace(power).real)  # numpy floats obey the errstate
-            for k in range(1, n + 1):
-                acc = 0.0
-                for j in range(1, k + 1):
-                    acc += (-1.0) ** (j - 1) * s[k - j] * ptraces[j - 1]
-                s.append(acc / k)
-    except FloatingPointError as exc:
-        raise ValueError(f"rho is too large: its power traces overflow ({exc})") from None
+    with _OverflowGuard("rho is too large: its power traces overflow"):
+        for _ in range(n):
+            power = power @ r
+            ptraces.append(np.trace(power).real)  # numpy floats obey the errstate
+        for k in range(1, n + 1):
+            acc = 0.0
+            for j in range(1, k + 1):
+                acc += (-1.0) ** (j - 1) * s[k - j] * ptraces[j - 1]
+            s.append(acc / k)
     return np.array(s[1:])

@@ -8,7 +8,9 @@ from them the root fidelity and the gauge as the nuclear norm and the polar
 factor of sqrt(rho1) sqrt(rho2). The state helpers read a purification or a
 state back through ``states.admit``, and ``qubit_tau`` is the closed form of
 tau that the erratum ledger's checks read. The other helpers rebuild the
-library's hot paths by the general formulas they skip.
+library's hot paths by the general formulas they skip, and
+:func:`generator_matrices` is the su(N) generator stack built one matrix at a
+time, the reference for the scattered ``GeneratorBasis.sigmas``.
 """
 
 from dataclasses import dataclass
@@ -215,3 +217,27 @@ def checked_horizontal_lift(a0, path, s):
         lift = m @ a0m
     rho = (f * f) * path.rho1 + (f * g) * path.cross + (g * g) * path.rho2
     return states.Purification(matrix=lift, target=rho)
+
+
+def generator_matrices(n: int) -> np.ndarray:
+    """The su(N) generators one matrix at a time: the symmetric pairs, the
+    antisymmetric pairs (written with -1j and 1j), then the diagonal ladder."""
+    mats = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            m = np.zeros((n, n), dtype=np.complex128)
+            m[j, k] = 1.0
+            m[k, j] = 1.0
+            mats.append(m)
+    for j in range(n):
+        for k in range(j + 1, n):
+            m = np.zeros((n, n), dtype=np.complex128)
+            m[j, k] = -1.0j
+            m[k, j] = 1.0j
+            mats.append(m)
+    for k in range(1, n):
+        diag = np.zeros(n)
+        diag[:k] = 1.0
+        diag[k] = -k
+        mats.append(np.sqrt(2.0 / (k * (k + 1))) * np.diag(diag).astype(np.complex128))
+    return np.array(mats)

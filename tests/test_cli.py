@@ -328,6 +328,15 @@ class TestSolveG:
         assert code == 2
         assert "not a state" in err
 
+    @pytest.mark.parametrize("dim, x", [("1", "0.1"), ("17", "0")], ids=["1", "17"])
+    def test_bad_dimension_is_blamed_on_dim(self, capsys, dim, x):
+        # The vectors are sized by the basis, so --dim is checked before them.
+        code, out, err = run(["solve-g", "--dim", dim, f"--x={x}", "--xdot=0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --dim: dimension must be an integer between 2 and 16, "
+                       f"got {dim}\n")
+
 
 class TestInvariantsAndSunCheck:
     def test_invariants_output(self, state_file, capsys):
