@@ -8,7 +8,8 @@ with separate real and imaginary parts so the format stays portable across
 languages. Table output is CSV (17 significant digits, fixed column order)
 or JSON (stable keys); identical inputs and flags produce byte-identical
 output. Exit codes: 0 on success, 2 on validation failure, 3 when a
-numerical gate fails.
+numerical gate fails. Each subcommand computes its report and its gate
+verdict and hands both to ``_report``, the one writer of output.
 """
 
 from __future__ import annotations
@@ -72,18 +73,34 @@ def load_state(path: str, tol: float) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _report(args, payload: dict, header: list[str] | None = None, rows=(),
+            failure: str | None = None) -> int:
+    """Write one report and return the exit code.
+
+    ``payload`` is written as one strict JSON line (no NaN or Infinity); under
+    ``--format csv`` the ``rows`` are written as a CSV table under ``header``
+    instead, their list-valued fields expanded in key order. Either goes to
+    ``--out`` or stdout. A gate ``failure`` then prints one stderr line and
+    the exit code is ``EXIT_GATE``: a failed gate still leaves its whole report.
+    """
+    if getattr(args, "format", "json") == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            cells = (v for value in row.values()
+                     for v in (value if isinstance(value, list) else (value,)))
+            lines.append(",".join(map(_fmt17, cells)))
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps(payload, allow_nan=False) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv(header: list[str], rows: list[list[float]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt17(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    if failure is None:
+        return EXIT_OK
+    print(f"numerical gate failed: {failure}", file=sys.stderr)
+    return EXIT_GATE
 
 
 def _admission_tol(text: str) -> float:
@@ -111,8 +128,7 @@ def cmd_fidelity(args) -> int:
     payload = {"root_fidelity": _round15(summary.root_fidelity),
                "bures_angle": _round15(summary.bures_angle),
                "bures_distance": _round15(summary.bures_distance)}
-    _emit(json.dumps(payload) + "\n", args.out)
-    return EXIT_OK
+    return _report(args, payload)
 
 
 def _geodesic_rows(path: geodesy.GeodesicPath, samples: int):
@@ -139,24 +155,12 @@ def cmd_geodesic(args) -> int:
     rho2 = load_state(args.state2, args.tol)
     path = geodesy.geometric_mean_operator(rho1, rho2)
     rows = _geodesic_rows(path, args.samples)
-    if args.format == "json":
-        payload = {"dim": path.dim, "s_star": path.s_star, "samples": rows}
-        _emit(json.dumps(payload) + "\n", args.out)
-    else:
-        n = path.dim
-        header = ["s", "root_fidelity_to_start", "trace", "purity"]
-        header += [f"eig_{i}" for i in range(n)]
-        if n == 2:
-            header += ["bloch_x", "bloch_y", "bloch_z"]
-        flat = []
-        for row in rows:
-            vals = [row["s"], row["root_fidelity_to_start"], row["trace"],
-                    row["purity"], *row["eigenvalues"]]
-            if n == 2:
-                vals += row["bloch"]
-            flat.append(vals)
-        _emit(_csv(header, flat), args.out)
-    return EXIT_OK
+    header = ["s", "root_fidelity_to_start", "trace", "purity"]
+    header += [f"eig_{i}" for i in range(path.dim)]
+    if path.dim == 2:
+        header += ["bloch_x", "bloch_y", "bloch_z"]
+    payload = {"dim": path.dim, "s_star": path.s_star, "samples": rows}
+    return _report(args, payload, header, rows)
 
 
 def cmd_werner_sweep(args) -> int:
@@ -176,17 +180,9 @@ def cmd_werner_sweep(args) -> int:
                      "root_fidelity": sf,
                      "s_star_over_half_pi": angle / (np.pi / 2),
                      "root_fidelity_closed_form": closed})
-    if args.format == "json":
-        _emit(json.dumps({"steps": args.steps, "rows": rows}) + "\n", args.out)
-    else:
-        header = ["p", "root_fidelity", "s_star_over_half_pi",
-                  "root_fidelity_closed_form"]
-        _emit(_csv(header, [[r[h] for h in header] for r in rows]), args.out)
-    if not worst <= args.tol:
-        print(f"numerical gate failed: spectral vs closed-form root fidelity "
-              f"differ by {worst:.3e} > {args.tol:.1e}", file=sys.stderr)
-        return EXIT_GATE
-    return EXIT_OK
+    failure = None if worst <= args.tol else (
+        f"spectral vs closed-form root fidelity differ by {worst:.3e} > {args.tol:.1e}")
+    return _report(args, {"steps": args.steps, "rows": rows}, list(rows[0]), rows, failure)
 
 
 def cmd_qubit_orbit(args) -> int:
@@ -207,16 +203,10 @@ def cmd_qubit_orbit(args) -> int:
         worst = max(worst, dev)
         rows.append({"s": float(s), "r_x": float(r[0]), "r_y": float(r[1]),
                      "r_z": float(r[2]), "pipeline_deviation": dev})
-    if args.format == "json":
-        _emit(json.dumps({"s_star": path.s_star, "rows": rows}) + "\n", args.out)
-    else:
-        header = ["s", "r_x", "r_y", "r_z", "pipeline_deviation"]
-        _emit(_csv(header, [[r[h] for h in header] for r in rows]), args.out)
-    if not worst <= args.tol:
-        print(f"numerical gate failed: closed-form orbit deviates from the "
-              f"transport pipeline by {worst:.3e} > {args.tol:.1e}", file=sys.stderr)
-        return EXIT_GATE
-    return EXIT_OK
+    failure = None if worst <= args.tol else (
+        f"closed-form orbit deviates from the transport pipeline by {worst:.3e} "
+        f"> {args.tol:.1e}")
+    return _report(args, {"s_star": path.s_star, "rows": rows}, list(rows[0]), rows, failure)
 
 
 def cmd_solve_g(args) -> int:
@@ -229,12 +219,9 @@ def cmd_solve_g(args) -> int:
     residual = float(np.max(np.abs(gen.matrix @ rho + rho @ gen.matrix - rhodot)))
     payload = {"dim": args.dim, "g0": gen.g0, "g": [float(v) for v in gen.g],
                "residual": residual}
-    _emit(json.dumps(payload) + "\n", args.out)
-    if not residual <= args.tol:
-        print(f"numerical gate failed: reconstruction residual {residual:.3e} "
-              f"> {args.tol:.1e}", file=sys.stderr)
-        return EXIT_GATE
-    return EXIT_OK
+    failure = None if residual <= args.tol else (
+        f"reconstruction residual {residual:.3e} > {args.tol:.1e}")
+    return _report(args, payload, failure=failure)
 
 
 def cmd_invariants(args) -> int:
@@ -245,8 +232,7 @@ def cmd_invariants(args) -> int:
                "purity": float(np.trace(rho @ rho).real),
                "eigenvalues": [float(v) for v in states.admit(rho).eigenvalues],
                "invariants": [float(v) for v in inv]}
-    _emit(json.dumps(payload) + "\n", args.out)
-    return EXIT_OK
+    return _report(args, payload)
 
 
 def _sun_residuals(basis: sun.GeneratorBasis) -> dict:
@@ -278,7 +264,7 @@ def _sun_residuals(basis: sun.GeneratorBasis) -> dict:
 def cmd_sun_check(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    basis = sun.generator_basis(args.dim)
+    basis = matcore._named(sun.generator_basis, args.dim, "--dim")
     residuals = _sun_residuals(basis)
     payload = {"dim": args.dim, **residuals}
     if args.dim == 2:
@@ -301,15 +287,13 @@ def cmd_sun_check(args) -> int:
     payload["reconstruction_max_residual"] = worst
     algebra_worst = max(residuals.values())
     recon_gate = matcore.GATE_TOL["reconstruction"]
-    payload["tolerance"] = args.tol
+    # RFC 8259 JSON has no NaN or Infinity: a non-finite gate is echoed as null.
+    payload["tolerance"] = args.tol if abs(args.tol) < np.inf else None
     payload["pass"] = bool(algebra_worst <= args.tol and worst <= recon_gate)
-    _emit(json.dumps(payload) + "\n", args.out)
-    if not payload["pass"]:
-        print(f"numerical gate failed: worst algebra residual {algebra_worst:.3e} "
-              f"(gate {args.tol:.1e}), reconstruction {worst:.3e} (gate {recon_gate!r})",
-              file=sys.stderr)
-        return EXIT_GATE
-    return EXIT_OK
+    failure = None if payload["pass"] else (
+        f"worst algebra residual {algebra_worst:.3e} (gate {args.tol:.1e}), "
+        f"reconstruction {worst:.3e} (gate {recon_gate!r})")
+    return _report(args, payload, failure=failure)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +372,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

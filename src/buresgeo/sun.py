@@ -217,9 +217,10 @@ def solve_tangent_G(x, xdot, basis: GeneratorBasis) -> TangentGenerator:
         raise ValueError(
             f"tangent system is singular beyond the conditioning threshold "
             f"(cond = {cond:.3e}); the state is on or beyond the boundary")
-    gm = matcore._lyapunov_solution(dec, _assemble(0.0, xdot, basis.dim))
-    g = _project(gm, basis.dim)
-    g0 = float(-(2.0 / basis.dim) * (x @ g) + 0.0)
+    with _OverflowGuard("xdot is too large: the generator overflows"):
+        gm = matcore._lyapunov_solution(dec, _assemble(0.0, xdot, basis.dim))
+        g = _project(gm, basis.dim)
+        g0 = float(-(2.0 / basis.dim) * (x @ g) + 0.0)
     return TangentGenerator(g0=g0, g=g, matrix=gm)
 
 

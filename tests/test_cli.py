@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from buresgeo import cli, states, sun
-from conftest import random_bloch
+from conftest import random_bloch, random_density
 
 
 @pytest.fixture
@@ -160,6 +160,27 @@ class TestGeodesic:
         f = state_file("mm.json", states.maximally_mixed(2))
         code, _, err = run(["geodesic", f, f, "--samples", "1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_json_output(self, state_file, capsys, n):
+        rng = np.random.default_rng(n)
+        f1 = state_file("a.json", random_density(rng, n, floor=0.05))
+        f2 = state_file("b.json", random_density(rng, n, floor=0.05))
+        argv = ["geodesic", f1, f2, "--samples", "4"]
+        _, csv_out, _ = run(argv, capsys)
+        code, out, _ = run([*argv, "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["dim"] == n and payload["samples"][-1]["s"] == payload["s_star"]
+        header = csv_out.splitlines()[0].split(",")
+        expanded = {"eigenvalues": [f"eig_{i}" for i in range(n)],
+                    "bloch": ["bloch_x", "bloch_y", "bloch_z"]}
+        for row, line in zip(payload["samples"], csv_out.splitlines()[1:]):
+            assert [name for key in row for name in expanded.get(key, [key])] == header
+            cells = [v for value in row.values()
+                     for v in (value if isinstance(value, list) else [value])]
+            assert [cli._fmt17(v) for v in cells] == line.split(",")
+        assert len(csv_out.splitlines()) == 5
 
 
 class TestWernerSweep:
@@ -328,6 +349,13 @@ class TestSolveG:
         assert code == 2
         assert "not a state" in err
 
+    def test_overflowing_rate_exits_2(self, capsys):
+        code, out, err = run(["solve-g", "--dim", "3", "--x=0.1,0.2,0,0.1,0,0,0.2,0.1",
+                              "--xdot=" + ",".join(["1e308"] * 8)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: xdot is too large: the generator overflows")
+
     @pytest.mark.parametrize("dim, x", [("1", "0.1"), ("17", "0")], ids=["1", "17"])
     def test_bad_dimension_is_blamed_on_dim(self, capsys, dim, x):
         # The vectors are sized by the basis, so --dim is checked before them.
@@ -381,6 +409,25 @@ class TestInvariantsAndSunCheck:
         code, _, err = run(["sun-check", "--dim", "4", "--tol", "0"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("dim", ["1", "17"])
+    def test_sun_check_bad_dimension_is_blamed_on_dim(self, capsys, dim):
+        code, out, err = run(["sun-check", "--dim", dim], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --dim: dimension must be an integer between 2 and 16, "
+                       f"got {dim}\n")
+
+    @pytest.mark.parametrize("tol, expected", [("nan", 3), ("inf", 0)])
+    def test_sun_check_echoes_a_non_finite_gate_as_null(self, capsys, tol, expected):
+        def refuse(token):
+            raise AssertionError(f"non-RFC 8259 token {token}")
+
+        code, out, _ = run(["sun-check", "--dim", "2", "--trials", "1", "--tol", tol], capsys)
+        assert code == expected
+        payload = json.loads(out, parse_constant=refuse)
+        assert payload["tolerance"] is None
+        assert payload["pass"] is (expected == 0)
+
 
 class TestDeterminismAndOutput:
     def test_byte_identical_reruns(self, state_file, capsys):
@@ -400,6 +447,24 @@ class TestDeterminismAndOutput:
             assert code == 0
             runs.add(out)
         assert len(runs) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["werner-sweep", "--steps", "5"],
+        ["werner-sweep", "--steps", "5", "--format", "json"],
+        ["qubit-orbit", "--x=0.1,-0.2,0.3", "--y=-0.4,0.1,0.2", "--samples", "3"],
+        ["solve-g", "--dim", "2", "--x=0.1,0.2,0.3", "--xdot=0.01,-0.02,0.03"],
+        ["sun-check", "--dim", "2", "--trials", "1"],
+    ], ids=["werner-sweep-csv", "werner-sweep-json", "qubit-orbit", "solve-g", "sun-check"])
+    def test_failed_gate_still_writes_the_report(self, tmp_path, capsys, argv):
+        # --tol -1 fails every gate: each residual is at least 0.
+        code, report, _ = run([*argv, "--tol", "-1"], capsys)
+        assert code == 3 and report
+        target = tmp_path / "report.txt"
+        code, out, err = run([*argv, "--tol", "-1", "--out", str(target)], capsys)
+        assert code == 3
+        assert out == ""
+        assert target.read_text() == report
+        assert err.startswith("numerical gate failed: ") and err.count("\n") == 1
 
     def test_out_file(self, state_file, tmp_path, capsys):
         f = state_file("mm.json", states.maximally_mixed(2))

@@ -315,8 +315,10 @@ def test_a_square_root_refusal_names_the_argument(entry, position):
     (lambda: sun.expand(1e308, 1e308 * np.ones(8), sun.generator_basis(3)),
      "coeff0 and coeffs"),
     (lambda: sun.coefficients(1e308 * np.ones((3, 3)), sun.generator_basis(3)), "m"),
+    (lambda: sun.solve_tangent_G([0.1, 0.2, 0, 0.1, 0, 0, 0.2, 0.1], 1e308 * np.ones(8),
+                                 sun.generator_basis(3)), "xdot is too large:"),
 ], ids=["invariants-matmul", "invariants-newton", "hamiltonian", "metric",
-        "unitary-tangent", "expand", "coefficients"])
+        "unitary-tangent", "expand", "coefficients", "solve-tangent"])
 def test_overflowing_results_are_refused(call, name):
     # Each input passes the gate; its result has no finite value.
     with pytest.raises(ValueError, match=f"^{name} .*overflow"):
