@@ -9,7 +9,10 @@ languages. Table output is CSV (17 significant digits, fixed column order)
 or JSON (stable keys); identical inputs and flags produce byte-identical
 output. Exit codes: 0 on success, 2 on validation failure, 3 when a
 numerical gate fails. Each subcommand computes its report and its gate
-verdict and hands both to ``_report``, the one writer of output.
+verdict and hands both to ``_report``, the one writer of output. The sweeps
+(``geodesic``, ``werner-sweep`` and ``qubit-orbit``) compute their rows as
+stacks, one block of at most ``_STACK_ENTRIES`` matrix entries at a time, with
+the bytes of one scalar library call per row.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from . import closedform, geodesy, matcore, states, sun
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_GATE = 3
+_STACK_ENTRIES = 1 << 12  # matrix entries per stacked block of a sweep: bounds its temporaries
 
 
 def _fmt17(value: float) -> str:
@@ -131,20 +135,33 @@ def cmd_fidelity(args) -> int:
     return _report(args, payload)
 
 
+def _blocks(grid: np.ndarray, n: int):
+    """``grid`` in consecutive slices of at most ``_STACK_ENTRIES`` / N^2 points
+    (at least one): a sweep's rows are computed as stacks one slice at a time."""
+    step = max(1, _STACK_ENTRIES // (n * n))
+    return (grid[i:i + step] for i in range(0, grid.size, step))
+
+
+def _rows(columns: dict) -> list[dict]:
+    """One dict per row from equal-length columns, in column order, with numpy
+    values as Python floats (and lists of them)."""
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+
+
 def _geodesic_rows(path: geodesy.GeodesicPath, samples: int):
-    basis2 = sun.generator_basis(2) if path.dim == 2 else None
+    start = states.admit(path.rho1)  # the start as root_fidelity(path.rho1, .) admits it
     rows = []
-    for s in np.linspace(0.0, path.s_star, samples):
-        rho_s = geodesy.geodesic_point(path, s)
-        row = {"s": float(s),
-               "root_fidelity_to_start": geodesy.root_fidelity(path.rho1, rho_s),
-               "trace": float(np.trace(rho_s).real),
-               "purity": float(np.trace(rho_s @ rho_s).real),
-               "eigenvalues": [float(v) for v in states.admit(rho_s).eigenvalues]}
-        if basis2 is not None:
-            _, bloch = sun.coefficients(rho_s, basis2)
-            row["bloch"] = [float(v) for v in bloch]
-        rows.append(row)
+    for s in _blocks(np.linspace(0.0, path.s_star, samples), path.dim):
+        rho = geodesy._points(path, s)
+        st = states._admit_stack(rho)
+        columns = {"s": s,
+                   "root_fidelity_to_start": geodesy._root_fidelities(start, st),
+                   "trace": np.trace(rho, axis1=-2, axis2=-1).real,
+                   "purity": np.trace(rho @ rho, axis1=-2, axis2=-1).real,
+                   "eigenvalues": st.eigenvalues}
+        if path.dim == 2:
+            columns["bloch"] = sun._project(rho, 2)
+        rows += _rows(columns)
     return rows
 
 
@@ -168,18 +185,16 @@ def cmd_werner_sweep(args) -> int:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
     rows = []
     worst = 0.0
-    for p in np.linspace(0.0, 1.0, args.steps):
-        p = float(p)
-        rho_ghz, rho_w = states.werner("GHZ", p), states.werner("W", p)
-        sf = geodesy.root_fidelity(rho_ghz, rho_w)
-        angle = geodesy.bures(rho_ghz, rho_w).bures_angle
-        closed = closedform.werner_root_fidelity(p, p)
-        if p < 1.0:
-            worst = max(worst, abs(sf - closed))
-        rows.append({"p": p,
-                     "root_fidelity": sf,
-                     "s_star_over_half_pi": angle / (np.pi / 2),
-                     "root_fidelity_closed_form": closed})
+    for p in _blocks(np.linspace(0.0, 1.0, args.steps), 8):
+        ghz = states._admit_stack(states._werner("GHZ", p[:, None, None]))
+        w = states._admit_stack(states._werner("W", p[:, None, None]))
+        sf = geodesy._root_fidelities(ghz, w)
+        closed = closedform._werner_root_fidelity(p, p)
+        worst = max(worst, float(np.abs(sf - closed)[p < 1.0].max(initial=0.0)))
+        rows += _rows({"p": p,
+                       "root_fidelity": sf,
+                       "s_star_over_half_pi": geodesy._bures_angles(ghz, w) / (np.pi / 2),
+                       "root_fidelity_closed_form": closed})
     failure = None if worst <= args.tol else (
         f"spectral vs closed-form root fidelity differ by {worst:.3e} > {args.tol:.1e}")
     return _report(args, {"steps": args.steps, "rows": rows}, list(rows[0]), rows, failure)
@@ -196,13 +211,12 @@ def cmd_qubit_orbit(args) -> int:
     path = geodesy.geometric_mean_operator(rho1, rho2)
     rows = []
     worst = 0.0
-    for s in np.linspace(0.0, path.s_star, args.samples):
-        r = closedform.qubit_orbit(x, y, float(s))
-        _, pipeline = sun.coefficients(geodesy.geodesic_point(path, s), basis)
-        dev = float(np.max(np.abs(r - pipeline)))
-        worst = max(worst, dev)
-        rows.append({"s": float(s), "r_x": float(r[0]), "r_y": float(r[1]),
-                     "r_z": float(r[2]), "pipeline_deviation": dev})
+    for s in _blocks(np.linspace(0.0, path.s_star, args.samples), 2):
+        r = closedform._qubit_orbits(x, y, s)
+        dev = np.abs(r - sun._project(geodesy._points(path, s), 2)).max(axis=-1)
+        worst = max(worst, float(dev.max()))
+        rows += _rows({"s": s, "r_x": r[:, 0], "r_y": r[:, 1], "r_z": r[:, 2],
+                       "pipeline_deviation": dev})
     failure = None if worst <= args.tol else (
         f"closed-form orbit deviates from the transport pipeline by {worst:.3e} "
         f"> {args.tol:.1e}")
@@ -213,7 +227,12 @@ def cmd_solve_g(args) -> int:
     basis = matcore._named(sun.generator_basis, args.dim, "--dim")  # sizes --x and --xdot
     x = _parse_vector(args.x, basis.size, "--x")
     xdot = _parse_vector(args.xdot, basis.size, "--xdot")
-    gen = sun.solve_tangent_G(x, xdot, basis)
+    try:
+        gen = sun.solve_tangent_G(x, xdot, basis)
+    except ValueError as exc:  # the library names its parameter; the command names the flag
+        if not str(exc).startswith("xdot "):
+            raise
+        raise ValueError(f"--{exc}") from None
     rho = sun.expand(1.0, x, basis)
     rhodot = sun.expand(0.0, xdot, basis)
     residual = float(np.max(np.abs(gen.matrix @ rho + rho @ gen.matrix - rhodot)))

@@ -51,6 +51,12 @@ def werner_root_fidelity(p: float, q: float) -> float:
     for name, val in (("p", p), ("q", q)):
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {val}")
+    return _werner_root_fidelity(p, q)
+
+
+def _werner_root_fidelity(p, q):
+    """:func:`werner_root_fidelity` of p and q in [0, 1], unchecked: floats, or
+    arrays for a sweep."""
     return (6.0 * np.sqrt((1.0 - p) * (1.0 - q))
             + np.sqrt((1.0 - p) * (1.0 + 7.0 * q))
             + np.sqrt((1.0 - q) * (1.0 + 7.0 * p))) / 8.0
@@ -232,9 +238,16 @@ def qubit_orbit(x, y, s: float) -> np.ndarray:
     eigensolve is made. s* = arctan2(sqrt(1 - F), sqrt(F)). The transport
     pipeline in :mod:`buresgeo.geodesy` is the authority this is gated against.
     """
+    return _qubit_orbits(x, y, (s,))[0]
+
+
+def _qubit_orbits(x, y, s) -> np.ndarray:
+    """:func:`qubit_orbit` at each s of a grid, one row per s, with the fidelity
+    legs and s* derived once; the grid is refused at its first refused s."""
     x, y = _bloch_pair(x, y)
     sqrt_f, one_minus_f = _fidelity_legs(x, y)
-    f, g = geodesy.transport_coefficients(s, float(np.arctan2(np.sqrt(one_minus_f), sqrt_f)))
+    f, g = geodesy._coefficients(s, float(np.arctan2(np.sqrt(one_minus_f), sqrt_f)))
+    f, g = f[:, None], g[:, None]
     return f * f * x + g * g * y + (f * g / sqrt_f) * (x + y)
 
 

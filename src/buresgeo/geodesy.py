@@ -32,6 +32,12 @@ values, with the exact ones of identical endpoints (1, 0, 0) and of
 orthogonal supports (rank B = 0: angle pi/2, distance sqrt(2)) decided there
 once. So one pair costs one SVD across ``bures``, ``geometric_mean_operator``
 and ``uhlmann_unitary``. Its arrays are read-only.
+
+A sweep takes its points, root fidelities and Bures angles as stacks, outside
+both memos: ``_points`` samples rho(s) over a grid of s, and
+``_root_fidelities`` and ``_bures_angles`` take S pairs of stacked
+decompositions, one LAPACK call per quantity. Each value has the bytes of the
+public scalar function on its row.
 """
 
 from __future__ import annotations
@@ -141,6 +147,13 @@ def _same(st1: matcore.SpectralDecomposition, st2: matcore.SpectralDecomposition
                           and np.array_equal(a, b))
 
 
+def _same_members(st1: matcore.SpectralDecomposition,
+                  st2: matcore.SpectralDecomposition) -> np.ndarray:
+    """:func:`_same` of S pairs, either side a stack or one matrix: equal
+    matrices, member by member (equal matrices have equal traces)."""
+    return (st1.matrix == st2.matrix).all(axis=(-2, -1))
+
+
 @dataclass(frozen=True, eq=False)
 class _PolarPair:
     """Of the SVD sqrt(rho1) F2 = U S W'^dag of a pair (F2 = V2 diag(sqrt(l2))):
@@ -208,6 +221,36 @@ def root_fidelity(rho1, rho2) -> float:
     if _same(st1, st2):
         return 1.0
     return _unit(np.add.reduce(matcore._lapack("svd", _root_product(st1, st2)[1])))
+
+
+def _root_fidelities(st1: matcore.SpectralDecomposition,
+                     st2: matcore.SpectralDecomposition) -> np.ndarray:
+    """:func:`root_fidelity` of S pairs of admitted states, either side a stack
+    (``states._admit_stack``) or one state: one stacked SVD, with the bytes of
+    the single calls and exactly 1 for equal matrices."""
+    sf = np.clip(np.add.reduce(matcore._lapack("svd", _root_product(st1, st2)[1]), axis=-1),
+                 0.0, 1.0)
+    sf[_same_members(st1, st2)] = 1.0
+    return sf
+
+
+def _bures_angles(st1: matcore.SpectralDecomposition,
+                  st2: matcore.SpectralDecomposition) -> np.ndarray:
+    """The ``bures_angle`` of :func:`bures` for S pairs taken as by
+    :func:`_root_fidelities`, with the bytes of :func:`_polar_pair`: 0 for equal
+    matrices, pi/2 where rank B = 0, else 2 arcsin(|A1 - A2|_F / 2), the norm
+    summed as ``np.linalg.norm`` sums it."""
+    f2, b = _root_product(st1, st2)
+    u, sigma, wh = matcore._lapack("svd_f", b)
+    scale = np.sqrt(st1.eigenvalues[..., -1] * st2.eigenvalues[..., -1])
+    orthogonal = ~(sigma > matcore.CLAMP * scale[..., None]).any(axis=-1)
+    diff = st1.sqrt - f2 @ (u @ wh).conj().mT
+    diff = diff.reshape(*diff.shape[:-2], -1)
+    distance = np.sqrt(np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag))
+    angle = 2.0 * np.arcsin(distance / 2.0)
+    angle[orthogonal] = np.pi / 2
+    angle[_same_members(st1, st2)] = 0.0
+    return angle
 
 
 def bures(rho1, rho2) -> BuresSummary:
@@ -287,6 +330,13 @@ def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
     return math.sin(s_star - s) / sin_star, math.sin(s) / sin_star
 
 
+def _coefficients(s, s_star: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`transport_coefficients` at each s of a grid, as the arrays f and g;
+    the grid is refused at its first refused s."""
+    fg = np.array([transport_coefficients(t, s_star) for t in s]).reshape(-1, 2)
+    return fg[:, 0], fg[:, 1]
+
+
 def _m_star(path: GeodesicPath) -> np.ndarray:
     """``path.m_star``, or the refusal of a path that has none."""
     if path.m_star is None:
@@ -303,14 +353,21 @@ def _transport(m_star: np.ndarray, f: float, g: float) -> np.ndarray:
     return m
 
 
-def _point(path: GeodesicPath, f: float, g: float) -> np.ndarray:
+def _point(path: GeodesicPath, f, g) -> np.ndarray:
     """rho = f^2 rho1 + f g C + g^2 rho2, summed left to right into the first
-    product, with one temporary for the other two."""
+    product, with one temporary for the other two. Columns f and g of shape
+    (S, 1, 1) give the stack of S points."""
     rho = path.rho1 * (f * f)
     term = path.cross * (f * g)
     rho += term
     rho += np.multiply(path.rho2, g * g, out=term)
     return rho
+
+
+def _points(path: GeodesicPath, s) -> np.ndarray:
+    """:func:`geodesic_point` at each s of a grid, as one stack (S, N, N)."""
+    f, g = _coefficients(s, path.s_star)
+    return _point(path, f[:, None, None], g[:, None, None])
 
 
 def transport_operator(path: GeodesicPath, s: float) -> np.ndarray:

@@ -147,28 +147,30 @@ def as_dimension(n, name: str, lo: int, hi: float = math.inf) -> int:
 
 def _lapack(routine: str, a: np.ndarray):
     """The one LAPACK call of the package: numpy.linalg's gufunc ``routine`` on a
-    complex128 matrix ``a``, without numpy's per-call wrapper (its errstate,
-    type promotion and result wrapping cost about as much as a 4x4 solve).
+    complex128 matrix ``a``, or on each member of a stack (S, N, N), without
+    numpy's per-call wrapper (its errstate, type promotion and result wrapping
+    cost about as much as a 4x4 solve).
 
     ``"eigh_lo"`` returns (w, V) as ``np.linalg.eigh``, ``"svd_f"`` (U, s, Vh)
     as ``np.linalg.svd`` and ``"svd"`` s as ``np.linalg.svd(compute_uv=False)``,
-    bit for bit. A gufunc that fails fills its outputs with NaN and flags an
-    invalid value; either is raised as numpy's ``LinAlgError`` (a
-    ``ValueError``) with numpy's message.
+    bit for bit, member by member. A gufunc that fails fills the outputs of the
+    failed member with NaN and flags an invalid value; either is raised as
+    numpy's ``LinAlgError`` (a ``ValueError``) with numpy's message, and a
+    stack is checked in every member's eigenvalues or singular values.
     """
     try:
         if routine == "eigh_lo":
             out = _umath_linalg.eigh_lo(a, signature="D->dD")
-            first = out[0][0]
+            first = out[0]
         elif routine == "svd_f":
             out = _umath_linalg.svd_f(a, signature="D->DdD")
-            first = out[1][0]
+            first = out[1]
         else:
-            out = _umath_linalg.svd(a, signature="D->d")
-            first = out[0]
+            out = first = _umath_linalg.svd(a, signature="D->d")
+        ok = math.isfinite(first[0]) if a.ndim == 2 else bool(np.isfinite(first).all())
     except (RuntimeWarning, FloatingPointError):  # the invalid flag of a failure,
-        first = math.nan                           # under an "error" filter or errstate
-    if not math.isfinite(first):
+        ok = False                                 # under an "error" filter or errstate
+    if not ok:
         raise LinAlgError("Eigenvalues did not converge" if routine == "eigh_lo"
                           else "SVD did not converge")
     return out
@@ -240,7 +242,11 @@ class SpectralDecomposition:
     whatever the eigensolver returns; no canonicalization is applied, and all
     downstream formulas are covariant under that basis freedom. Instances
     come from the memo of :func:`spectral_decompose`. Construction marks the
-    arrays read-only; equality and hashing go by identity.
+    arrays read-only; equality and hashing go by identity. A stack of S
+    matrices decomposed at once (``states._admit_stack``, outside the memo)
+    has a leading axis on every array and an array ``trace``; its ``sqrt``
+    is the stack of roots, and ``rank`` and the Lyapunov kernel take one
+    matrix only.
     """
 
     matrix: np.ndarray
@@ -254,9 +260,10 @@ class SpectralDecomposition:
 
     @functools.cached_property
     def sqrt(self) -> np.ndarray:
-        """V diag(sqrt(l')) V^dag: the :func:`spectral_factor` times V^dag, symmetrized."""
-        a = spectral_factor(self, np.sqrt) @ self.eigenvectors.conj().T
-        a = (a + a.conj().T) / 2
+        """V diag(sqrt(l')) V^dag: the :func:`spectral_factor` times V^dag, symmetrized
+        (matrix by matrix on a stack)."""
+        a = spectral_factor(self, np.sqrt) @ self.eigenvectors.conj().mT
+        a = (a + a.conj().mT) / 2
         a.setflags(write=False)
         return a
 
@@ -340,9 +347,26 @@ def spectral_factor(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.nda
     exact zero. So square roots and other fractional powers see no roundoff
     negatives, and inverse powers give the pseudo-inverse on rank-deficient
     input. With f = sqrt the factor F is a purification, F F^dag = rho, that
-    costs no product with V^dag.
+    costs no product with V^dag. On a stacked decomposition the rule holds
+    member by member, each against its own max|w|, with the bytes of the
+    single-matrix factor; the refusal names the first member refused.
     """
     w = dec.eigenvalues
+    if w.ndim > 1:
+        low = w[..., 0]
+        threshold = CLAMP * np.maximum(-low, w[..., -1])
+        refused = ~(low >= -threshold)
+        if refused.any():
+            k = int(refused.argmax())
+            raise NotPositiveSemidefiniteError(
+                f"not positive semidefinite: min eigenvalue {float(low[k]):.6e} is "
+                f"below -{float(threshold[k]):.1e}")
+        if (low > threshold).all():  # full support everywhere: nothing to mask
+            return dec.eigenvectors * f(w)[..., None, :]
+        support = w > threshold[..., None]
+        fw = np.zeros_like(w)
+        fw[support] = f(w[support])
+        return dec.eigenvectors * fw[..., None, :]
     low = float(w[0])
     threshold = CLAMP * max(-low, float(w[-1]))  # max|w| of an ascending w
     if not low >= -threshold:

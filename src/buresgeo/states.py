@@ -5,8 +5,9 @@ trace, and positive semidefinite within tolerance. It returns the state's
 memoised :class:`matcore.SpectralDecomposition`, so each distinct state is
 decomposed once per process; the trace and PSD tolerance checks run again on
 every call against its cached values, and ``admit(rho).matrix`` is the
-checked, symmetrized state. Loosely admitted input (Bloch vectors, state
-files) is snapped onto the state space by :func:`_snap_to_state`. A
+checked, symmetrized state; ``_admit_stack`` applies the same checks to each
+member of a stack, outside the memo. Loosely admitted input (Bloch vectors,
+state files) is snapped onto the state space by :func:`_snap_to_state`. A
 purification is a square matrix A with A A^dag = rho; the state is recovered
 as A A^dag, which is invariant under the gauge freedom A -> A U for unitary U.
 """
@@ -35,6 +36,34 @@ def admit(rho, trace_tol: float = matcore.TRACE_TOL,
     if not w[0] >= -psd_tol:
         raise ValueError(f"not a state: most negative eigenvalue {float(w[0]):.6e}")
     return st
+
+
+def _admit_stack(ms: np.ndarray) -> matcore.SpectralDecomposition:
+    """:func:`admit` at its default tolerances of each member of a stack (S, N, N),
+    decomposed by one stacked ``eigh`` and kept out of the memo.
+
+    Each member gets admit's checks on the bytes admit would see: the gate,
+    Hermiticity against its own largest entry, and after the symmetrization
+    (H + H^dag)/2 the trace and the most negative eigenvalue. A refused member
+    is handed to :func:`admit`, so the stack's refusal is the scalar one, word
+    for word: that of its first member refused before the ``eigh``, else of its
+    first member with a negative eigenvalue.
+    """
+    with np.errstate(all="ignore"):  # a non-finite member is named by admit below
+        top = np.abs(ms).max(axis=(-2, -1))
+        mh = ms.conj().mT
+        defect = np.abs(ms - mh).max(axis=(-2, -1))
+        h = ms + mh
+        h /= 2  # the bytes of require_hermitian's (m + mh)/2
+        trace = np.add.reduce(h.diagonal(axis1=-2, axis2=-1), axis=-1).real
+        ok = ((2.0 * top < np.inf) & (defect <= matcore.ADMIT_TOL * np.maximum(top, 1.0))
+              & (abs(trace - 1.0) <= matcore.TRACE_TOL))
+    for k in np.flatnonzero(~ok):
+        admit(ms[k])
+    w, v = matcore._lapack("eigh_lo", h)
+    for k in np.flatnonzero(~(w[:, 0] >= -matcore.ADMIT_TOL)):
+        admit(ms[k])
+    return matcore.SpectralDecomposition(h, trace, w, v)
 
 
 def _snap_to_state(rho) -> np.ndarray:
@@ -104,6 +133,12 @@ def werner(kind: str, p: float) -> np.ndarray:
     p = matcore.as_real_scalar(p, "p")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing probability must lie in [0, 1], got {p}")
+    return _werner(kind, p)
+
+
+def _werner(kind: str, p):
+    """:func:`werner` with p unchecked: a float, or a column (S, 1, 1) of
+    probabilities in [0, 1] for the stack of their states."""
     kinds = {"GHZ": ghz_state, "W": w_state}
     if not isinstance(kind, str) or kind.upper() not in kinds:
         raise ValueError(f"kind must be one of {sorted(kinds)}, got {kind!r}")

@@ -133,12 +133,18 @@ def _assemble(c0: float, c: np.ndarray, n: int) -> np.ndarray:
 
 
 def _project(a: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates (N/2) Tr[a sigma_i] in O(N^2): gather the pairs and the diagonal."""
+    """Coordinates (N/2) Tr[a sigma_i] in O(N^2): gather the pairs and the diagonal.
+    A stack (S, N, N) gives one row per matrix, with the bytes of each alone."""
     upper, lower, ladder = _index_map(n)
-    flat = a.reshape(-1)
-    up, lo = flat[upper], flat[lower]
-    return (0.5 * n) * np.concatenate(((up + lo).real, (lo - up).imag,
-                                       ladder @ flat[::n + 1].real))
+    if a.ndim > 2:  # each diagonal as a column, so the ladder product keeps gemv's bytes
+        flat = a.reshape(len(a), n * n)
+        up, lo = flat[:, upper], flat[:, lower]
+        diag = (ladder @ flat[:, ::n + 1, None].real)[..., 0]
+    else:
+        flat = a.reshape(-1)
+        up, lo = flat[upper], flat[lower]
+        diag = ladder @ flat[::n + 1].real
+    return (0.5 * n) * np.concatenate(((up + lo).real, (lo - up).imag, diag), axis=-1)
 
 
 class _OverflowGuard:

@@ -10,14 +10,16 @@ state back through ``states.admit``, and ``qubit_tau`` is the closed form of
 tau that the erratum ledger's checks read. The other helpers rebuild the
 library's hot paths by the general formulas they skip, and
 :func:`generator_matrices` is the su(N) generator stack built one matrix at a
-time, the reference for the scattered ``GeneratorBasis.sigmas``.
+time, the reference for the scattered ``GeneratorBasis.sigmas``. The
+``retired_*`` functions are the CLI sweeps as they were before they were
+stacked: one public scalar call per row.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from buresgeo import closedform, geodesy, matcore, states, sun
+from buresgeo import cli, closedform, geodesy, matcore, states, sun
 
 
 def spectral_function(dec, f) -> np.ndarray:
@@ -241,3 +243,79 @@ def generator_matrices(n: int) -> np.ndarray:
         diag[k] = -k
         mats.append(np.sqrt(2.0 / (k * (k + 1))) * np.diag(diag).astype(np.complex128))
     return np.array(mats)
+
+
+def retired_geodesic_rows(path, samples: int):
+    """The rows of ``cli._geodesic_rows``, one sample at a time."""
+    basis2 = sun.generator_basis(2) if path.dim == 2 else None
+    rows = []
+    for s in np.linspace(0.0, path.s_star, samples):
+        rho_s = geodesy.geodesic_point(path, s)
+        row = {"s": float(s),
+               "root_fidelity_to_start": geodesy.root_fidelity(path.rho1, rho_s),
+               "trace": float(np.trace(rho_s).real),
+               "purity": float(np.trace(rho_s @ rho_s).real),
+               "eigenvalues": [float(v) for v in states.admit(rho_s).eigenvalues]}
+        if basis2 is not None:
+            _, bloch = sun.coefficients(rho_s, basis2)
+            row["bloch"] = [float(v) for v in bloch]
+        rows.append(row)
+    return rows
+
+
+def retired_werner_sweep(args) -> int:
+    """``cli.cmd_werner_sweep``, one p at a time."""
+    if args.steps < 2:
+        raise ValueError(f"--steps must be at least 2, got {args.steps}")
+    rows = []
+    worst = 0.0
+    for p in np.linspace(0.0, 1.0, args.steps):
+        p = float(p)
+        rho_ghz, rho_w = states.werner("GHZ", p), states.werner("W", p)
+        sf = geodesy.root_fidelity(rho_ghz, rho_w)
+        angle = geodesy.bures(rho_ghz, rho_w).bures_angle
+        closed = closedform.werner_root_fidelity(p, p)
+        if p < 1.0:
+            worst = max(worst, abs(sf - closed))
+        rows.append({"p": p,
+                     "root_fidelity": sf,
+                     "s_star_over_half_pi": angle / (np.pi / 2),
+                     "root_fidelity_closed_form": closed})
+    failure = None if worst <= args.tol else (
+        f"spectral vs closed-form root fidelity differ by {worst:.3e} > {args.tol:.1e}")
+    return cli._report(args, {"steps": args.steps, "rows": rows}, list(rows[0]), rows,
+                       failure)
+
+
+def retired_qubit_orbit(args) -> int:
+    """``cli.cmd_qubit_orbit``, one s at a time."""
+    if args.samples < 2:
+        raise ValueError(f"--samples must be at least 2, got {args.samples}")
+    x = cli._parse_vector(args.x, 3, "--x")
+    y = cli._parse_vector(args.y, 3, "--y")
+    basis = sun.generator_basis(2)
+    rho1 = states.density_from_bloch(x, basis)
+    rho2 = states.density_from_bloch(y, basis)
+    path = geodesy.geometric_mean_operator(rho1, rho2)
+    rows = []
+    worst = 0.0
+    for s in np.linspace(0.0, path.s_star, args.samples):
+        r = closedform.qubit_orbit(x, y, float(s))
+        _, pipeline = sun.coefficients(geodesy.geodesic_point(path, s), basis)
+        dev = float(np.max(np.abs(r - pipeline)))
+        worst = max(worst, dev)
+        rows.append({"s": float(s), "r_x": float(r[0]), "r_y": float(r[1]),
+                     "r_z": float(r[2]), "pipeline_deviation": dev})
+    failure = None if worst <= args.tol else (
+        f"closed-form orbit deviates from the transport pipeline by {worst:.3e} "
+        f"> {args.tol:.1e}")
+    return cli._report(args, {"s_star": path.s_star, "rows": rows}, list(rows[0]), rows,
+                       failure)
+
+
+def scalar_qubit_orbit(x, y, s) -> np.ndarray:
+    """``closedform.qubit_orbit`` as one evaluation of the closed form at one s."""
+    x, y = closedform._bloch_pair(x, y)
+    sqrt_f, one_minus_f = closedform._fidelity_legs(x, y)
+    f, g = geodesy.transport_coefficients(s, float(np.arctan2(np.sqrt(one_minus_f), sqrt_f)))
+    return f * f * x + g * g * y + (f * g / sqrt_f) * (x + y)

@@ -354,7 +354,8 @@ class TestSolveG:
                               "--xdot=" + ",".join(["1e308"] * 8)], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: xdot is too large: the generator overflows")
+        assert err == ("error: --xdot is too large: the generator overflows "
+                       "(overflow encountered in multiply)\n")
 
     @pytest.mark.parametrize("dim, x", [("1", "0.1"), ("17", "0")], ids=["1", "17"])
     def test_bad_dimension_is_blamed_on_dim(self, capsys, dim, x):

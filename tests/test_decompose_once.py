@@ -193,11 +193,11 @@ def _state_files(tmp_path):
 
 
 def test_cli_geodesic_decomposes_each_sample_once(solver_counts, tmp_path, capsys):
-    # 2 endpoints and 100 new points (the row at s = 0 is rho1); 1 polar SVD
-    # and 100 fidelity SVDs (the fidelity of rho1 to itself takes none).
+    # 2 endpoints and one stacked eigh of the 101 points; 1 polar SVD and one
+    # stacked SVD of the 101 fidelities to the start.
     a, b = _state_files(tmp_path)
     assert cli.main(["geodesic", a, b, "--samples", "101"]) == 0
-    assert solver_counts == {"eigh": 102, "eigvalsh": 0, "svd": 101}
+    assert solver_counts == {"eigh": 3, "eigvalsh": 0, "svd": 2}
 
 
 def test_cli_invariants_reads_the_loaded_spectrum(solver_counts, tmp_path, capsys):
