@@ -18,6 +18,7 @@ the bytes of one scalar library call per row.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -386,9 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's parser, built once per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -158,8 +158,8 @@ def _same_members(st1: matcore.SpectralDecomposition,
 class _PolarPair:
     """Of the SVD sqrt(rho1) F2 = U S W'^dag of a pair (F2 = V2 diag(sqrt(l2))):
     ``gauge_eig`` = U W'^dag, the gauge U V^dag in rho2's eigenbasis (gauge =
-    gauge_eig V2^dag), rank B (the singular values counted at CLAMP against
-    their bound sqrt(l1_max l2_max)), the parallel root A2 = F2 W' U^dag
+    gauge_eig V2^dag), rank B (the singular values above the spectral zero of
+    the pair), the parallel root A2 = F2 W' U^dag
     (sqrt(rho2) for identical endpoints) and the pair's :class:`BuresSummary`.
     Construction marks the arrays read-only."""
 
@@ -175,16 +175,9 @@ class _PolarPair:
 
 def _root_product(st1: matcore.SpectralDecomposition, st2: matcore.SpectralDecomposition
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(F2, B): the eigen-factor F2 = V2 diag(sqrt(l2)) and B = sqrt(rho1) F2, with
-    a square-root refusal named after the state it concerns."""
-    name = "rho2"
-    try:
-        f2 = matcore.spectral_factor(st2, np.sqrt)
-        name = "rho1"
-        b = st1.sqrt @ f2
-    except matcore.NotPositiveSemidefiniteError as exc:
-        raise type(exc)(f"{name} is {exc}") from None
-    return f2, b
+    """(F2, B): the eigen-factor F2 = V2 diag(sqrt(l2)) and B = sqrt(rho1) F2."""
+    f2 = matcore.spectral_factor(st2, np.sqrt)
+    return f2, st1.sqrt @ f2
 
 
 @functools.lru_cache(maxsize=PAIR_MEMO_SIZE)
@@ -194,8 +187,7 @@ def _polar_pair(st1: matcore.SpectralDecomposition,
     f2, b = _root_product(st1, st2)
     u, sigma, wh = matcore._lapack("svd_f", b)
     gauge_eig = u @ wh
-    scale = math.sqrt(float(st1.eigenvalues[-1]) * float(st2.eigenvalues[-1]))
-    rank = int(np.count_nonzero(sigma > matcore.CLAMP * scale))
+    rank = int(np.count_nonzero(sigma > matcore._spectral_zero(st1, st2)))
     if _same(st1, st2):
         return _PolarPair(gauge_eig, rank, st2.sqrt, BuresSummary(1.0, 0.0, 0.0))
     a2 = f2 @ gauge_eig.conj().T
@@ -242,8 +234,7 @@ def _bures_angles(st1: matcore.SpectralDecomposition,
     summed as ``np.linalg.norm`` sums it."""
     f2, b = _root_product(st1, st2)
     u, sigma, wh = matcore._lapack("svd_f", b)
-    scale = np.sqrt(st1.eigenvalues[..., -1] * st2.eigenvalues[..., -1])
-    orthogonal = ~(sigma > matcore.CLAMP * scale[..., None]).any(axis=-1)
+    orthogonal = ~(sigma > matcore._spectral_zero(st1, st2)[..., None]).any(axis=-1)
     diff = st1.sqrt - f2 @ (u @ wh).conj().mT
     diff = diff.reshape(*diff.shape[:-2], -1)
     distance = np.sqrt(np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag))
@@ -277,8 +268,8 @@ def geometric_mean_operator(rho1, rho2) -> GeodesicPath:
     """Construct the geodesic cache (A2, s*, and C and M* on first read) for the given endpoints.
 
     The geodesic is unique exactly when rank B = min(rank rho1, rank rho2), for
-    B = sqrt(rho1) sqrt(rho2) = U S V^dag with its singular values counted at
-    CLAMP against their bound sqrt(l1_max l2_max). The gauge W = V U^dag is free
+    B = sqrt(rho1) sqrt(rho2) = U S V^dag with its singular values counted above
+    ``CLAMP`` times their bound sqrt(l1_max l2_max). The gauge W = V U^dag is free
     only on the columns of U that span ker B^dag and of V that span ker B. If
     rank B = rank rho1, ker B^dag = ker sqrt(rho1), so sqrt(rho1) kills the free
     columns of U; if rank B = rank rho2, sqrt(rho2) kills those of V. Either way
@@ -406,11 +397,12 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
     circle A(s) = f(s) A1 + g(s) A2 through the parallel roots. It exists on
     every built path, rank-raising ones included, and reads no M*; where M*
     exists it agrees with M(s) A1 to a few ulps. That root is not checked:
-    its defect |sqrt(rho1) sqrt(rho1)^dag - rho1| is the clamp, at most
-    ``CLAMP`` * l_max, plus roundoff. Any other a0 must project onto the
-    initial endpoint, is lifted as M(s) A(0) and is refused on a path with no
-    M*. One evaluation of f(s), g(s) gives both the lift and the target
-    rho(s), and the result keeps its own :class:`states.Purification` check.
+    its defect |sqrt(rho1) sqrt(rho1)^dag - rho1| is the eigenvalues counted as
+    zero, at most ``CLAMP`` * l_max above 0 and ``ADMIT_TOL`` below, plus
+    roundoff. Any other a0 must project onto the initial endpoint, is lifted as
+    M(s) A(0) and is refused on a path with no M*. One evaluation of f(s), g(s)
+    gives both the lift and the target rho(s), and the result keeps its own
+    :class:`states.Purification` check.
     """
     a0m = (a0.matrix if isinstance(a0, states.Purification)
            else matcore.as_complex_matrix(a0, "a0"))

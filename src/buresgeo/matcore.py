@@ -21,10 +21,11 @@ below, which every module reads; the only per-call override is the admission
 tolerance of ``states.admit`` (the CLI ``--tol``). One spectral rule,
 :func:`spectral_factor`, takes every function of a state as the factor
 V diag(f(l)); the square root ``SpectralDecomposition.sqrt`` is that factor
-times V^dag. Eigenvalues within ``CLAMP * max|eigenvalue|`` of
-zero count as exact zeros, so boundary (rank-deficient) states reached
-through roundoff behave like their idealized counterparts. Every refusal is
-written so that a NaN measurement triggers it.
+times V^dag. ``CLAMP`` decides only what is zero, and only this module reads
+it: eigenvalues within ``CLAMP * max|eigenvalue|`` of zero count as exact
+zeros, so boundary states reached through roundoff behave like their
+idealized counterparts. ``ADMIT_TOL`` alone decides what is a state. Every
+refusal is written so that a NaN measurement triggers it.
 
 Input contract: outside input enters through one coercion per kind,
 :func:`as_complex_matrix` (square, non-empty, finite), :func:`as_vector`
@@ -270,7 +271,7 @@ class SpectralDecomposition:
     @functools.cached_property
     def rank(self) -> int:
         w = self.eigenvalues  # ascending, so the count above the cut is a search
-        return w.size - int(w.searchsorted(CLAMP * max(float(w[-1]), 0.0), side="right"))
+        return w.size - int(w.searchsorted(_spectral_zero(self), side="right"))
 
     @functools.cached_property
     def _pair_sums(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -289,6 +290,15 @@ class SpectralDecomposition:
         keep = denom > cut
         keep.setflags(write=False)
         return denom, keep
+
+
+def _spectral_zero(st1: SpectralDecomposition, st2: SpectralDecomposition | None = None):
+    """The cut at or below which a value is zero: ``CLAMP`` times l_max of ``st1``
+    (0 if negative), the cut of ``rank``, or given ``st2`` times sqrt(l1_max l2_max),
+    the bound of the singular values of sqrt(rho1) sqrt(rho2), per pair of stacks."""
+    if st2 is None:
+        return CLAMP * max(float(st1.eigenvalues[-1]), 0.0)
+    return CLAMP * np.sqrt(st1.eigenvalues[..., -1] * st2.eigenvalues[..., -1])
 
 
 @functools.lru_cache(maxsize=32)  # distinct decomposed matrices one process keeps
@@ -342,26 +352,18 @@ def spectral_factor(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.nda
                     ) -> np.ndarray:
     """The factor V diag(f(w')) of a positive semidefinite matrix's spectral function.
 
-    The one clamp rule: an eigenvalue below ``-CLAMP * max|w|`` is refused, f
-    is applied only on w > CLAMP * max|w|, and the rest of the spectrum stays
-    exact zero. So square roots and other fractional powers see no roundoff
-    negatives, and inverse powers give the pseudo-inverse on rank-deficient
-    input. With f = sqrt the factor F is a purification, F F^dag = rho, that
-    costs no product with V^dag. On a stacked decomposition the rule holds
-    member by member, each against its own max|w|, with the bytes of the
-    single-matrix factor; the refusal names the first member refused.
+    The one clamp rule: f is applied only on w > CLAMP * max|w|, and the rest of
+    the spectrum stays exact zero, so square roots see no roundoff negatives and
+    inverse powers give the pseudo-inverse. With f = sqrt the factor F is a
+    purification, F F^dag = rho. Only w_min < -max(ADMIT_TOL, CLAMP * max|w|) is
+    refused: for a state that is the PSD rule of ``states.admit``, so every
+    admitted state passes. A stack comes from ``states._admit_stack``, which has
+    made that check; the rule holds member by member, with the scalar bytes.
     """
     w = dec.eigenvalues
     if w.ndim > 1:
-        low = w[..., 0]
-        threshold = CLAMP * np.maximum(-low, w[..., -1])
-        refused = ~(low >= -threshold)
-        if refused.any():
-            k = int(refused.argmax())
-            raise NotPositiveSemidefiniteError(
-                f"not positive semidefinite: min eigenvalue {float(low[k]):.6e} is "
-                f"below -{float(threshold[k]):.1e}")
-        if (low > threshold).all():  # full support everywhere: nothing to mask
+        threshold = CLAMP * np.maximum(-w[..., 0], w[..., -1])
+        if (w[..., 0] > threshold).all():  # full support everywhere: nothing to mask
             return dec.eigenvectors * f(w)[..., None, :]
         support = w > threshold[..., None]
         fw = np.zeros_like(w)
@@ -369,10 +371,10 @@ def spectral_factor(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.nda
         return dec.eigenvectors * fw[..., None, :]
     low = float(w[0])
     threshold = CLAMP * max(-low, float(w[-1]))  # max|w| of an ascending w
-    if not low >= -threshold:
+    if not low >= -max(ADMIT_TOL, threshold):
         raise NotPositiveSemidefiniteError(
             f"not positive semidefinite: min eigenvalue {low:.6e} is below "
-            f"-{threshold:.1e}")
+            f"-{max(ADMIT_TOL, threshold):.1e}")
     if low > threshold:  # full support: nothing to mask
         return dec.eigenvectors * f(w)
     support = w > threshold

@@ -69,16 +69,16 @@ def _admit_stack(ms: np.ndarray) -> matcore.SpectralDecomposition:
 def _snap_to_state(rho) -> np.ndarray:
     """Canonicalize a matrix or decomposition admitted near the boundary of the state space.
 
-    Eigenvalues below the spectral-function clamp are clipped to zero and the
-    trace is renormalized, or refused when it is not positive (every
-    eigenvalue <= 0); input that already satisfies the strict invariants
+    Eigenvalues below minus the spectral zero (the cut of ``rank``) are clipped
+    to zero and the trace is renormalized, or refused when it is not positive
+    (every eigenvalue <= 0); input that already satisfies the strict invariants
     is returned unchanged, bit for bit, as the memo's read-only array. Meant
     for loosely validated entry points (user Bloch vectors, files), where
     admission is more forgiving than the downstream clamp policy.
     """
     st = matcore.spectral_decompose(rho)
     w, v = st.eigenvalues, st.eigenvectors
-    clipped = w[0] < -matcore.CLAMP * max(float(w[-1]), 0.0)
+    clipped = w[0] < -matcore._spectral_zero(st)
     if not clipped and abs(st.trace - 1.0) <= matcore.TRACE_TOL:
         return st.matrix
     r = (v * np.maximum(w, 0.0)) @ v.conj().T if clipped else st.matrix

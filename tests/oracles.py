@@ -12,7 +12,9 @@ library's hot paths by the general formulas they skip, and
 :func:`generator_matrices` is the su(N) generator stack built one matrix at a
 time, the reference for the scattered ``GeneratorBasis.sigmas``. The
 ``retired_*`` functions are the CLI sweeps as they were before they were
-stacked: one public scalar call per row.
+stacked: one public scalar call per row, and
+:func:`clamp_refusing_spectral_factor` is the spectral rule as it was before
+admission alone decided what is a state.
 """
 
 from dataclasses import dataclass
@@ -119,6 +121,41 @@ def masked_spectral_factor(dec, f) -> np.ndarray:
     formula ``matcore.spectral_factor`` skips when the support is full."""
     w = dec.eigenvalues
     threshold = matcore.CLAMP * float(np.abs(w).max())
+    support = w > threshold
+    fw = np.zeros_like(w)
+    fw[support] = f(w[support])
+    return dec.eigenvectors * fw
+
+
+def clamp_refusing_spectral_factor(dec, f) -> np.ndarray:
+    """``matcore.spectral_factor`` under the rule that refused an eigenvalue below
+    -``CLAMP`` * max|w|, stacks member by member, naming the first member refused.
+    Admission allows down to -``ADMIT_TOL``, so this rule refused some admitted
+    states; wherever it returns, the library's factor has its bytes."""
+    w = dec.eigenvalues
+    if w.ndim > 1:
+        low = w[..., 0]
+        threshold = matcore.CLAMP * np.maximum(-low, w[..., -1])
+        refused = ~(low >= -threshold)
+        if refused.any():
+            k = int(refused.argmax())
+            raise matcore.NotPositiveSemidefiniteError(
+                f"not positive semidefinite: min eigenvalue {float(low[k]):.6e} is "
+                f"below -{float(threshold[k]):.1e}")
+        if (low > threshold).all():
+            return dec.eigenvectors * f(w)[..., None, :]
+        support = w > threshold[..., None]
+        fw = np.zeros_like(w)
+        fw[support] = f(w[support])
+        return dec.eigenvectors * fw[..., None, :]
+    low = float(w[0])
+    threshold = matcore.CLAMP * max(-low, float(w[-1]))
+    if not low >= -threshold:
+        raise matcore.NotPositiveSemidefiniteError(
+            f"not positive semidefinite: min eigenvalue {low:.6e} is below "
+            f"-{threshold:.1e}")
+    if low > threshold:
+        return dec.eigenvectors * f(w)
     support = w > threshold
     fw = np.zeros_like(w)
     fw[support] = f(w[support])

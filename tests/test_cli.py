@@ -474,3 +474,44 @@ class TestDeterminismAndOutput:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["root_fidelity"] == 1.0
+
+
+SUBCOMMANDS = ["fidelity", "geodesic", "werner-sweep", "qubit-orbit", "solve-g",
+               "invariants", "sun-check"]
+PARSER_EXITS = [  # help and argparse's refusals: each ends in SystemExit
+    ["--help"], *([name, "--help"] for name in SUBCOMMANDS),
+    [], ["nope"], ["fidelity", "a.json"], ["fidelity", "a.json", "b.json", "--tol", "-1"],
+    ["fidelity", "a.json", "b.json", "--tol", "nan"], ["geodesic", "a", "b", "--samples", "x"],
+    ["geodesic", "a", "b", "--format", "xml"], ["werner-sweep", "--steps", "1.5"],
+    ["werner-sweep", "--bogus"], ["qubit-orbit", "--x=0,0,0"], ["solve-g", "--dim", "two"],
+    ["invariants"], ["sun-check", "--trials", "many"], ["sun-check", "--seed"],
+]
+
+
+class TestParserBuiltOnce:
+    def _exit(self, parse, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exit_.value.code, captured.out, captured.err
+
+    def test_the_subcommands_are_the_seven(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, cli.argparse._SubParsersAction))
+        assert list(sub.choices) == SUBCOMMANDS
+
+    def test_help_and_refusals_match_a_parser_built_per_call(self, capsys, monkeypatch):
+        # The reference builds a new parser for every argv; main reuses one
+        # parser across all of them, after each help text and each refusal.
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in PARSER_EXITS:
+            fresh = self._exit(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+            assert self._exit(cli.main, argv, capsys) == fresh, argv
+            assert fresh[0] == (0 if "--help" in argv else 2)
+
+    def test_two_calls_make_one_build(self, capsys):
+        cli._parser.cache_clear()
+        assert run(["werner-sweep", "--steps", "3"], capsys)[0] == cli.EXIT_OK
+        assert run(["sun-check", "--trials", "1"], capsys)[0] == cli.EXIT_OK
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)

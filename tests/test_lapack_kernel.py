@@ -6,14 +6,22 @@ release that renames them or changes what they return: each routine is held
 byte for byte against the public function that wraps it, on seeded Hermitian
 and general matrices at N in {2, 4, 8, 16, 64}, full-rank, rank-deficient
 products and states conditioned at 1e-12. A gufunc that fails fills its
-outputs with NaN; the kernel raises numpy's ``LinAlgError`` for it.
+outputs with NaN; the kernel raises numpy's ``LinAlgError`` for it. Before
+those, each gufunc the kernel names is checked to exist and to accept the
+signature the kernel gives it, so a numpy without one says which, and which
+numpy it is.
 """
+
+import ast
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
 
 from buresgeo import matcore
 from conftest import conditioned_density, random_density, random_hermitian
+from numpy.linalg import _umath_linalg
 
 SIZES = (2, 4, 8, 16, 64)
 
@@ -43,6 +51,40 @@ def _general(rng, n):
 
 def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _named_gufuncs() -> dict[str, str]:
+    """{gufunc: signature} of every ``_umath_linalg`` call in ``matcore._lapack``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(matcore._lapack)))
+    return {node.func.attr: next(k.value.value for k in node.keywords
+                                 if k.arg == "signature")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "_umath_linalg"}
+
+
+def test_the_kernel_names_three_gufuncs():
+    assert _named_gufuncs() == {"eigh_lo": "D->dD", "svd_f": "D->DdD", "svd": "D->d"}
+
+
+@pytest.mark.parametrize("name", ["eigh_lo", "svd_f", "svd"])
+def test_each_named_gufunc_exists_and_takes_its_signature(name):
+    signature = _named_gufuncs()[name]
+    gufunc = getattr(_umath_linalg, name, None)
+    if gufunc is None:
+        pytest.fail(f"numpy.linalg._umath_linalg has no gufunc {name!r} "
+                    f"in numpy {np.__version__}")
+    try:
+        out = gufunc(np.eye(3, dtype=np.complex128), signature=signature)
+    except TypeError as exc:
+        pytest.fail(f"numpy.linalg._umath_linalg.{name} refuses the signature "
+                    f"{signature!r} in numpy {np.__version__}: {exc}")
+    out = out if isinstance(out, tuple) else (out,)
+    kinds = signature.split("->")[1]
+    assert [a.dtype.char for a in out] == list(kinds), (
+        f"numpy.linalg._umath_linalg.{name} returns {[a.dtype for a in out]} for "
+        f"{signature!r} in numpy {np.__version__}")
 
 
 @pytest.mark.parametrize("n", SIZES)

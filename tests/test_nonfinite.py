@@ -5,6 +5,8 @@ false for NaN) and surfaced later as an SVD that did not converge. Each
 tolerance check is written so that a NaN measurement fails it.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -290,18 +292,29 @@ def test_invariants_refusals_name_rho(rho, message):
 
 
 BELOW_CLAMP = np.diag([1.0 + 5e-11, -5e-11]).astype(np.complex128)
+# Against I/2: sqrt(F) = sqrt((1 + 5e-11)/2), and the angle 2 arcsin(d/2) of the
+# parallel roots, d^2 = 2 + 5e-11 - 2 sqrt(F): the clipped root keeps the trace
+# 1 + 5e-11, so cos(s*) falls 2.5e-11 short of sqrt(F).
+ROOT_FIDELITY_BELOW_CLAMP = math.sqrt((1.0 + 5e-11) / 2.0)
+ANGLE_BELOW_CLAMP = 2.0 * math.asin(math.sqrt(2.0 + 5e-11 - 2.0 * ROOT_FIDELITY_BELOW_CLAMP) / 2)
 
 
 @pytest.mark.parametrize("entry", ["root_fidelity", "bures", "geometric_mean_operator"])
 @pytest.mark.parametrize("position", [0, 1])
 def test_a_square_root_refusal_names_the_argument(entry, position):
-    # Admitted at the PSD tolerance, but below the clamp of the square root.
+    # Admitted at the PSD tolerance, and below the spectral zero: in either
+    # argument the square root counts -5e-11 as 0 and refuses nothing, so there
+    # is no refusal to name and the pair has its value.
     args = [MIXED, MIXED]
     args[position] = BELOW_CLAMP
-    with pytest.raises(matcore.NotPositiveSemidefiniteError,
-                       match=f"^rho{position + 1} is not positive semidefinite: "
-                             r"min eigenvalue -5\.0+e-11"):
-        getattr(geodesy, entry)(*args)
+    out = getattr(geodesy, entry)(*args)
+    if entry == "geometric_mean_operator":
+        assert abs(out.s_star - ANGLE_BELOW_CLAMP) <= 1e-15
+        return
+    value = out if entry == "root_fidelity" else out.root_fidelity
+    assert abs(value - ROOT_FIDELITY_BELOW_CLAMP) <= 1e-15
+    if entry == "bures":
+        assert abs(out.bures_angle - ANGLE_BELOW_CLAMP) <= 1e-15
 
 
 @pytest.mark.parametrize("call, name", [

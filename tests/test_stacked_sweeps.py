@@ -271,16 +271,24 @@ class TestStackRefusals:
         with pytest.raises(ValueError, match=r"trace = 1\.2 differs"):
             states._admit_stack(stack)
 
-    def test_an_admitted_negative_is_refused_by_the_spectral_rule(self):
-        # admit allows -5e-11, the spectral rule refuses it (the FOUND threshold
-        # mismatch): the stack says what the scalar rule says of that member.
+    def test_an_admitted_negative_counts_as_zero(self):
+        # admit allows -5e-11 and the spectral rule counts it as zero: the stacked
+        # member has the bytes of its scalar call, and sqrt(F) against I/2 is
+        # sqrt((1 + 5e-11)/2).
         bad = np.diag([1.0 + 5e-11, -5e-11]).astype(np.complex128)
         stack = self._stack_with(bad, at=3)
-        with pytest.raises(matcore.NotPositiveSemidefiniteError) as scalar:
-            matcore.spectral_factor(states.admit(bad), np.sqrt)
-        with pytest.raises(matcore.NotPositiveSemidefiniteError) as stacked:
-            matcore.spectral_factor(states._admit_stack(stack), np.sqrt)
-        assert str(stacked.value) == str(scalar.value)
+        st = states._admit_stack(stack)
+        scalar = matcore.spectral_factor(states.admit(bad), np.sqrt)
+        assert np.array_equal(matcore.spectral_factor(st, np.sqrt)[3], scalar)
+        assert np.array_equal(st.sqrt[3], states.admit(bad).sqrt)
+        mixed = states.admit(states.maximally_mixed(2))
+        for pair in ((mixed, st), (st, mixed)):
+            sf = geodesy._root_fidelities(*pair)[3]
+            angle = geodesy._bures_angles(*pair)[3]
+            one = [mixed if side is mixed else bad for side in pair]
+            assert sf == geodesy.root_fidelity(*one)
+            assert angle == geodesy.bures(*one).bures_angle
+            assert abs(sf - np.sqrt((1.0 + 5e-11) / 2.0)) <= 1e-15
 
     def test_clamped_negatives_warn_nothing(self):
         # Rank-deficient products keep roundoff negatives that the rule clamps:

@@ -63,12 +63,19 @@ def test_refusal_repeats_on_every_call(rho, error, message):
             geodesy.bures(rho, rho)
 
 
-def test_square_root_refusal_repeats_on_every_call():
-    # Admitted at the default PSD tolerance, but below the clamp of sqrt.
+def test_an_admitted_negative_gives_one_value_on_every_call():
+    # Admitted at the default PSD tolerance, with -5e-11 counted as zero by sqrt:
+    # sqrt(F) against I/3 is (sqrt(0.7) + sqrt(0.3 + 5e-11))/sqrt(3), in either
+    # order, and every call, memo hit or miss, returns the same value.
     other = states.maximally_mixed(3)
+    exact = (np.sqrt(0.7) + np.sqrt(0.3 + 5e-11)) / np.sqrt(3.0)
+    values = set()
     for _ in range(3):
-        with pytest.raises(matcore.NotPositiveSemidefiniteError):
-            geodesy.root_fidelity(BAND, other)
+        for pair in ((BAND, other), (other, BAND)):
+            values.add(geodesy.root_fidelity(*pair))
+        _clear_memos()
+    assert len(values) == 1
+    assert abs(values.pop() - exact) <= 1e-15
 
 
 def test_tolerance_is_checked_on_every_call():

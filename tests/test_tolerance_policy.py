@@ -5,9 +5,10 @@ small or large enough to be a tolerance (0 < |v| < 1e-3 or |v| > 1e6) may
 appear only in a module-level assignment of ``matcore``; no other module
 binds a float constant, or an alias of one, at module level; and no
 function takes a per-call tolerance except the admission tolerances of the
-density check and the CLI loaders that pass ``--tol`` to them. Every name of
-the table governs a decision somewhere, and the README's tolerance table
-lists exactly the table's names.
+density check and the CLI loaders that pass ``--tol`` to them. Only
+``matcore`` reads ``CLAMP``, so the spectral zero is one rule that the other
+modules call. Every name of the table governs a decision somewhere, and the
+README's tolerance table lists exactly the table's names.
 """
 
 import ast
@@ -59,6 +60,23 @@ def test_no_other_module_defines_a_tolerance_constant(path):
                      and node.value.id == "matcore"):
                 found.append((stmt.lineno, ast.unparse(stmt)))
     assert found == []
+
+
+def _clamp_reads(tree):
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "CLAMP")
+            or (isinstance(node, ast.Name) and node.id == "CLAMP")
+            or (isinstance(node, ast.alias) and node.name == "CLAMP")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "matcore"],
+                         ids=lambda p: p.stem)
+def test_only_matcore_reads_the_spectral_zero(path):
+    assert _clamp_reads(_tree(path)) == []
+
+
+def test_the_spectral_zero_guard_sees_matcore():
+    assert _clamp_reads(_tree(next(p for p in MODULES if p.stem == "matcore")))
 
 
 def test_only_the_admission_checks_take_a_tolerance():
