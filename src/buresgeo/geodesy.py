@@ -81,7 +81,10 @@ class GeodesicPath:
     pure endpoints, joined through the gauge A2 = |psi2><psi1|. Every array is
     read-only, so instances are immutable and safe to share across concurrent
     samplers; threads that read ``cross`` or ``m_star`` first at once build the
-    same bytes.
+    same bytes. A path also remembers its last sample: f(s), g(s) and the
+    read-only rho(s) at one s, so :func:`geodesic_point` and
+    :func:`horizontal_lift` at the same s evaluate them once. Concurrent
+    samplers that replace each other's sample only recompute it.
     """
 
     start: matcore.SpectralDecomposition
@@ -116,6 +119,24 @@ class GeodesicPath:
         m.setflags(write=False)
         return m
 
+    def _sample(self, s) -> tuple[float, float, np.ndarray]:
+        """(f(s), g(s), rho(s)) of :func:`transport_coefficients` and :func:`_point`,
+        with rho(s) read-only. The last sample is kept in one slot, written as
+        ``cached_property`` writes ``cross`` and keyed on the bits of the coerced
+        s: an equal float of the same sign, so -0.0 and 0.0 never share it, and
+        NaN never matches. A refused s raises before the slot is written, and a
+        sampler that finds another s there computes its own."""
+        s = matcore.as_real_scalar(s, "s")
+        slot = self.__dict__.get("_last_sample")
+        if (slot is not None and slot[0] == s
+                and math.copysign(1.0, slot[0]) == math.copysign(1.0, s)):
+            return slot[1]
+        f, g = transport_coefficients(s, self.s_star)
+        rho = _point(self, f, g)
+        rho.setflags(write=False)
+        self.__dict__["_last_sample"] = (s, (f, g, rho))
+        return f, g, rho
+
     @property
     def degenerate(self) -> bool:
         """s* = 0: a constant path."""
@@ -135,7 +156,9 @@ def _admit_pair(rho1, rho2) -> tuple[matcore.SpectralDecomposition,
 
 
 def _unit(x) -> float:
-    return float(min(max(float(x), 0.0), 1.0))
+    """x as a float clamped to [0, 1]; NaN stays NaN."""
+    x = float(x)
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
 def _same(st1: matcore.SpectralDecomposition, st2: matcore.SpectralDecomposition) -> bool:
@@ -143,7 +166,7 @@ def _same(st1: matcore.SpectralDecomposition, st2: matcore.SpectralDecomposition
     equal matrices. Unit traces are often equal to the last bit, so the first
     entry settles most distinct pairs before the full comparison."""
     a, b = st1.matrix, st2.matrix
-    return st1 is st2 or (st1.trace == st2.trace and a[0, 0] == b[0, 0]
+    return st1 is st2 or (st1.trace == st2.trace and a.item(0) == b.item(0)
                           and np.array_equal(a, b))
 
 
@@ -194,7 +217,8 @@ def _polar_pair(st1: matcore.SpectralDecomposition,
     if rank == 0:
         angle, distance = np.pi / 2, float(np.sqrt(2.0))
     else:
-        distance = float(np.linalg.norm(st1.sqrt - a2))
+        d = (st1.sqrt - a2).ravel()  # |A1 - A2|_F as np.linalg.norm sums it
+        distance = math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag))
         angle = 2.0 * float(np.arcsin(distance / 2.0))
     return _PolarPair(gauge_eig, rank, a2, BuresSummary(_unit(sigma.sum()), angle, distance))
 
@@ -371,8 +395,11 @@ def transport_operator(path: GeodesicPath, s: float) -> np.ndarray:
 
 
 def geodesic_point(path: GeodesicPath, s: float) -> np.ndarray:
-    """Intermediate state rho(s) = f^2 rho1 + f g C + g^2 rho2, exactly rho2 at s*."""
-    return _point(path, *transport_coefficients(s, path.s_star))
+    """Intermediate state rho(s) = f^2 rho1 + f g C + g^2 rho2, exactly rho2 at s*.
+
+    The result is a fresh, writable copy of the path's read-only sample at s.
+    """
+    return path._sample(s)[2].copy()
 
 
 def initial_tangent(path: GeodesicPath) -> np.ndarray:
@@ -400,14 +427,15 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
     its defect |sqrt(rho1) sqrt(rho1)^dag - rho1| is the eigenvalues counted as
     zero, at most ``CLAMP`` * l_max above 0 and ``ADMIT_TOL`` below, plus
     roundoff. Any other a0 must project onto the initial endpoint, is lifted as
-    M(s) A(0) and is refused on a path with no M*. One evaluation of f(s), g(s)
-    gives both the lift and the target rho(s), and the result keeps its own
-    :class:`states.Purification` check.
+    M(s) A(0) and is refused on a path with no M*. The lift takes f(s) and
+    g(s), and its target rho(s), from the path's sample at s, which
+    :func:`geodesic_point` at that s also reads; the target is that shared
+    read-only array. The result keeps its own :class:`states.Purification` check.
     """
     a0m = (a0.matrix if isinstance(a0, states.Purification)
            else matcore.as_complex_matrix(a0, "a0"))
     if a0m is path.start.sqrt:
-        f, g = transport_coefficients(s, path.s_star)
+        f, g, rho = path._sample(s)
         lift = path.a2 * g
         lift += a0m * f  # f A1 + g A2: addition is commutative to the bit
     else:
@@ -418,9 +446,9 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
                 f"purification does not project to the initial state: max entry "
                 f"defect {defect:.3e}")
         m_star = _m_star(path)
-        f, g = transport_coefficients(s, path.s_star)
+        f, g, rho = path._sample(s)
         lift = _transport(m_star, f, g) @ a0m
-    return states.Purification(matrix=lift, target=_point(path, f, g))
+    return states.Purification(matrix=lift, target=rho)
 
 
 def hlc_residual(a, adot) -> float:

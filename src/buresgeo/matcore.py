@@ -214,6 +214,11 @@ def require_hermitian(a) -> np.ndarray:
     neither the asymmetry nor the symmetrized matrix can be formed.
     """
     m = _as_array(a, "matrix", np.complex128)
+    return _hermitian_part(m, m.tobytes())
+
+
+def _hermitian_part(m: np.ndarray, data: bytes) -> np.ndarray:
+    """:func:`require_hermitian` of a complex128 array ``m`` whose bytes are ``data``."""
     top = _gate(m, "matrix")
     if not math.isfinite(2.0 * top):
         raise ValueError(f"matrix entries overflow: max |H_jk| = {top:.3e} leaves "
@@ -221,7 +226,7 @@ def require_hermitian(a) -> np.ndarray:
     mh = m.conj().T
     h = m + mh
     h /= 2  # (m + mh)/2 in place: the same complex division, the same bytes
-    if h.tobytes() != m.tobytes():  # equal bytes: m is exactly Hermitian
+    if h.tobytes() != data:  # equal bytes: m is exactly Hermitian
         scale = max(top, 1.0)
         defect = _max_modulus(m - mh)
         if not defect <= ADMIT_TOL * scale:
@@ -295,17 +300,22 @@ class SpectralDecomposition:
 def _spectral_zero(st1: SpectralDecomposition, st2: SpectralDecomposition | None = None):
     """The cut at or below which a value is zero: ``CLAMP`` times l_max of ``st1``
     (0 if negative), the cut of ``rank``, or given ``st2`` times sqrt(l1_max l2_max),
-    the bound of the singular values of sqrt(rho1) sqrt(rho2), per pair of stacks."""
+    the bound of the singular values of sqrt(rho1) sqrt(rho2), a float for two
+    single decompositions and an array per pair of stacks otherwise."""
+    w1 = st1.eigenvalues
     if st2 is None:
-        return CLAMP * max(float(st1.eigenvalues[-1]), 0.0)
-    return CLAMP * np.sqrt(st1.eigenvalues[..., -1] * st2.eigenvalues[..., -1])
+        return CLAMP * max(w1.item(-1), 0.0)
+    w2 = st2.eigenvalues
+    if w1.ndim == w2.ndim == 1:  # floats: no 0-d arrays, the same bytes
+        return CLAMP * math.sqrt(w1.item(-1) * w2.item(-1))
+    return CLAMP * np.sqrt(w1[..., -1] * w2[..., -1])
 
 
 @functools.lru_cache(maxsize=32)  # distinct decomposed matrices one process keeps
 def _decompose(data: bytes, shape: tuple[int, int]) -> SpectralDecomposition:
     """The decomposition of the matrix with the given complex128 bytes; a
     refusal raises and so is not cached."""
-    m = require_hermitian(np.ndarray(shape, np.complex128, data))
+    m = _hermitian_part(np.ndarray(shape, np.complex128, data), data)
     w, v = _lapack("eigh_lo", m)
     # The reduction ``m.trace()`` makes, without its method call.
     return SpectralDecomposition(m, float(np.add.reduce(m.diagonal()).real), w, v)
@@ -369,8 +379,8 @@ def spectral_factor(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.nda
         fw = np.zeros_like(w)
         fw[support] = f(w[support])
         return dec.eigenvectors * fw[..., None, :]
-    low = float(w[0])
-    threshold = CLAMP * max(-low, float(w[-1]))  # max|w| of an ascending w
+    low = w.item(0)
+    threshold = CLAMP * max(-low, w.item(-1))  # max|w| of an ascending w
     if not low >= -max(ADMIT_TOL, threshold):
         raise NotPositiveSemidefiniteError(
             f"not positive semidefinite: min eigenvalue {low:.6e} is below "

@@ -32,9 +32,9 @@ def admit(rho, trace_tol: float = matcore.TRACE_TOL,
     if not abs(st.trace - 1.0) <= trace_tol:
         raise ValueError(f"not normalized: trace = {st.trace!r} differs from 1 "
                          f"by {abs(st.trace - 1.0):.3e}")
-    w = st.eigenvalues
-    if not w[0] >= -psd_tol:
-        raise ValueError(f"not a state: most negative eigenvalue {float(w[0]):.6e}")
+    low = st.eigenvalues.item(0)
+    if not low >= -psd_tol:
+        raise ValueError(f"not a state: most negative eigenvalue {low:.6e}")
     return st
 
 

@@ -337,7 +337,10 @@ def retired_qubit_orbit(args) -> int:
     rows = []
     worst = 0.0
     for s in np.linspace(0.0, path.s_star, args.samples):
-        r = closedform.qubit_orbit(x, y, float(s))
+        try:
+            r = closedform.qubit_orbit(x, y, float(s))
+        except ValueError as exc:  # the refusal that names a near-pure endpoint
+            raise cli._qubit_range_cause(exc, path, x, y) from None
         _, pipeline = sun.coefficients(geodesy.geodesic_point(path, s), basis)
         dev = float(np.max(np.abs(r - pipeline)))
         worst = max(worst, dev)

@@ -272,6 +272,23 @@ class TestQubitOrbit:
         for line in out.strip().splitlines()[1:]:
             assert float(line.split(",")[-1]) < 1e-9
 
+    @pytest.mark.parametrize("order", ["end", "start"])
+    def test_near_pure_endpoint_refusal_names_its_cause(self, capsys, order):
+        # 1 - |v|^2 = 1.1e-16: the pipeline counts the state as pure (its small
+        # eigenvalue -8.3e-17 is at the spectral zero), the closed form keeps
+        # sqrt(1 - |v|^2) ~ 1e-8 and so a shorter s*.
+        near, other = "0.48,0.6,0.64", "0.1,0.2,0.3"
+        flag = "--y" if order == "end" else "--x"
+        argv = ([f"--x={other}", f"--y={near}"] if order == "end"
+                else [f"--x={near}", f"--y={other}"])
+        code, out, err = run(["qubit-orbit", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(
+            f"error: {flag} is pure to the transport pipeline (rank 1, smallest "
+            f"eigenvalue -8.327e-17) but not to the closed form "
+            f"(1 - |{flag[2:]}|^2 = 1.110e-16), so the routes end at different s*: "
+            "s = 0.6012642166791281 outside the geodesic range [0, 0.6012642114423414]")
+
     def test_sample_count_validated(self, capsys):
         code, out, err = run(["qubit-orbit", "--x=0.1,0.2,0.3", "--y=0.3,0.2,0.1",
                               "--samples", "1"], capsys)
