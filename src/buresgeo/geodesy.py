@@ -199,7 +199,7 @@ class _PolarPair:
 def _root_product(st1: matcore.SpectralDecomposition, st2: matcore.SpectralDecomposition
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(F2, B): the eigen-factor F2 = V2 diag(sqrt(l2)) and B = sqrt(rho1) F2."""
-    f2 = matcore.spectral_factor(st2, np.sqrt)
+    f2 = matcore.spectral_factor(st2)
     return f2, st1.sqrt @ f2
 
 

@@ -18,12 +18,12 @@ one LAPACK site, which calls numpy.linalg's gufuncs without numpy's wrapper.
 
 Tolerance policy: every numerical threshold is named once, in the table
 below, which every module reads; the only per-call override is the admission
-tolerance of ``states.admit`` (the CLI ``--tol``). One spectral rule,
-:func:`spectral_factor`, takes every function of a state as the factor
-V diag(f(l)); the square root ``SpectralDecomposition.sqrt`` is that factor
-times V^dag. ``CLAMP`` decides only what is zero, and only this module reads
-it: eigenvalues within ``CLAMP * max|eigenvalue|`` of zero count as exact
-zeros, so boundary states reached through roundoff behave like their
+tolerance of ``states.admit`` (the CLI ``--tol``). The one spectral function
+of a state is its square root: :func:`spectral_factor` is the factor
+V diag(sqrt(l')), and ``SpectralDecomposition.sqrt`` is that factor times
+V^dag. ``CLAMP`` decides only what is zero, and only :func:`_spectral_zero`
+reads it: eigenvalues within ``CLAMP * max|eigenvalue|`` of zero count as
+exact zeros, so boundary states reached through roundoff behave like their
 idealized counterparts. ``ADMIT_TOL`` alone decides what is a state. Every
 refusal is written so that a NaN measurement triggers it.
 
@@ -240,8 +240,8 @@ def _hermitian_part(m: np.ndarray, data: bytes) -> np.ndarray:
 class SpectralDecomposition:
     """A Hermitian matrix decomposed once: the symmetrized ``matrix``, its
     ``trace`` and its eigensystem; ``sqrt``, the principal square root, and
-    ``rank``, the eigenvalues above ``CLAMP`` * the largest, are computed on
-    first use.
+    ``rank``, the eigenvalues above the spectral zero ``CLAMP`` * max|l|, are
+    computed on first use.
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
     matching orthonormal eigenvectors as columns. Degenerate eigenvectors are
@@ -251,8 +251,8 @@ class SpectralDecomposition:
     arrays read-only; equality and hashing go by identity. A stack of S
     matrices decomposed at once (``states._admit_stack``, outside the memo)
     has a leading axis on every array and an array ``trace``; its ``sqrt``
-    is the stack of roots, and ``rank`` and the Lyapunov kernel take one
-    matrix only.
+    is the stack of roots, its spectral zero an array, and ``rank`` and the
+    Lyapunov kernel take one matrix only.
     """
 
     matrix: np.ndarray
@@ -268,7 +268,7 @@ class SpectralDecomposition:
     def sqrt(self) -> np.ndarray:
         """V diag(sqrt(l')) V^dag: the :func:`spectral_factor` times V^dag, symmetrized
         (matrix by matrix on a stack)."""
-        a = spectral_factor(self, np.sqrt) @ self.eigenvectors.conj().mT
+        a = spectral_factor(self) @ self.eigenvectors.conj().mT
         a = (a + a.conj().mT) / 2
         a.setflags(write=False)
         return a
@@ -281,7 +281,7 @@ class SpectralDecomposition:
     @functools.cached_property
     def _pair_sums(self) -> tuple[np.ndarray, np.ndarray | None]:
         """The sums l_i + l_j of :func:`lyapunov_eigenbasis` and where they are
-        above ``CLAMP`` * l_max (on the support), None when that is everywhere.
+        above the spectral zero (on the support), None when that is everywhere.
 
         Rounded addition is monotone, so l_0 + l_0 = 2 l_0 is the smallest sum
         and the support is full exactly when it is above the cut.
@@ -289,8 +289,8 @@ class SpectralDecomposition:
         lam = self.eigenvalues
         denom = lam[:, None] + lam[None, :]
         denom.setflags(write=False)
-        cut = CLAMP * float(lam[-1])
-        if 2.0 * float(lam[0]) > cut:
+        cut = _spectral_zero(self)
+        if 2.0 * lam.item(0) > cut:
             return denom, None
         keep = denom > cut
         keep.setflags(write=False)
@@ -298,13 +298,15 @@ class SpectralDecomposition:
 
 
 def _spectral_zero(st1: SpectralDecomposition, st2: SpectralDecomposition | None = None):
-    """The cut at or below which a value is zero: ``CLAMP`` times l_max of ``st1``
-    (0 if negative), the cut of ``rank``, or given ``st2`` times sqrt(l1_max l2_max),
-    the bound of the singular values of sqrt(rho1) sqrt(rho2), a float for two
-    single decompositions and an array per pair of stacks otherwise."""
+    """The cut at or below which a value is zero, and the one reader of ``CLAMP``:
+    ``CLAMP`` * max|l| of ``st1``, or given ``st2`` ``CLAMP`` * sqrt(l1_max l2_max),
+    the bound of the singular values of sqrt(rho1) sqrt(rho2). A float for single
+    decompositions and an array per member of a stack."""
     w1 = st1.eigenvalues
     if st2 is None:
-        return CLAMP * max(w1.item(-1), 0.0)
+        if w1.ndim == 1:  # max|l| of an ascending spectrum, as floats
+            return CLAMP * max(-w1.item(0), w1.item(-1))
+        return CLAMP * np.maximum(-w1[..., 0], w1[..., -1])
     w2 = st2.eigenvalues
     if w1.ndim == w2.ndim == 1:  # floats: no 0-d arrays, the same bytes
         return CLAMP * math.sqrt(w1.item(-1) * w2.item(-1))
@@ -338,8 +340,9 @@ def lyapunov_eigenbasis(dec: SpectralDecomposition, h) -> tuple[np.ndarray, np.n
     """Solve X rho + rho X = H in the eigenbasis of rho = V diag(l) V^dag.
 
     Returns (H', X'), H' = V^dag H V and X'_ij = H'_ij / (l_i + l_j), zero where
-    l_i + l_j <= CLAMP * l_max (off the support), so X = V X' V^dag. The Bures
-    metric (1/2) Tr[X H] and the tangent generator share this kernel.
+    l_i + l_j is at or below the spectral zero (off the support), so
+    X = V X' V^dag. The Bures metric (1/2) Tr[X H] and the tangent generator
+    share this kernel.
     """
     v = dec.eigenvectors
     h_eig = v.conj().T @ h @ v
@@ -358,36 +361,26 @@ def _lyapunov_solution(dec: SpectralDecomposition, h) -> np.ndarray:
     return (x + x.conj().T) / 2
 
 
-def spectral_factor(dec: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]
-                    ) -> np.ndarray:
-    """The factor V diag(f(w')) of a positive semidefinite matrix's spectral function.
+def spectral_factor(dec: SpectralDecomposition) -> np.ndarray:
+    """The square-root factor V diag(sqrt(l')) of a positive semidefinite matrix,
+    a purification: F F^dag = rho.
 
-    The one clamp rule: f is applied only on w > CLAMP * max|w|, and the rest of
-    the spectrum stays exact zero, so square roots see no roundoff negatives and
-    inverse powers give the pseudo-inverse. With f = sqrt the factor F is a
-    purification, F F^dag = rho. Only w_min < -max(ADMIT_TOL, CLAMP * max|w|) is
-    refused: for a state that is the PSD rule of ``states.admit``, so every
-    admitted state passes. A stack comes from ``states._admit_stack``, which has
-    made that check; the rule holds member by member, with the scalar bytes.
+    The one clamp rule: the root is taken only above the spectral zero, and the
+    rest of the spectrum stays exact zero, so no roundoff negative reaches the
+    root. Only l_min < -max(ADMIT_TOL, spectral zero) is refused: for a state
+    that is the PSD rule of ``states.admit``, so every admitted state passes. A
+    stack comes from ``states._admit_stack``, which has made that check; the
+    rule holds member by member, with the scalar bytes.
     """
     w = dec.eigenvalues
-    if w.ndim > 1:
-        threshold = CLAMP * np.maximum(-w[..., 0], w[..., -1])
-        if (w[..., 0] > threshold).all():  # full support everywhere: nothing to mask
-            return dec.eigenvectors * f(w)[..., None, :]
-        support = w > threshold[..., None]
-        fw = np.zeros_like(w)
-        fw[support] = f(w[support])
-        return dec.eigenvectors * fw[..., None, :]
-    low = w.item(0)
-    threshold = CLAMP * max(-low, w.item(-1))  # max|w| of an ascending w
-    if not low >= -max(ADMIT_TOL, threshold):
-        raise NotPositiveSemidefiniteError(
-            f"not positive semidefinite: min eigenvalue {low:.6e} is below "
-            f"-{max(ADMIT_TOL, threshold):.1e}")
-    if low > threshold:  # full support: nothing to mask
-        return dec.eigenvectors * f(w)
-    support = w > threshold
-    fw = np.zeros_like(w)
-    fw[support] = f(w[support])
-    return dec.eigenvectors * fw
+    cut = _spectral_zero(dec)
+    if w.ndim == 1:
+        low = w.item(0)
+        if not low >= -max(ADMIT_TOL, cut):
+            raise NotPositiveSemidefiniteError(
+                f"not positive semidefinite: min eigenvalue {low:.6e} is below "
+                f"-{max(ADMIT_TOL, cut):.1e}")
+        if low > cut:  # full support: nothing to mask
+            return dec.eigenvectors * np.sqrt(w)
+    kept = np.where((w.T > cut).T, w, 0.0)  # .T: a stack's cuts run along its members
+    return dec.eigenvectors * np.sqrt(kept)[..., None, :]

@@ -166,7 +166,7 @@ class Purification:
 
     def __post_init__(self):
         a = matcore.as_complex_matrix(self.matrix)
-        target = np.asarray(self.target)
+        target = matcore._as_array(self.target, "target", np.complex128)
         matcore.require_same_shape(a, target)
         defect = matcore._max_modulus(a @ a.conj().T - target)
         if not defect <= matcore.ADMIT_TOL:

@@ -100,14 +100,19 @@ class GeneratorBasis:
         return f, d
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3
+_basis = lru_cache(maxsize=None)(GeneratorBasis)  # keyed on the checked int
+
+
 def generator_basis(n: int) -> GeneratorBasis:
     """The cached su(N) generator basis for 2 <= N <= 16.
 
     For N = 2 the generators are the Pauli matrices in (x, y, z) order, with
     f the Levi-Civita symbol and d identically zero.
     """
-    return GeneratorBasis(n)
+    return _basis(matcore.as_dimension(n, "dimension", 2, MAX_DIM))
+
+
+generator_basis.cache_clear = _basis.cache_clear  # the next call builds a fresh basis
 
 
 @lru_cache(maxsize=None)

@@ -1,22 +1,27 @@
 """Spectral-function oracles and test-only helpers.
 
-The library takes every function of a state through ``matcore.spectral_factor``
-on a memoised decomposition; :func:`spectral_function` multiplies that factor
-by V^dag, and the wrappers below apply it to a bare matrix, so a test can
-build the textbook square root, inverse root and polar factor directly, and
-from them the root fidelity and the gauge as the nuclear norm and the polar
-factor of sqrt(rho1) sqrt(rho2). The state helpers read a purification or a
+The library takes one function of a state, the square root, through
+``matcore.spectral_factor`` on a memoised decomposition;
+:func:`spectral_function` takes any function f on the same rule, V diag(f(w'))
+times V^dag after the library's PSD refusal, and the wrappers below apply it
+to a bare matrix, so a test can build the textbook square root, inverse root
+and polar factor directly, and from them the root fidelity and the gauge as
+the nuclear norm and the polar factor of sqrt(rho1) sqrt(rho2). The state helpers read a purification or a
 state back through ``states.admit``, and ``qubit_tau`` is the closed form of
 tau that the erratum ledger's checks read. The other helpers rebuild the
 library's hot paths by the general formulas they skip, and
 :func:`generator_matrices` is the su(N) generator stack built one matrix at a
 time, the reference for the scattered ``GeneratorBasis.sigmas``. The
+exact references are commuting pairs at N = 4^k whose root fidelity and
+Bures angle are sums over two spectra: Walsh-Hadamard rotations of dyadic
+spectra, which float64 holds exactly, and the n-qubit GHZ/W Werner pairs. The
 ``retired_*`` functions are the CLI sweeps as they were before they were
 stacked: one public scalar call per row, and
 :func:`clamp_refusing_spectral_factor` is the spectral rule as it was before
 admission alone decided what is a state.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +30,14 @@ from buresgeo import cli, closedform, geodesy, matcore, states, sun
 
 
 def spectral_function(dec, f) -> np.ndarray:
-    """V diag(f(w')) V^dag of a PSD decomposition: the ``matcore.spectral_factor``
-    times V^dag, symmetrized, as ``SpectralDecomposition.sqrt`` forms it for sqrt."""
-    out = matcore.spectral_factor(dec, f) @ dec.eigenvectors.conj().T
+    """V diag(f(w')) V^dag of a PSD decomposition, symmetrized as
+    ``SpectralDecomposition.sqrt`` forms it: the factor is ``matcore.spectral_factor``
+    for sqrt, and :func:`masked_spectral_factor` after the library's PSD refusal
+    for any other f."""
+    factor = matcore.spectral_factor(dec)  # refuses what the library refuses
+    if f is not np.sqrt:
+        factor = masked_spectral_factor(dec, f)
+    out = factor @ dec.eigenvectors.conj().T
     return (out + out.conj().T) / 2
 
 
@@ -118,7 +128,7 @@ def polar_gauge(rho1, rho2) -> np.ndarray:
 
 def masked_spectral_factor(dec, f) -> np.ndarray:
     """The factor V diag(f(w')) by the support mask on every spectrum, the
-    formula ``matcore.spectral_factor`` skips when the support is full."""
+    formula ``matcore.spectral_factor`` skips for sqrt when the support is full."""
     w = dec.eigenvalues
     threshold = matcore.CLAMP * float(np.abs(w).max())
     support = w > threshold
@@ -127,7 +137,15 @@ def masked_spectral_factor(dec, f) -> np.ndarray:
     return dec.eigenvectors * fw
 
 
-def clamp_refusing_spectral_factor(dec, f) -> np.ndarray:
+def textbook_spectral_factor(dec, f) -> np.ndarray:
+    """V diag(f(w')) as the textbook writes it, one eigenpair at a time: column j
+    is f(w_j) v_j for w_j above ``CLAMP`` * max|w|, and 0 v_j for the rest."""
+    w, v = dec.eigenvalues, dec.eigenvectors
+    cut = matcore.CLAMP * max(abs(x) for x in w)
+    return np.column_stack([v[:, j] * (f(x) if x > cut else 0.0) for j, x in enumerate(w)])
+
+
+def clamp_refusing_spectral_factor(dec) -> np.ndarray:
     """``matcore.spectral_factor`` under the rule that refused an eigenvalue below
     -``CLAMP`` * max|w|, stacks member by member, naming the first member refused.
     Admission allows down to -``ADMIT_TOL``, so this rule refused some admitted
@@ -143,10 +161,10 @@ def clamp_refusing_spectral_factor(dec, f) -> np.ndarray:
                 f"not positive semidefinite: min eigenvalue {float(low[k]):.6e} is "
                 f"below -{float(threshold[k]):.1e}")
         if (low > threshold).all():
-            return dec.eigenvectors * f(w)[..., None, :]
+            return dec.eigenvectors * np.sqrt(w)[..., None, :]
         support = w > threshold[..., None]
         fw = np.zeros_like(w)
-        fw[support] = f(w[support])
+        fw[support] = np.sqrt(w[support])
         return dec.eigenvectors * fw[..., None, :]
     low = float(w[0])
     threshold = matcore.CLAMP * max(-low, float(w[-1]))
@@ -155,10 +173,10 @@ def clamp_refusing_spectral_factor(dec, f) -> np.ndarray:
             f"not positive semidefinite: min eigenvalue {low:.6e} is below "
             f"-{threshold:.1e}")
     if low > threshold:
-        return dec.eigenvectors * f(w)
+        return dec.eigenvectors * np.sqrt(w)
     support = w > threshold
     fw = np.zeros_like(w)
-    fw[support] = f(w[support])
+    fw[support] = np.sqrt(w[support])
     return dec.eigenvectors * fw
 
 
@@ -280,6 +298,67 @@ def generator_matrices(n: int) -> np.ndarray:
         diag[k] = -k
         mats.append(np.sqrt(2.0 / (k * (k + 1))) * np.diag(diag).astype(np.complex128))
     return np.array(mats)
+
+
+DYADIC_BITS = 52  # spectra are k / 2^52 for integers k summing to 2^52
+
+
+def walsh_hadamard(n: int) -> np.ndarray:
+    """H_N / sqrt(N) for N = 4^k: symmetric, its own inverse, entries +-2^-k."""
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]))
+    return h / math.sqrt(n)
+
+
+def dyadic_state(h: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, a): rho = H diag(a) H with a = counts / 2^52, counts nonnegative
+    integers summing to 2^52. Each entry of rho is a signed sum of the a_i
+    times 1/N, so it is exact in float64, and so is its unit trace."""
+    counts = [int(c) for c in counts]
+    if sum(counts) != 2**DYADIC_BITS or min(counts) < 0:
+        raise ValueError("counts must be nonnegative integers summing to 2^52")
+    a = np.array(counts, dtype=np.float64) / 2.0**DYADIC_BITS
+    return (h * a) @ h, a
+
+
+def commuting_root_fidelity(a, b) -> float:
+    """sqrt(F) = sum_i sqrt(a_i b_i) of two states diagonal in one basis."""
+    return math.fsum(math.sqrt(x) * math.sqrt(y) for x, y in zip(a, b))
+
+
+def commuting_bures_angle(a, b) -> float:
+    """s* = 2 arcsin(|sqrt(a) - sqrt(b)| / 2) of two states diagonal in one basis,
+    each difference taken as (a_i - b_i) / (sqrt(a_i) + sqrt(b_i)), which keeps
+    its digits when a and b nearly agree."""
+    d2 = math.fsum(((x - y) / (math.sqrt(x) + math.sqrt(y))) ** 2
+                   for x, y in zip(a, b) if x or y)
+    return 2.0 * math.asin(math.sqrt(d2) / 2.0)
+
+
+def qubit_werner(kind: str, n: int, p: float) -> np.ndarray:
+    """p |phi><phi| + (1 - p) I / N for the n-qubit GHZ or W state phi, N = 2^n."""
+    dim = 2**n
+    phi = np.zeros(dim)
+    if kind == "GHZ":
+        phi[[0, -1]] = 1.0 / math.sqrt(2.0)
+    else:
+        phi[[2**j for j in range(n)]] = 1.0 / math.sqrt(n)
+    return p * np.outer(phi, phi) + (1.0 - p) * np.eye(dim) / dim
+
+
+def werner_pair_root_fidelity(dim: int, p: float) -> float:
+    """sqrt(F) of the GHZ and W Werner states at one p: they commute (the two
+    vectors are orthogonal), with spectra that differ only on the two vectors,
+    so sqrt(F) = ((N - 2)(1 - p) + 2 sqrt((1 - p)(1 + (N - 1) p))) / N."""
+    return ((dim - 2) * (1.0 - p) + 2.0 * math.sqrt((1.0 - p) * (1.0 + (dim - 1) * p))) / dim
+
+
+def werner_pair_bures_angle(dim: int, p: float) -> float:
+    """s* of the same pair: the spectra differ by x = p + (1 - p)/N against
+    y = (1 - p)/N on the two vectors, so |sqrt(a) - sqrt(b)| = sqrt(2) p / (sqrt(x) + sqrt(y))."""
+    x, y = p + (1.0 - p) / dim, (1.0 - p) / dim
+    return 2.0 * math.asin(math.sqrt(2.0) * p / (math.sqrt(x) + math.sqrt(y)) / 2.0)
 
 
 def retired_geodesic_rows(path, samples: int):

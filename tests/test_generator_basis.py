@@ -58,3 +58,19 @@ def test_a_direct_basis_is_refused_as_generator_basis_refuses_it(n):
         sun.GeneratorBasis(n)
     assert str(direct.value) == str(cached.value)
     assert str(direct.value) == f"dimension must be an integer between 2 and 16, got {n!r}"
+
+
+@pytest.mark.parametrize("n", [[[1, 0], [0, 1]], np.array([3]), np.eye(2)],
+                         ids=["list", "1-d array", "matrix"])
+def test_an_unhashable_dimension_is_refused_with_the_basis_refusal(n):
+    with pytest.raises(ValueError) as cached:
+        sun.generator_basis(n)
+    with pytest.raises(ValueError) as direct:
+        sun.GeneratorBasis(n)
+    assert str(cached.value) == str(direct.value)
+    assert str(cached.value).startswith("dimension must be an integer between 2 and 16, got ")
+
+
+def test_the_cache_is_keyed_on_the_checked_int():
+    assert sun.generator_basis(np.int64(3)) is sun.generator_basis(3)
+    assert type(sun.generator_basis(np.int64(3)).dim) is int

@@ -140,12 +140,30 @@ def test_spectral_factor_is_the_function_before_v_dagger():
     for w in ([0.1, 0.15, 0.2, 0.25, 0.3], [0.0, 0.0, 0.2, 0.3, 0.5]):
         h = (u * np.array(w)) @ u.conj().T
         dec = matcore.spectral_decompose((h + h.conj().T) / 2)
-        factor = matcore.spectral_factor(dec, np.sqrt)
+        factor = matcore.spectral_factor(dec)
         out = factor @ dec.eigenvectors.conj().T
         assert np.array_equal(dec.sqrt, (out + out.conj().T) / 2)
         assert np.max(np.abs(factor @ factor.conj().T - dec.matrix)) < 1e-15
     with pytest.raises(matcore.NotPositiveSemidefiniteError, match="not positive semidefinite"):
-        matcore.spectral_factor(matcore.spectral_decompose(np.diag([1.0, -0.5])), np.sqrt)
+        matcore.spectral_factor(matcore.spectral_decompose(np.diag([1.0, -0.5])))
+
+
+def test_rank_cuts_a_non_psd_spectrum_at_clamp_times_the_largest_modulus():
+    # One cut for every reader of one matrix: CLAMP * max|l|, here 1e-12 set by
+    # l_min = -1, so 5e-13 counts as zero although it is above CLAMP * l_max.
+    dec = matcore.spectral_decompose(np.diag([-1.0, 5e-13, 1e-3]))
+    assert matcore._spectral_zero(dec) == matcore.CLAMP * 1.0
+    assert dec.rank == 1
+
+
+def test_the_spectral_zero_of_a_stack_is_the_cut_of_each_member():
+    stack = [np.diag([0.0, 0.25, 0.75]), np.diag([-2.0, 0.5, 1.0])]
+    st = matcore.SpectralDecomposition(
+        np.array(stack, dtype=np.complex128), np.array([1.0, -0.5]),
+        np.array([np.diag(m) for m in stack]), np.array([np.eye(3)] * 2, dtype=np.complex128))
+    cuts = matcore._spectral_zero(st)
+    assert cuts.tolist() == [matcore._spectral_zero(matcore.spectral_decompose(m))
+                             for m in stack]
 
 
 @pytest.mark.parametrize("entry", [matcore.as_complex_matrix, matcore.spectral_decompose,

@@ -223,10 +223,17 @@ def test_spectral_factor_of_a_stack_is_the_factor_of_each_member():
     members = [random_density(rng, 4, 0.1), _pure(rng, 4), random_density(rng, 4)]
     members.append(0.5 * _pure(rng, 4) + 0.5 * _pure(rng, 4))  # rank 2 with roundoff
     st = states._admit_stack(np.array(members))
-    for f in (np.sqrt, lambda w: 1.0 / np.sqrt(w)):
-        factor = matcore.spectral_factor(st, f)
-        for k, m in enumerate(members):
-            assert _bytes_equal(factor[k], matcore.spectral_factor(states.admit(m), f))
+    factor = matcore.spectral_factor(st)
+    for k, m in enumerate(members):
+        assert _bytes_equal(factor[k], matcore.spectral_factor(states.admit(m)))
+    # The library takes no inverse root: the masked oracle is its textbook
+    # formula, member by member.
+    def inverse_sqrt(w):
+        return 1.0 / np.sqrt(w)
+    for m in members:
+        dec = states.admit(m)
+        assert _bytes_equal(oracles.masked_spectral_factor(dec, inverse_sqrt),
+                            oracles.textbook_spectral_factor(dec, inverse_sqrt))
 
 
 class TestStackRefusals:
@@ -278,8 +285,8 @@ class TestStackRefusals:
         bad = np.diag([1.0 + 5e-11, -5e-11]).astype(np.complex128)
         stack = self._stack_with(bad, at=3)
         st = states._admit_stack(stack)
-        scalar = matcore.spectral_factor(states.admit(bad), np.sqrt)
-        assert np.array_equal(matcore.spectral_factor(st, np.sqrt)[3], scalar)
+        scalar = matcore.spectral_factor(states.admit(bad))
+        assert np.array_equal(matcore.spectral_factor(st)[3], scalar)
         assert np.array_equal(st.sqrt[3], states.admit(bad).sqrt)
         mixed = states.admit(states.maximally_mixed(2))
         for pair in ((mixed, st), (st, mixed)):
@@ -303,7 +310,7 @@ class TestStackRefusals:
         assert (st.eigenvalues[:, 0] < 0).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            factor = matcore.spectral_factor(st, np.sqrt)
+            factor = matcore.spectral_factor(st)
             roots = st.sqrt
         assert np.isfinite(factor).all() and np.isfinite(roots).all()
         assert (factor[:, :, :2] == 0).all()

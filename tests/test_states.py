@@ -126,6 +126,15 @@ class TestPurifications:
         with pytest.raises(ValueError, match="does not purify"):
             states.Purification(matrix=np.eye(2), target=np.eye(2) / 2)
 
+    @pytest.mark.parametrize("target, message", [
+        ([[1, 0], [0, "x"]], "^target is not a numeric array"),
+        # numpy casts None to NaN, which no purification projects to
+        (np.array([[0.5, None], [None, 0.5]], dtype=object), "defect nan$"),
+    ], ids=["string", "none"])
+    def test_purification_refuses_a_non_numeric_target(self, target, message):
+        with pytest.raises(ValueError, match=message):
+            states.Purification(matrix=np.eye(2) / np.sqrt(2), target=target)
+
     def test_purification_names_a_shape_mismatch(self):
         with pytest.raises(ValueError, match=r"dimension mismatch: \(3, 3\) vs \(2, 2\)"):
             states.Purification(matrix=np.eye(3) / np.sqrt(3),

@@ -6,18 +6,22 @@ appear only in a module-level assignment of ``matcore``; no other module
 binds a float constant, or an alias of one, at module level; and no
 function takes a per-call tolerance except the admission tolerances of the
 density check and the CLI loaders that pass ``--tol`` to them. Only
-``matcore`` reads ``CLAMP``, so the spectral zero is one rule that the other
-modules call. Every name of the table governs a decision somewhere, and the
-README's tolerance table lists exactly the table's names.
+``matcore._spectral_zero`` reads ``CLAMP``, so the spectral zero is one rule
+that everything else calls, and the spectral factor takes the decomposition
+alone: the square root is the one function it takes. Every name of the table
+governs a decision somewhere, and the README's tolerance table lists exactly
+the table's names.
 """
 
 import ast
+import inspect
 import pathlib
 import re
 
 import pytest
 
 import buresgeo
+from buresgeo import matcore
 
 MODULES = sorted(pathlib.Path(buresgeo.__file__).parent.glob("*.py"))
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -77,6 +81,30 @@ def test_only_matcore_reads_the_spectral_zero(path):
 
 def test_the_spectral_zero_guard_sees_matcore():
     assert _clamp_reads(_tree(next(p for p in MODULES if p.stem == "matcore")))
+
+
+def test_only_the_spectral_zero_reads_clamp_in_matcore():
+    tree = _tree(next(p for p in MODULES if p.stem == "matcore"))
+    zero = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_spectral_zero")
+    inside = {id(node) for node in ast.walk(zero)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "CLAMP"
+             and isinstance(node.ctx, ast.Load)]
+    assert [node.lineno for node in reads if id(node) not in inside] == []
+    assert any(id(node) in inside for node in reads)
+
+
+def test_the_spectral_factor_takes_the_decomposition_alone():
+    assert list(inspect.signature(matcore.spectral_factor).parameters) == ["dec"]
+    calls = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call) and "spectral_factor" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append((path.stem, len(node.args), len(node.keywords)))
+    assert calls and all(shape == 1 for _, shape, _ in calls), calls
+    assert all(keywords == 0 for _, _, keywords in calls), calls
 
 
 def test_only_the_admission_checks_take_a_tolerance():
