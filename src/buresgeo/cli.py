@@ -150,13 +150,12 @@ def _rows(columns: dict) -> list[dict]:
 
 
 def _geodesic_rows(path: geodesy.GeodesicPath, samples: int):
-    start = states.admit(path.rho1)  # the start as root_fidelity(path.rho1, .) admits it
     rows = []
     for s in _blocks(np.linspace(0.0, path.s_star, samples), path.dim):
         rho = geodesy._points(path, s)
         st = states._admit_stack(rho)
         columns = {"s": s,
-                   "root_fidelity_to_start": geodesy._root_fidelities(start, st),
+                   "root_fidelity_to_start": geodesy._root_fidelities(path.start, st),
                    "trace": np.trace(rho, axis1=-2, axis2=-1).real,
                    "purity": np.trace(rho @ rho, axis1=-2, axis2=-1).real,
                    "eigenvalues": st.eigenvalues}
@@ -264,12 +263,12 @@ def cmd_solve_g(args) -> int:
 
 def cmd_invariants(args) -> int:
     rho = load_state(args.state, args.tol)
-    inv = sun.characteristic_invariants(rho)
+    st = states.admit(rho)
     payload = {"dim": int(rho.shape[0]),
                "trace": float(np.trace(rho).real),
                "purity": float(np.trace(rho @ rho).real),
-               "eigenvalues": [float(v) for v in states.admit(rho).eigenvalues],
-               "invariants": [float(v) for v in inv]}
+               "eigenvalues": [float(v) for v in st.eigenvalues],
+               "invariants": [float(v) for v in sun.characteristic_invariants(st)]}
     return _report(args, payload)
 
 

@@ -147,6 +147,12 @@ class GeodesicPath:
         return self.rho1.shape[0]
 
 
+def _require_path(path) -> None:
+    """Refuse a ``path`` that is not a :class:`GeodesicPath`."""
+    if not isinstance(path, GeodesicPath):
+        raise ValueError(f"path must be a GeodesicPath, got {type(path).__name__}")
+
+
 def _admit_pair(rho1, rho2) -> tuple[matcore.SpectralDecomposition,
                                      matcore.SpectralDecomposition]:
     st1 = matcore._named(states.admit, rho1, "rho1")
@@ -391,6 +397,7 @@ def transport_operator(path: GeodesicPath, s: float) -> np.ndarray:
     M(0) = I and M(s*) = M*; on a degenerate path only s = 0 is in range.
     A path with rank rho1 < rank rho2 has no M* and is refused.
     """
+    _require_path(path)
     return _transport(_m_star(path), *transport_coefficients(s, path.s_star))
 
 
@@ -399,6 +406,7 @@ def geodesic_point(path: GeodesicPath, s: float) -> np.ndarray:
 
     The result is a fresh, writable copy of the path's read-only sample at s.
     """
+    _require_path(path)
     return path._sample(s)[2].copy()
 
 
@@ -408,6 +416,7 @@ def initial_tangent(path: GeodesicPath) -> np.ndarray:
     G0 is Hermitian, the lift tangent is A'(0) = G0 A(0), and it has unit
     length with Tr[A'(0) A(0)^dag] = 0 for any purification A(0) of rho1.
     """
+    _require_path(path)
     if path.degenerate:
         raise ValueError("tangent undefined for the constant path between "
                          "identical endpoints")
@@ -432,6 +441,7 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
     :func:`geodesic_point` at that s also reads; the target is that shared
     read-only array. The result keeps its own :class:`states.Purification` check.
     """
+    _require_path(path)
     a0m = (a0.matrix if isinstance(a0, states.Purification)
            else matcore.as_complex_matrix(a0, "a0"))
     if a0m is path.start.sqrt:

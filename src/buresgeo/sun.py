@@ -8,13 +8,13 @@ Hermitian generator expand as
 with real coordinate vectors of length N^2 - 1. The module solves for the
 Hermitian generator G of the flow  drho/dt = G rho + rho G  from (x, dx/dt)
 through the eigenbasis kernel it shares with the Bures metric, gives the
-unitary-evolution specialization as commutator products, and computes the
-characteristic-polynomial invariants of a state (which need no
-diagonalization). Coordinates and matrices convert in O(N^2) through an index
-map of the generator ordering. A :class:`GeneratorBasis` is its dimension: its
-dense generator stack is scattered through the same map on first read, and it
-and the structure constants f and d are oracles read only by ``sun-check``,
-the tests and the bench tracer.
+unitary-evolution specialization as commutator products, and reads the
+characteristic-polynomial invariants of a state from its memoised spectrum.
+Coordinates and matrices convert in O(N^2) through an index map of the
+generator ordering. A :class:`GeneratorBasis` is its dimension: its dense
+generator stack is scattered through the same map on first read, and it and
+the structure constants f and d are oracles read only by ``sun-check``, the
+tests and the bench tracer.
 """
 
 from __future__ import annotations
@@ -279,25 +279,17 @@ def hamiltonian_from_Y(y, x, basis: GeneratorBasis
 def characteristic_invariants(rho) -> np.ndarray:
     """Elementary symmetric polynomials S_1..S_N of the spectrum of rho.
 
-    Built from power traces through Newton's identities,
-
-        S_k = (1/k) sum_{j=1..k} (-1)^(j-1) S_{k-j} Tr[rho^j],  S_0 = 1,
-
-    so no diagonalization is involved. S_1 = Tr[rho] = 1 for any state, and
-    S_N = det(rho).
+    Read from the memoised eigenvalues of :func:`matcore.spectral_decompose`,
+    which takes any Hermitian matrix or a decomposition, and built one
+    eigenvalue l at a time by the product recurrence S_k <- S_k + l S_(k-1),
+    S_0 = 1, the coefficients of prod (x + l). For a state every term is
+    non-negative, so nothing cancels. S_1 = sum(l), within a few ulps of
+    Tr[rho] = 1, and S_N = det(rho).
     """
-    r = matcore._named(matcore.require_hermitian, rho, "rho")
-    n = r.shape[0]
-    power = np.eye(n, dtype=np.complex128)
-    ptraces = []
-    s = [1.0]
-    with _OverflowGuard("rho is too large: its power traces overflow"):
-        for _ in range(n):
-            power = power @ r
-            ptraces.append(np.trace(power).real)  # numpy floats obey the errstate
-        for k in range(1, n + 1):
-            acc = 0.0
-            for j in range(1, k + 1):
-                acc += (-1.0) ** (j - 1) * s[k - j] * ptraces[j - 1]
-            s.append(acc / k)
-    return np.array(s[1:])
+    w = matcore._named(matcore.spectral_decompose, rho, "rho").eigenvalues
+    s = np.zeros(w.size + 1)
+    s[0] = 1.0
+    with _OverflowGuard("rho is too large: its invariants overflow"):
+        for k, lam in enumerate(w.tolist(), 1):
+            s[1:k + 1] += lam * s[:k]
+    return s[1:]

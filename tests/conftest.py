@@ -92,3 +92,14 @@ def random_bloch(rng: np.random.Generator, basis, floor: float = 0.15) -> np.nda
     rho = random_density(rng, basis.dim, floor=floor)
     _, x = sun.coefficients(rho, basis)
     return x
+
+
+def random_tangent(rng: np.random.Generator, basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, drho, G): a random full-rank state rho = expand(1, x), a random
+    traceless variation drho = expand(0, xdot), and the generator G that
+    ``sun.solve_tangent_G`` solves from them, G rho + rho G = drho."""
+    from buresgeo import sun
+    x = random_bloch(rng, basis)
+    _, xdot = sun.coefficients(random_traceless_hermitian(rng, basis.dim), basis)
+    return (sun.expand(1.0, x, basis), sun.expand(0.0, xdot, basis),
+            sun.solve_tangent_G(x, xdot, basis).matrix)

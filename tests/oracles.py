@@ -14,7 +14,11 @@ library's hot paths by the general formulas they skip, and
 time, the reference for the scattered ``GeneratorBasis.sigmas``. The
 exact references are commuting pairs at N = 4^k whose root fidelity and
 Bures angle are sums over two spectra: Walsh-Hadamard rotations of dyadic
-spectra, which float64 holds exactly, and the n-qubit GHZ/W Werner pairs. The
+spectra, which float64 holds exactly, and the n-qubit GHZ/W Werner pairs; a
+dyadic spectrum's characteristic invariants are exact integer sums.
+:func:`exp_map` shoots a geodesic from a state along a generator, the
+exponential map that ``geometric_mean_operator`` inverts up to
+:func:`cut_angle`. The
 ``retired_*`` functions are the CLI sweeps as they were before they were
 stacked: one public scalar call per row, and
 :func:`clamp_refusing_spectral_factor` is the spectral rule as it was before
@@ -23,6 +27,7 @@ admission alone decided what is a state.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -334,6 +339,31 @@ def commuting_bures_angle(a, b) -> float:
     d2 = math.fsum(((x - y) / (math.sqrt(x) + math.sqrt(y))) ** 2
                    for x, y in zip(a, b) if x or y)
     return 2.0 * math.asin(math.sqrt(d2) / 2.0)
+
+
+def exp_map(rho, g, s) -> np.ndarray:
+    """The Bures exponential map rho(s) = M rho M, M = cos s I + sin s G, of a
+    state rho along a generator G (G rho + rho G = drho), symmetrized: the
+    geodesic with the horizontal lift M A1, at unit speed when Tr[G rho G] = 1,
+    and minimal up to :func:`cut_angle`."""
+    m = math.cos(s) * np.eye(len(rho)) + math.sin(s) * np.asarray(g)
+    out = m @ rho @ m
+    return (out + out.conj().T) / 2
+
+
+def cut_angle(g) -> float:
+    """arccot(-l_min(G)), where cos s I + sin s G stops being PSD, or pi/2 when G >= 0."""
+    return math.atan2(1.0, max(-float(np.linalg.eigvalsh(g)[0]), 0.0))
+
+
+def exact_invariants(a) -> list[float]:
+    """The elementary symmetric polynomials S_1..S_N of a dyadic spectrum a
+    (entries k / 2^52), summed exactly in integers and rounded once each."""
+    s = [1] + [0] * len(a)
+    for k, c in enumerate((int(x * 2**DYADIC_BITS) for x in a), 1):
+        for j in range(k, 0, -1):
+            s[j] += c * s[j - 1]
+    return [float(Fraction(v, 2**(DYADIC_BITS * k))) for k, v in enumerate(s[1:], 1)]
 
 
 def qubit_werner(kind: str, n: int, p: float) -> np.ndarray:

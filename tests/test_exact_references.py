@@ -1,4 +1,5 @@
-"""Root fidelity and Bures angle against exact dense references at N = 4, 16, 64.
+"""Root fidelity, Bures angle and characteristic invariants against exact dense
+references at N = 4, 16, 64.
 
 Each pair commutes, so its root fidelity and Bures angle are sums over the two
 spectra, computed in ``oracles`` with only their own rounding; the library sees
@@ -11,6 +12,9 @@ dense matrices and decomposes them like any other pair.
   eigenvalues at about 2^-43 l_max.
 - The n-qubit GHZ/W Werner pairs at one p, whose root fidelity generalizes the
   paper's N = 8 formula.
+- The invariants S_1..S_N of each state of the random and rank-deficient
+  Walsh-Hadamard pairs, against their exact integer sums
+  (``oracles.exact_invariants``).
 
 The full-rank kinds take the square-root factor's full-support branch, the
 others its masked one. The 2^-43 kind sits below the spectral zero
@@ -25,7 +29,7 @@ import math
 import numpy as np
 import pytest
 
-from buresgeo import geodesy
+from buresgeo import geodesy, sun
 import oracles
 
 DIMS = [4, 16, 64]
@@ -38,6 +42,13 @@ ANGLE_BOUND = 64 * EPS      # relative; worst 26 eps (random, N = 16)
 NEAR_BOUND = 16 * EPS       # absolute, both quantities; worst 5.5 eps (N = 4)
 WERNER_BOUND = 16 * EPS     # sqrt(F), and s* relative; worst 4.5 eps (N = 64)
 WERNER_P = [0.1, 0.5, 0.9, 0.999]
+# Relative, per kind and N, over both states of each draw; the eigensolver's
+# absolute error eps * l_max moves S_k relative to the smallest eigenvalues in
+# it, so the bound grows with N and with the rank's zeros. Worst, in eps:
+# random 11, 36, 96 and rank-deficient 10, 108, 925 at N = 4, 16, 64.
+INVARIANT_BOUND = {"random": {4: 24 * EPS, 16: 72 * EPS, 64: 192 * EPS},
+                   "rank-deficient": {4: 24 * EPS, 16: 216 * EPS, 64: 1856 * EPS}}
+VANISHING_BOUND = 12 * EPS  # absolute: the S_k above an exact rank; worst 5.1 eps (N = 64)
 
 
 def _spread(rng, total, parts):
@@ -143,3 +154,18 @@ def test_qubit_werner_pairs_match_the_closed_form(n):
         assert abs(summary.root_fidelity - sf) <= WERNER_BOUND
         angle = oracles.werner_pair_bures_angle(n, p)
         assert abs(summary.bures_angle - angle) <= WERNER_BOUND * angle
+
+
+@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.parametrize("kind", ["random", "rank-deficient"])
+def test_characteristic_invariants_match_the_exact_sums(n, kind):
+    for draw in range(DRAWS):
+        rho1, rho2, a, b = _pair(n, kind, draw)
+        for rho, spectrum in ((rho1, a), (rho2, b)):
+            got = sun.characteristic_invariants(rho)
+            ref = np.array(oracles.exact_invariants(spectrum))
+            vanishing = ref == 0.0
+            assert vanishing.any() == (kind == "rank-deficient")
+            assert np.all(np.abs(got - ref)[~vanishing] <= INVARIANT_BOUND[kind][n]
+                          * ref[~vanishing])
+            assert np.all(np.abs(got[vanishing]) <= VANISHING_BOUND)

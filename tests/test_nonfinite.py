@@ -6,6 +6,7 @@ tolerance check is written so that a NaN measurement fails it.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,6 +192,23 @@ def test_malformed_input_is_named(entry):
         call()
 
 
+PATH_ENTRY_POINTS = {
+    "geodesic_point": lambda path: geodesy.geodesic_point(path, 0.1),
+    "transport_operator": lambda path: geodesy.transport_operator(path, 0.1),
+    "initial_tangent": geodesy.initial_tangent,
+    "horizontal_lift": lambda path: geodesy.horizontal_lift(
+        states.canonical_purification(MIXED), path, 0.1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PATH_ENTRY_POINTS))
+@pytest.mark.parametrize("path, kind", [("path", "str"), (None, "NoneType"), (MIXED, "ndarray")],
+                         ids=["string", "None", "ndarray"])
+def test_a_path_that_is_not_a_geodesic_path_is_named(entry, path, kind):
+    with pytest.raises(ValueError, match=f"^path must be a GeodesicPath, got {kind}$"):
+        PATH_ENTRY_POINTS[entry](path)
+
+
 BOOL_ENTRY_POINTS = {
     "maximally_mixed": ("dimension", lambda: states.maximally_mixed(True)),
     "state_from_json": ("dim", lambda: cli.state_from_json(
@@ -319,7 +337,7 @@ def test_a_square_root_refusal_names_the_argument(entry, position):
 
 @pytest.mark.parametrize("call, name", [
     (lambda: sun.characteristic_invariants(1e100 * np.eye(4)), "rho"),
-    (lambda: sun.characteristic_invariants(1.33e19 * np.eye(16)), "rho"),
+    (lambda: sun.characteristic_invariants(1e20 * np.eye(16)), "rho"),
     (lambda: sun.hamiltonian_from_Y(1e200 * np.ones(8), 1e200 * np.ones(8),
                                     sun.generator_basis(3)), "x and y"),
     (lambda: geodesy.hubner_metric(MIXED, np.diag([1e154, -1e154])), "drho"),
@@ -336,6 +354,14 @@ def test_overflowing_results_are_refused(call, name):
     # Each input passes the gate; its result has no finite value.
     with pytest.raises(ValueError, match=f"^{name} .*overflow"):
         call()
+
+
+def test_invariants_with_a_finite_value_are_returned():
+    # S_16 = 1.33e19^16 = 9.6e305 is finite, and so is every partial product of
+    # the recurrence; each S_k = C(16, k) 1.33e19^k to 1.7 eps at worst.
+    inv = sun.characteristic_invariants(1.33e19 * np.eye(16))
+    exact = [float(math.comb(16, k) * Fraction(1.33e19) ** k) for k in range(1, 17)]
+    assert np.all(np.abs(inv - exact) <= 4 * np.finfo(float).eps * np.array(exact))
 
 
 def test_a_renamed_refusal_keeps_its_type():
