@@ -20,11 +20,9 @@ from .geodesy import (BuresSummary, GeodesicPath, GeodesicUndefinedError,
 from .sun import (GeneratorBasis, TangentGenerator, characteristic_invariants,
                   generator_basis, hamiltonian_from_Y, solve_tangent_G,
                   unitary_tangent)
-from .closedform import (ERRATA, errata_table, maxmixed_to_pure,
-                         orthogonal_mean_operator, orthogonal_pure_geodesic,
-                         qubit_fidelity, qubit_orbit, qubit_root,
-                         werner_cross_term, werner_mean_operator,
-                         werner_root_fidelity)
+from .closedform import (maxmixed_to_pure, orthogonal_mean_operator,
+                         orthogonal_pure_geodesic, qubit_fidelity, qubit_orbit,
+                         werner_cross_term, werner_mean_operator, werner_root_fidelity)
 
 __all__ = [
     "SpectralDecomposition", "spectral_decompose",
@@ -36,9 +34,9 @@ __all__ = [
     "transport_operator", "uhlmann_unitary",
     "GeneratorBasis", "TangentGenerator", "characteristic_invariants",
     "generator_basis", "hamiltonian_from_Y", "solve_tangent_G", "unitary_tangent",
-    "ERRATA", "errata_table", "maxmixed_to_pure", "orthogonal_mean_operator",
-    "orthogonal_pure_geodesic", "qubit_fidelity", "qubit_orbit", "qubit_root",
-    "werner_cross_term", "werner_mean_operator", "werner_root_fidelity",
+    "maxmixed_to_pure", "orthogonal_mean_operator", "orthogonal_pure_geodesic",
+    "qubit_fidelity", "qubit_orbit", "werner_cross_term", "werner_mean_operator",
+    "werner_root_fidelity",
 ]
 
 __version__ = "0.1.0"

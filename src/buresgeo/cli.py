@@ -200,22 +200,9 @@ def cmd_werner_sweep(args) -> int:
     return _report(args, {"steps": args.steps, "rows": rows}, list(rows[0]), rows, failure)
 
 
-def _qubit_range_cause(exc: ValueError, path: geodesy.GeodesicPath, x, y) -> ValueError:
-    """The closed form's refusal ``exc`` of an s on the pipeline's grid, or, when it
-    is the range refusal and an endpoint is pure to the pipeline (rank 1) but not
-    to the closed form (1 - |v|^2 > 0), the same refusal naming that endpoint's
-    flag and both measurements: the two routes then take different s*."""
-    causes = [f"{flag} is pure to the transport pipeline (rank 1, smallest eigenvalue "
-              f"{st.eigenvalues.item(0):.3e}) but not to the closed form "
-              f"(1 - |{flag[2:]}|^2 = {1.0 - v @ v:.3e})"
-              for flag, v, st in (("--x", x, path.start), ("--y", y, path.end))
-              if st.rank == 1 and 1.0 - v @ v > 0.0]
-    if not causes or "outside the geodesic range" not in str(exc):
-        return exc
-    return ValueError(f"{'; '.join(causes)}, so the routes end at different s*: {exc}")
-
-
 def cmd_qubit_orbit(args) -> int:
+    """The closed form against the pipeline on the pipeline's grid of s, read at
+    min(s, its own s*): the two s* part near a pure endpoint, and the gate judges that."""
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
     x = _parse_vector(args.x, 3, "--x")
@@ -224,13 +211,11 @@ def cmd_qubit_orbit(args) -> int:
     rho1 = states.density_from_bloch(x, basis)
     rho2 = states.density_from_bloch(y, basis)
     path = geodesy.geometric_mean_operator(rho1, rho2)
+    s_closed = closedform._qubit_legs(x, y)[3]
     rows = []
     worst = 0.0
     for s in _blocks(np.linspace(0.0, path.s_star, args.samples), 2):
-        try:
-            r = closedform._qubit_orbits(x, y, s)
-        except ValueError as exc:
-            raise _qubit_range_cause(exc, path, x, y) from None
+        r = closedform._qubit_orbits(x, y, np.minimum(s, s_closed))
         dev = np.abs(r - sun._project(geodesy._points(path, s), 2)).max(axis=-1)
         worst = max(worst, float(dev.max()))
         rows += _rows({"s": s, "r_x": r[:, 0], "r_y": r[:, 1], "r_z": r[:, 2],

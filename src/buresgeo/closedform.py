@@ -241,12 +241,18 @@ def qubit_orbit(x, y, s: float) -> np.ndarray:
     return _qubit_orbits(x, y, (s,))[0]
 
 
+def _qubit_legs(x, y) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """x and y checked, sqrt(F), and the closed form's s* = arctan2(sqrt(1 - F), sqrt(F))."""
+    x, y = _bloch_pair(x, y)
+    sqrt_f, one_minus_f = _fidelity_legs(x, y)
+    return x, y, sqrt_f, float(np.arctan2(np.sqrt(one_minus_f), sqrt_f))
+
+
 def _qubit_orbits(x, y, s) -> np.ndarray:
     """:func:`qubit_orbit` at each s of a grid, one row per s, with the fidelity
     legs and s* derived once; the grid is refused at its first refused s."""
-    x, y = _bloch_pair(x, y)
-    sqrt_f, one_minus_f = _fidelity_legs(x, y)
-    f, g = geodesy._coefficients(s, float(np.arctan2(np.sqrt(one_minus_f), sqrt_f)))
+    x, y, sqrt_f, s_star = _qubit_legs(x, y)
+    f, g = geodesy._coefficients(s, s_star)
     f, g = f[:, None], g[:, None]
     return f * f * x + g * g * y + (f * g / sqrt_f) * (x + y)
 

@@ -428,11 +428,11 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
                     s: float) -> states.Purification:
     """Horizontal lift A(s) of the geodesic through a0.
 
-    When the matrix of a0 is the start's own read-only root ``path.start.sqrt``
-    (``canonical_purification(rho1)`` without a gauge), the lift is the great
-    circle A(s) = f(s) A1 + g(s) A2 through the parallel roots. It exists on
-    every built path, rank-raising ones included, and reads no M*; where M*
-    exists it agrees with M(s) A1 to a few ulps. That root is not checked:
+    When the matrix of a0 is, or equals, the start's own root ``path.start.sqrt``
+    (``canonical_purification(rho1)`` without a gauge), the lift is the great circle
+    A(s) = f(s) A1 + g(s) A2 through the parallel roots. It exists on every built
+    path, rank-raising ones included, and reads no M*; where M* exists it agrees
+    with M(s) A1 to a few ulps. That root is not checked:
     its defect |sqrt(rho1) sqrt(rho1)^dag - rho1| is the eigenvalues counted as
     zero, at most ``CLAMP`` * l_max above 0 and ``ADMIT_TOL`` below, plus
     roundoff. Any other a0 must project onto the initial endpoint, is lifted as
@@ -444,10 +444,10 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
     _require_path(path)
     a0m = (a0.matrix if isinstance(a0, states.Purification)
            else matcore.as_complex_matrix(a0, "a0"))
-    if a0m is path.start.sqrt:
+    if a0m is path.start.sqrt or np.array_equal(a0m, path.start.sqrt):
         f, g, rho = path._sample(s)
         lift = path.a2 * g
-        lift += a0m * f  # f A1 + g A2: addition is commutative to the bit
+        lift += path.start.sqrt * f  # f A1 + g A2: addition is commutative to the bit
     else:
         matcore.require_same_shape(a0m, path.rho1)
         defect = matcore._max_modulus(a0m @ a0m.conj().T - path.rho1)

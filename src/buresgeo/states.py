@@ -5,8 +5,8 @@ trace, and positive semidefinite within tolerance. It returns the state's
 memoised :class:`matcore.SpectralDecomposition`, so each distinct state is
 decomposed once per process; the trace and PSD tolerance checks run again on
 every call against its cached values, and ``admit(rho).matrix`` is the
-checked, symmetrized state; ``_admit_stack`` applies the same checks to each
-member of a stack, outside the memo. Loosely admitted input (Bloch vectors,
+checked, symmetrized state; ``_admit_stack`` keeps only its trace and PSD
+bounds, for a stack outside the memo. Loosely admitted input (Bloch vectors,
 state files) is snapped onto the state space by :func:`_snap_to_state`. A
 purification is a square matrix A with A A^dag = rho; the state is recovered
 as A A^dag, which is invariant under the gauge freedom A -> A U for unitary U.
@@ -40,24 +40,21 @@ def admit(rho, trace_tol: float = matcore.TRACE_TOL,
 
 def _admit_stack(ms: np.ndarray) -> matcore.SpectralDecomposition:
     """:func:`admit` at its default tolerances of each member of a stack (S, N, N),
-    decomposed by one stacked ``eigh`` and kept out of the memo.
+    decomposed by one stacked ``eigh`` outside the memo.
 
-    Each member gets admit's checks on the bytes admit would see: the gate,
-    Hermiticity against its own largest entry, and after the symmetrization
-    (H + H^dag)/2 the trace and the most negative eigenvalue. A refused member
-    is handed to :func:`admit`, so the stack's refusal is the scalar one, word
-    for word: that of its first member refused before the ``eigh``, else of its
-    first member with a negative eigenvalue.
+    The stack copies only admit's trace and PSD bounds: a member that is not
+    exactly its own symmetrization (H + H^dag)/2 or whose trace is off goes to
+    :func:`admit` before the ``eigh``, one with an eigenvalue below
+    ``-ADMIT_TOL`` after it. So every refusal is admit's own, word for word:
+    that of the first member refused before the ``eigh``, else of the first
+    with a negative eigenvalue.
     """
     with np.errstate(all="ignore"):  # a non-finite member is named by admit below
-        top = np.abs(ms).max(axis=(-2, -1))
-        mh = ms.conj().mT
-        defect = np.abs(ms - mh).max(axis=(-2, -1))
-        h = ms + mh
+        h = ms + ms.conj().mT
         h /= 2  # the bytes of require_hermitian's (m + mh)/2
         trace = np.add.reduce(h.diagonal(axis1=-2, axis2=-1), axis=-1).real
-        ok = ((2.0 * top < np.inf) & (defect <= matcore.ADMIT_TOL * np.maximum(top, 1.0))
-              & (abs(trace - 1.0) <= matcore.TRACE_TOL))
+        # h - m == 0 is h == m for finite entries; an inf entry gives NaN.
+        ok = (h - ms == 0).all(axis=(-2, -1)) & (abs(trace - 1.0) <= matcore.TRACE_TOL)
     for k in np.flatnonzero(~ok):
         admit(ms[k])
     w, v = matcore._lapack("eigh_lo", h)

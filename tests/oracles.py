@@ -260,9 +260,9 @@ def counted_rank(dec) -> int:
 
 def checked_horizontal_lift(a0, path, s):
     """``geodesy.horizontal_lift`` with the a0 projection check run for every a0,
-    the start's own root too, and its defect taken by ``np.max(np.abs(.))``. The
-    start's own root (the array ``path.start.sqrt``) takes the great circle
-    f A1 + g A2, every other a0 M(s) a0."""
+    the start's own root too, and its defect taken by ``np.max(np.abs(.))``. An a0
+    of the start root's content (equal to ``path.start.sqrt``, whichever array)
+    takes the great circle f A1 + g A2, every other a0 M(s) a0."""
     a0m = (a0.matrix if isinstance(a0, states.Purification)
            else matcore.as_complex_matrix(a0, "a0"))
     matcore.require_same_shape(a0m, path.rho1)
@@ -271,8 +271,8 @@ def checked_horizontal_lift(a0, path, s):
         raise ValueError(f"purification does not project to the initial state: max "
                          f"entry defect {defect:.3e}")
     f, g = geodesy.transport_coefficients(s, path.s_star)
-    if a0m is path.start.sqrt:
-        lift = f * a0m + g * path.a2
+    if np.array_equal(a0m, path.start.sqrt):
+        lift = f * path.start.sqrt + g * path.a2
     else:
         m = g * path.m_star
         m.flat[::m.shape[0] + 1] += f
@@ -443,13 +443,11 @@ def retired_qubit_orbit(args) -> int:
     rho1 = states.density_from_bloch(x, basis)
     rho2 = states.density_from_bloch(y, basis)
     path = geodesy.geometric_mean_operator(rho1, rho2)
+    s_closed = closedform._qubit_legs(x, y)[3]  # the closed form's own s*
     rows = []
     worst = 0.0
     for s in np.linspace(0.0, path.s_star, args.samples):
-        try:
-            r = closedform.qubit_orbit(x, y, float(s))
-        except ValueError as exc:  # the refusal that names a near-pure endpoint
-            raise cli._qubit_range_cause(exc, path, x, y) from None
+        r = closedform.qubit_orbit(x, y, min(float(s), s_closed))
         _, pipeline = sun.coefficients(geodesy.geodesic_point(path, s), basis)
         dev = float(np.max(np.abs(r - pipeline)))
         worst = max(worst, dev)

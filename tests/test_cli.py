@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from buresgeo import cli, states, sun
+from buresgeo import cli, closedform, matcore, states, sun
 from conftest import random_bloch, random_density
 
 
@@ -273,21 +273,49 @@ class TestQubitOrbit:
             assert float(line.split(",")[-1]) < 1e-9
 
     @pytest.mark.parametrize("order", ["end", "start"])
-    def test_near_pure_endpoint_refusal_names_its_cause(self, capsys, order):
+    def test_a_near_pure_endpoint_is_judged_by_the_gate(self, capsys, order):
         # 1 - |v|^2 = 1.1e-16: the pipeline counts the state as pure (its small
         # eigenvalue -8.3e-17 is at the spectral zero), the closed form keeps
-        # sqrt(1 - |v|^2) ~ 1e-8 and so a shorter s*.
+        # sqrt(1 - |v|^2) ~ 1e-8 and so a shorter s* (by 5.2e-9). The closed form
+        # is read at min(s, its s*), so the rows run over the pipeline's whole
+        # grid, the last one at the end point of both routes, and the gate
+        # judges the gap: 7.7e-10 with the end near pure, 5.7e-9 with the start.
         near, other = "0.48,0.6,0.64", "0.1,0.2,0.3"
-        flag = "--y" if order == "end" else "--x"
         argv = ([f"--x={other}", f"--y={near}"] if order == "end"
                 else [f"--x={near}", f"--y={other}"])
         code, out, err = run(["qubit-orbit", *argv], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith(
-            f"error: {flag} is pure to the transport pipeline (rank 1, smallest "
-            f"eigenvalue -8.327e-17) but not to the closed form "
-            f"(1 - |{flag[2:]}|^2 = 1.110e-16), so the routes end at different s*: "
-            "s = 0.6012642166791281 outside the geodesic range [0, 0.6012642114423414]")
+        rows = [[float(c) for c in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 11
+        assert rows[-1][0] == 0.6012642166791281  # the pipeline's s*
+        assert rows[-1][1:4] == [float(c) for c in argv[1][4:].split(",")]
+        worst = max(row[-1] for row in rows)
+        if order == "end":
+            assert (code, err) == (0, "")
+            assert 7e-10 < worst <= 1e-9
+        else:
+            assert code == 3
+            assert err == ("numerical gate failed: closed-form orbit deviates from the "
+                           "transport pipeline by 5.653e-09 > 1.0e-09\n")
+
+    def test_near_pure_starts_pass_the_gate(self, capsys):
+        # |x| = 1 - 1e-9: on about a quarter of these pairs the pipeline's s*
+        # ends past the closed form's by more than the clamp of
+        # transport_coefficients, and the closed form used to refuse the last
+        # rows as outside its range. Read at min(s, its s*), every pair passes,
+        # with the routes within 1e-11 of each other.
+        ends_past = 0
+        for seed in range(100):
+            rng = np.random.default_rng([seed, 77])
+            x, y = rng.normal(size=3), rng.normal(size=3)
+            x *= (1.0 - 1e-9) / np.linalg.norm(x)
+            y *= rng.uniform(0.1, 0.9) / np.linalg.norm(y)
+            code, out, err = run(["qubit-orbit", f"--x={','.join(map(repr, x.tolist()))}",
+                                  f"--y={','.join(map(repr, y.tolist()))}"], capsys)
+            assert code == 0, err
+            rows = [[float(c) for c in line.split(",")] for line in out.splitlines()[1:]]
+            assert max(row[-1] for row in rows) <= 1e-11
+            ends_past += rows[-1][0] > closedform._qubit_legs(x, y)[3] + matcore.ROUNDOFF
+        assert ends_past >= 20
 
     def test_sample_count_validated(self, capsys):
         code, out, err = run(["qubit-orbit", "--x=0.1,0.2,0.3", "--y=0.3,0.2,0.1",

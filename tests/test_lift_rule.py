@@ -1,14 +1,15 @@
 """``horizontal_lift`` trusts only the start's own root and checks every other a0.
 
-The lift skips the a0 projection check when the matrix of a0 is the array
+The lift skips the a0 projection check when the matrix of a0 has the content of
 ``path.start.sqrt``, which ``canonical_purification(rho1)`` returns without a
-gauge. The skip never hides a refusal: that root's explicit defect stays two
-orders below ``ADMIT_TOL`` on random, ill-conditioned, rank-deficient and
-pure states up to N = 64. Any other a0 (gauged, a raw matrix, or a
-Purification of equal content and a different array) is checked as before,
-the lift's result keeps its own Purification check, and the bytes of the
-lift equal the always-checking formula of ``oracles.checked_horizontal_lift``:
-the great circle f A1 + g A2 for the start's own root, M(s) a0 for any other.
+gauge: that array itself (tested first), a raw copy of it, or the root of a
+re-decomposition after the state memo evicted rho1. The skip never hides a
+refusal: that root's explicit defect stays two orders below ``ADMIT_TOL`` on
+random, ill-conditioned, rank-deficient and pure states up to N = 64. Any other
+a0 (gauged, or of other content) is checked as before, the lift's result keeps
+its own Purification check, and the bytes of the lift equal the always-checking
+formula of ``oracles.checked_horizontal_lift``: the great circle f A1 + g A2 for
+the start root's content, M(s) a0 for any other.
 """
 
 import numpy as np
@@ -79,20 +80,42 @@ def test_lift_bytes_equal_the_checking_formula(n, kind):
             assert got.target.tobytes() == want.target.tobytes(), (name, s)
 
 
-def test_only_the_start_root_itself_skips_the_check(monkeypatch):
+def test_only_the_start_roots_content_skips_the_check(monkeypatch):
     # With a tolerance no defect meets, a checked a0 is refused for not
-    # projecting, while the trusted root reaches the result's own check.
+    # projecting, while an a0 of the start root's content reaches the result's
+    # own check, whichever array holds it.
     rng = np.random.default_rng(1812)
     rho1, path = _path(rng, 4, "random")
     starts = _starts(rng, rho1, path)
     matcore._decompose.cache_clear()
     starts["re-decomposed"] = states.canonical_purification(rho1)  # equal, another array
+    assert starts["re-decomposed"].matrix is not path.start.sqrt
     monkeypatch.setattr(matcore, "ADMIT_TOL", -1.0)
-    with pytest.raises(ValueError, match="does not purify the target"):
-        geodesy.horizontal_lift(starts.pop("trusted"), path, 0.1)
+    with pytest.raises(ValueError, match="does not project"):
+        geodesy.horizontal_lift(starts.pop("gauged"), path, 0.1)
     for name, a0 in starts.items():
-        with pytest.raises(ValueError, match="does not project"):
+        with pytest.raises(ValueError, match="does not purify the target"):
             geodesy.horizontal_lift(a0, path, 0.1)
+
+
+@pytest.mark.parametrize("raising", [True, False], ids=["rank-raising", "full-rank"])
+def test_a_memo_eviction_leaves_the_lift_unchanged(raising):
+    # Unrelated admissions evict rho1 from the 32-entry state memo, so
+    # canonical_purification(rho1) returns the root of a fresh decomposition:
+    # equal content, another array. Its lift is the start root's great circle,
+    # which exists on a rank-raising path too (rank rho1 = 2 < rank rho2 = 4).
+    rng = np.random.default_rng(1814)
+    rho1 = _state(rng, 4, "rank-deficient" if raising else "random")
+    path = geodesy.geometric_mean_operator(rho1, _state(rng, 4, "random"))
+    assert (path.m_star is None) is raising
+    grid = (0.0, path.s_star / 3, path.s_star)
+    fresh = [geodesy.horizontal_lift(path.start.sqrt, path, s).matrix.tobytes() for s in grid]
+    for _ in range(40):
+        states.admit(random_density(rng, 3))
+    a0 = states.canonical_purification(rho1)
+    assert a0.matrix is not path.start.sqrt
+    for s, want in zip(grid, fresh):
+        assert geodesy.horizontal_lift(a0, path, s).matrix.tobytes() == want
 
 
 def test_a_wrong_start_is_still_refused():

@@ -118,7 +118,13 @@ QUBIT_CASES = {
     "bench-seed1": _bench_bloch(1),
     "identical": ["0.1,-0.2,0.3", "0.1,-0.2,0.3"],
     "pure-end": ["0.1,-0.2,0.3", "0.6,0,0.8"],
-    "near-pure-end-gate": ["0.1,0.2,0.3", "0.48,0.6,0.64"],  # exits 2 (FOUND)
+    # 1 - |v|^2 = 1.1e-16, s* of the two routes 5.2e-9 apart: exits 0 (7.7e-10),
+    # and exits 3 with the near-pure state at the start (5.7e-9).
+    "near-pure-end-gate": ["0.1,0.2,0.3", "0.48,0.6,0.64"],
+    "near-pure-start-gate": ["0.48,0.6,0.64", "0.1,0.2,0.3"],
+    # |x| = 1 - 1e-9, where the pipeline's s* ends past the closed form's.
+    "near-pure-start": ["-0.3611391871705479,-0.9078148282625447,0.21319175189589923",
+                        "0.06613459003154802,0.04822830497400524,0.3963604382856179"],
     "pure-start-refused": ["0.6,0,0.8", "0.1,-0.2,0.3"],
 }
 
@@ -204,6 +210,7 @@ def test_stacked_qubit_orbit_is_the_scalar_closed_form(case):
     x, y = (np.array([float(c) for c in v.split(",")]) for v in QUBIT_CASES[case])
     _, one_minus_f = closedform._fidelity_legs(x, y)
     s_star = float(np.arctan2(np.sqrt(one_minus_f), closedform.qubit_fidelity(x, y)))
+    assert closedform._qubit_legs(x, y)[3] == s_star  # the s* qubit-orbit reads
     grid = np.linspace(0.0, s_star, 21)
     rows = closedform._qubit_orbits(x, y, grid)
     for k, s in enumerate(grid):
@@ -260,7 +267,9 @@ class TestStackRefusals:
         np.array([[1.1, 0.0], [0.0, -0.1]]),                     # eigenvalue -0.1
         np.array([[0.5, np.nan], [np.nan, 0.5]]),                # non-finite
         np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]]),       # overflowing entries
-    ], ids=["hermitian", "trace", "psd", "nan", "overflow"])
+        np.array([[0.5, np.inf], [np.inf, 0.5]]),                # Hermitian, unit trace, inf
+        np.array([[1.1, 1e-11], [0.0, -0.1]]),                   # near-Hermitian, not PSD
+    ], ids=["hermitian", "trace", "psd", "nan", "overflow", "inf", "near-hermitian-psd"])
     def test_a_refused_member_gets_the_scalar_refusal(self, bad):
         stack = self._stack_with(bad.astype(np.complex128))
         with pytest.raises(ValueError) as scalar:
@@ -277,6 +286,42 @@ class TestStackRefusals:
         stack[3] = np.array([[0.7, 0.0], [0.0, 0.7]])
         with pytest.raises(ValueError, match=r"trace = 1\.2 differs"):
             states._admit_stack(stack)
+
+    def test_a_near_hermitian_member_has_the_bytes_of_admit(self):
+        # Off by half of ADMIT_TOL: admit takes the member before the eigh, and
+        # the stack keeps its symmetrization and its eigensystem, bit for bit.
+        rng = np.random.default_rng(6)
+        near = random_density(rng, 3, 0.1)
+        near[0, 2] += matcore.ADMIT_TOL / 2
+        stack = np.array([random_density(rng, 3, 0.1), near, random_density(rng, 3, 0.1)])
+        st = states._admit_stack(stack)
+        one = states.admit(near)
+        assert not np.array_equal(one.matrix, near)
+        assert _bytes_equal(st.matrix[1], one.matrix)
+        assert st.trace[1] == one.trace
+        assert _bytes_equal(st.eigenvalues[1], one.eigenvalues)
+        assert _bytes_equal(st.eigenvectors[1], one.eigenvectors)
+
+    def test_a_member_admit_refuses_before_the_eigh_is_named_first(self):
+        # A near-Hermitian member goes to admit before the eigh, so its refusal
+        # (here its negative eigenvalue) comes ahead of an exactly Hermitian
+        # member at a lower index that only the eigh finds negative.
+        stack = self._stack_with(np.diag([1.2, -0.2]).astype(np.complex128), at=1)
+        stack[3] = np.array([[1.1, 1e-11], [0.0, -0.1]])
+        with pytest.raises(ValueError, match=r"most negative eigenvalue -1\.000000e-01$"):
+            states._admit_stack(stack)
+
+    def test_library_built_stacks_hand_no_member_to_admit(self, monkeypatch):
+        # Points built by the library are exactly Hermitian with unit trace
+        # within TRACE_TOL, so the sweeps admit them without a scalar call.
+        rng = np.random.default_rng(8)
+        path = geodesy.geometric_mean_operator(random_density(rng, 4, 0.1),
+                                               random_density(rng, 4, 0.1))
+        calls = []
+        monkeypatch.setattr(states, "admit", lambda *a, **k: calls.append(a))
+        cli._geodesic_rows(path, 1001)
+        assert _out(cli.main, ["werner-sweep", "--steps", "201"])[0] == 0
+        assert calls == []
 
     def test_an_admitted_negative_counts_as_zero(self):
         # admit allows -5e-11 and the spectral rule counts it as zero: the stacked
