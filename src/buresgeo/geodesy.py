@@ -432,14 +432,14 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
     (``canonical_purification(rho1)`` without a gauge), the lift is the great circle
     A(s) = f(s) A1 + g(s) A2 through the parallel roots. It exists on every built
     path, rank-raising ones included, and reads no M*; where M* exists it agrees
-    with M(s) A1 to a few ulps. That root is not checked:
-    its defect |sqrt(rho1) sqrt(rho1)^dag - rho1| is the eigenvalues counted as
-    zero, at most ``CLAMP`` * l_max above 0 and ``ADMIT_TOL`` below, plus
-    roundoff. Any other a0 must project onto the initial endpoint, is lifted as
-    M(s) A(0) and is refused on a path with no M*. The lift takes f(s) and
-    g(s), and its target rho(s), from the path's sample at s, which
-    :func:`geodesic_point` at that s also reads; the target is that shared
-    read-only array. The result keeps its own :class:`states.Purification` check.
+    with M(s) A1 to a few ulps. That root is not checked: its defect
+    |sqrt(rho1) sqrt(rho1)^dag - rho1| is the eigenvalues counted as zero, at
+    most ``CLAMP`` * l_max above 0 and ``ADMIT_TOL`` below, plus roundoff. Any
+    other a0 is checked by :class:`states.Purification` against rho1 ("a0 does
+    not purify ..."), lifted as M(s) A(0), and refused on a path with no M*. The
+    lift takes f(s) and g(s), and its target rho(s), from the path's sample at
+    s, which :func:`geodesic_point` at that s also reads; the target is that
+    shared read-only array. The result keeps its own Purification check.
     """
     _require_path(path)
     a0m = (a0.matrix if isinstance(a0, states.Purification)
@@ -449,12 +449,7 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
         lift = path.a2 * g
         lift += path.start.sqrt * f  # f A1 + g A2: addition is commutative to the bit
     else:
-        matcore.require_same_shape(a0m, path.rho1)
-        defect = matcore._max_modulus(a0m @ a0m.conj().T - path.rho1)
-        if not defect <= matcore.ADMIT_TOL:
-            raise ValueError(
-                f"purification does not project to the initial state: max entry "
-                f"defect {defect:.3e}")
+        matcore._named(lambda a: states.Purification(matrix=a, target=path.rho1), a0m, "a0")
         m_star = _m_star(path)
         f, g, rho = path._sample(s)
         lift = _transport(m_star, f, g) @ a0m

@@ -156,7 +156,8 @@ def density_from_bloch(x, basis: sun.GeneratorBasis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Purification:
-    """A bundle-space representative: matrix A with A A^dag equal to target."""
+    """A bundle-space representative, the one purification check: A A^dag equals target
+    within ``ADMIT_TOL``. It keeps the complex128 ``matrix`` and ``target`` it checked."""
 
     matrix: np.ndarray
     target: np.ndarray
@@ -167,9 +168,12 @@ class Purification:
         matcore.require_same_shape(a, target)
         defect = matcore._max_modulus(a @ a.conj().T - target)
         if not defect <= matcore.ADMIT_TOL:
-            raise ValueError(
-                f"matrix does not purify the target state: max entry defect "
-                f"{defect:.3e}")
+            matcore._finite(target, "target")
+            raise ValueError(f"matrix does not purify the target state: max entry defect "
+                             f"{defect:.3e}")
+        if a is not self.matrix or target is not self.target:  # coercion made a new array
+            object.__setattr__(self, "matrix", a)
+            object.__setattr__(self, "target", target)
 
 
 def canonical_purification(rho, gauge=None) -> Purification:

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import matcore
+from . import matcore, states
 
 MAX_DIM = 16
 
@@ -207,7 +207,7 @@ class TangentGenerator:
 
 
 def solve_tangent_G(x, xdot, basis: GeneratorBasis) -> TangentGenerator:
-    """Solve drho = G rho + rho G for G, with rho = expand(1, x).
+    """Solve drho = G rho + rho G for G, with rho = expand(1, x) admitted by ``states.admit``.
 
     One eigendecomposition of rho feeds the kernel shared with the Bures
     metric, G_ij = drho_ij / (l_i + l_j) in the eigenbasis. This solves
@@ -219,10 +219,8 @@ def solve_tangent_G(x, xdot, basis: GeneratorBasis) -> TangentGenerator:
     _require_basis(basis)
     x = matcore.as_vector(x, "x", basis.size)
     xdot = matcore.as_vector(xdot, "xdot", basis.size)
-    dec = matcore.spectral_decompose(_assemble(1.0, x, basis.dim))
+    dec = states.admit(_assemble(1.0, x, basis.dim), trace_tol=np.inf)  # Tr = 1 by construction
     lam = dec.eigenvalues
-    if not lam[0] >= -matcore.ADMIT_TOL:
-        raise ValueError(f"not a state: most negative eigenvalue {float(lam[0]):.6e}")
     cond = float(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
     if not cond <= matcore.CONDITION_LIMIT:
         raise ValueError(

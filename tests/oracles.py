@@ -16,6 +16,8 @@ exact references are commuting pairs at N = 4^k whose root fidelity and
 Bures angle are sums over two spectra: Walsh-Hadamard rotations of dyadic
 spectra, which float64 holds exactly, and the n-qubit GHZ/W Werner pairs; a
 dyadic spectrum's characteristic invariants are exact integer sums.
+:func:`pure_start_geodesic` gives exact non-commuting references, from a
+pure endpoint to such a dyadic state.
 :func:`exp_map` shoots a geodesic from a state along a generator, the
 exponential map that ``geometric_mean_operator`` inverts up to
 :func:`cut_angle`. The
@@ -325,6 +327,31 @@ def dyadic_state(h: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("counts must be nonnegative integers summing to 2^52")
     a = np.array(counts, dtype=np.float64) / 2.0**DYADIC_BITS
     return (h * a) @ h, a
+
+
+def pure_start_geodesic(rho2) -> tuple[np.longdouble, np.longdouble, np.ndarray]:
+    """(sqrt F, s*, C) of the geodesic from the pure state P = e0 e0^dag to an
+    exact real state rho2, in long double.
+
+    Uhlmann's fidelity of a pure state is F = <e0|rho2|e0> = rho2[0, 0], and the
+    parallel purifications give C = (P rho2 + rho2 P) / sqrt(F), which is
+    rho2's row and column 0 over sqrt(F): no eigensolve. The path is
+    rho(s) = f^2 P + f g C + g^2 rho2 (:func:`arc_coefficients`), and on the
+    reversed pair, from rho2 to P, M* = P / sqrt(F) whatever the conditioning of
+    rho2. With rho2 from :func:`dyadic_state`, 1 - F is exact in long double.
+    """
+    r = np.asarray(rho2).real.astype(np.longdouble)
+    sqrt_f = np.sqrt(r[0, 0])
+    cross = np.zeros_like(r)
+    cross[0] += r[0]
+    cross[:, 0] += r[:, 0]
+    return sqrt_f, np.arctan2(np.sqrt(1 - r[0, 0]), sqrt_f), cross / sqrt_f
+
+
+def arc_coefficients(s_star, t) -> tuple[np.longdouble, np.longdouble]:
+    """f = sin((1 - t) s*) / sin s* and g = sin(t s*) / sin s* at s = t s*, in long double."""
+    t = np.longdouble(t)
+    return np.sin((1 - t) * s_star) / np.sin(s_star), np.sin(t * s_star) / np.sin(s_star)
 
 
 def commuting_root_fidelity(a, b) -> float:

@@ -402,7 +402,7 @@ class TestHorizontalLift:
         r1, r2 = random_density(rng, 2, floor=0.1), random_density(rng, 2, floor=0.1)
         path = geodesy.geometric_mean_operator(r1, r2)
         other = states.canonical_purification(r2)
-        with pytest.raises(ValueError, match="does not project"):
+        with pytest.raises(ValueError, match="^a0 does not purify the target state"):
             geodesy.horizontal_lift(other, path, 0.0)
 
     def test_wrong_shape_start_rejected(self):

@@ -91,10 +91,10 @@ def test_only_the_start_roots_content_skips_the_check(monkeypatch):
     starts["re-decomposed"] = states.canonical_purification(rho1)  # equal, another array
     assert starts["re-decomposed"].matrix is not path.start.sqrt
     monkeypatch.setattr(matcore, "ADMIT_TOL", -1.0)
-    with pytest.raises(ValueError, match="does not project"):
+    with pytest.raises(ValueError, match="^a0 does not purify the target"):
         geodesy.horizontal_lift(starts.pop("gauged"), path, 0.1)
     for name, a0 in starts.items():
-        with pytest.raises(ValueError, match="does not purify the target"):
+        with pytest.raises(ValueError, match="^matrix does not purify the target"):
             geodesy.horizontal_lift(a0, path, 0.1)
 
 
@@ -118,11 +118,30 @@ def test_a_memo_eviction_leaves_the_lift_unchanged(raising):
         assert geodesy.horizontal_lift(a0, path, s).matrix.tobytes() == want
 
 
+@pytest.mark.parametrize("n", (2, 4, 8))
+def test_a_purification_of_nested_lists_lifts_as_its_arrays(n):
+    # Purification keeps the complex128 arrays it checked, so a start built
+    # from nested lists lifts with the bytes of the ndarray start, while the
+    # start root keeps its identity and the lift's target is the path's sample.
+    rng = np.random.default_rng([1815, n])
+    rho1, path = _path(rng, n, "random")
+    root = states.canonical_purification(rho1)
+    assert root.matrix is path.start.sqrt
+    gauged = states.canonical_purification(rho1, gauge=random_unitary(rng, n))
+    for a0 in (root, gauged):
+        listed = states.Purification(matrix=a0.matrix.tolist(), target=a0.target.tolist())
+        for s in (0.0, path.s_star / 3, path.s_star):
+            want = geodesy.horizontal_lift(a0, path, s)
+            got = geodesy.horizontal_lift(listed, path, s)
+            assert got.matrix.tobytes() == want.matrix.tobytes(), s
+            assert got.target is path._sample(s)[2] and not got.target.flags.writeable
+
+
 def test_a_wrong_start_is_still_refused():
     rng = np.random.default_rng(1813)
     rho1, path = _path(rng, 4, "random")
     for a0 in (states.canonical_purification(path.rho2),
                states.canonical_purification(path.rho2).matrix,
                states.canonical_purification(rho1).matrix[::-1]):
-        with pytest.raises(ValueError, match="does not project"):
+        with pytest.raises(ValueError, match="^a0 does not purify the target state"):
             geodesy.horizontal_lift(a0, path, 0.1)

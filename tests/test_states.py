@@ -129,11 +129,27 @@ class TestPurifications:
     @pytest.mark.parametrize("target, message", [
         ([[1, 0], [0, "x"]], "^target is not a numeric array"),
         # numpy casts None to NaN, which no purification projects to
-        (np.array([[0.5, None], [None, 0.5]], dtype=object), "defect nan$"),
+        (np.array([[0.5, None], [None, 0.5]], dtype=object), "^target has non-finite entries"),
     ], ids=["string", "none"])
     def test_purification_refuses_a_non_numeric_target(self, target, message):
         with pytest.raises(ValueError, match=message):
             states.Purification(matrix=np.eye(2) / np.sqrt(2), target=target)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_purification_names_a_non_finite_target(self, value):
+        # Not a purification defect of nan or inf: the target itself is named.
+        with pytest.raises(ValueError, match=rf"^target has non-finite entries .*{value}.* "
+                                             r"at \(0, 0\)$"):
+            states.Purification(matrix=np.eye(2) / np.sqrt(2), target=[[value, 0], [0, 0.5]])
+
+    def test_purification_keeps_the_arrays_it_checked(self):
+        rho = states.maximally_mixed(2)
+        root = np.eye(2) / np.sqrt(2)
+        listed = states.Purification(matrix=root.tolist(), target=rho.real.tolist())
+        for got, want in ((listed.matrix, root), (listed.target, rho)):
+            assert got.dtype == np.complex128 and np.array_equal(got, want)
+        kept = states.Purification(matrix=listed.matrix, target=listed.target)
+        assert kept.matrix is listed.matrix and kept.target is listed.target
 
     def test_purification_names_a_shape_mismatch(self):
         with pytest.raises(ValueError, match=r"dimension mismatch: \(3, 3\) vs \(2, 2\)"):

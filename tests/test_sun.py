@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from buresgeo import states, sun
+from buresgeo import matcore, states, sun
 from conftest import random_bloch, random_density, random_state_vector
 
 
@@ -229,6 +229,36 @@ class TestSolveTangentG:
         basis = sun.generator_basis(2)
         with pytest.raises(ValueError, match="not a state"):
             sun.solve_tangent_G(np.array([0.0, 0.0, 3.0]), np.zeros(3), basis)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 12, 16])
+    def test_a_non_state_is_refused_by_its_eigenvalue_at_every_scale(self, n):
+        # The solve admits expand(1, x) through states.admit without its trace
+        # bound: the trace is 1 by construction, but off by far more than
+        # TRACE_TOL at large |x| from N = 4 on, and a non-state is still named
+        # by its eigenvalue, never as "not normalized". Exactly the x whose
+        # state has an eigenvalue below -ADMIT_TOL are refused.
+        rng = np.random.default_rng(3201 + n)
+        basis = sun.generator_basis(n)
+        direction = rng.normal(size=basis.size)
+        direction /= np.linalg.norm(direction)
+        refused, trace_defect = 0, 0.0
+        for scale in 10.0 ** np.arange(-1, 11):
+            x = scale * direction
+            dec = matcore.spectral_decompose(sun.expand(1.0, x, basis))
+            low = dec.eigenvalues[0]
+            trace_defect = max(trace_defect, abs(dec.trace - 1.0))
+            if low >= -matcore.ADMIT_TOL:  # a state: solved, or refused on its boundary
+                try:
+                    sun.solve_tangent_G(x, np.zeros(basis.size), basis)
+                except ValueError as exc:
+                    assert low <= 0.0 and "conditioning threshold" in str(exc)
+                continue
+            refused += 1
+            with pytest.raises(ValueError) as info:
+                sun.solve_tangent_G(x, np.zeros(basis.size), basis)
+            assert str(info.value) == f"not a state: most negative eigenvalue {low:.6e}"
+        assert refused >= 10
+        assert n < 4 or trace_defect > matcore.TRACE_TOL
 
 
 class TestUnitaryTangent:
