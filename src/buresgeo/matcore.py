@@ -28,11 +28,12 @@ idealized counterparts. ``ADMIT_TOL`` alone decides what is a state. Every
 refusal is written so that a NaN measurement triggers it.
 
 Input contract: outside input enters through one coercion per kind,
-:func:`as_complex_matrix` (square, non-empty, finite), :func:`as_vector`
-(1-D and finite, real or complex), :func:`as_real_scalar` and
+:func:`as_complex_matrix` (square, non-empty, bounded), :func:`as_vector`
+(1-D and bounded, real or complex), :func:`as_real_scalar` and
 :func:`as_dimension` (an integer in a range); :func:`require_same_shape`
-refuses a dimension mismatch. Each refusal is a ``ValueError`` that names
-the argument, and a NaN or inf entry is named with its value and position.
+refuses a dimension mismatch. Bounded, |entry| <= ``ENTRY_LIMIT``, is the one
+overflow rule. Each refusal is a ``ValueError`` that names the argument, and
+a NaN or inf entry is named with its value and position.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ TRACE_TOL = 1e-12             # strict unit trace of a density matrix
 ROUNDOFF = 1e-12              # absolute slack: s range, direction and phase cuts,
                               # qubit |y| <= 1
 CONDITION_LIMIT = 1e12        # l_max / l_min beyond which the tangent solve is refused
+ENTRY_LIMIT = 1e100           # largest |entry| of outside input: at N <= 64 only the invariants
+                              # overflow below it; the effective field's cubic is next, at ~1.1e102
 # Default ``--tol`` of the CLI gates, and the fixed sun-check reconstruction gate.
 GATE_TOL = {"werner-sweep": 1e-10, "qubit-orbit": 1e-9, "solve-g": 1e-8,
             "sun-check": 1e-12, "reconstruction": 1e-9}
@@ -91,22 +94,28 @@ def _max_modulus(a: np.ndarray) -> float:
     return m.item(m.argmax())
 
 
+def _bounded(a: np.ndarray, name: str) -> float:
+    """The largest modulus of a non-empty array ``a``, refused above ``ENTRY_LIMIT``.
+
+    One pass: only a maximum above the limit makes :func:`_finite` look for a
+    NaN or inf entry to name; else the entries overflow (|1.5e308 + 1.5e308j|).
+    """
+    top = _max_modulus(a)
+    if not top <= ENTRY_LIMIT:
+        _finite(a, name)
+        raise ValueError(f"{name} entries overflow: max |entry| = {top:.3e} "
+                         f"exceeds {ENTRY_LIMIT:.0e}")
+    return top
+
+
 def _gate(m: np.ndarray, name: str) -> float:
     """The largest modulus of a complex128 array ``m``, refused unless ``m`` is a
-    square, non-empty, finite matrix.
-
-    One pass: a NaN or inf entry makes the maximum non-finite, and only then
-    does :func:`_finite` look for the entry to name. Finite entries whose
-    moduli overflow (|1.5e308 + 1.5e308j|) pass with the maximum inf.
-    """
+    square, non-empty matrix of bounded entries (:func:`_bounded`)."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if m.size == 0:
         raise ValueError(f"{name} must be non-empty, got the empty shape {m.shape}")
-    top = _max_modulus(m)
-    if not math.isfinite(top):
-        _finite(m, name)
-    return top
+    return _bounded(m, name)
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -117,12 +126,14 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def as_vector(v, name: str, length: int | None = None, dtype=np.float64) -> np.ndarray:
-    """Coerce input to a finite 1-D array of ``dtype``, of ``length`` entries if given."""
+    """Coerce input to a bounded 1-D array of ``dtype``, of ``length`` entries if given."""
     out = _as_array(v, name, dtype)
     if out.ndim != 1 or length not in (None, out.size):
         want = "a vector" if length is None else f"a vector of length {length}"
         raise ValueError(f"{name} must be {want}, got shape {out.shape}")
-    return _finite(out, name)
+    if out.size:  # an empty vector is left to the caller's checks
+        _bounded(out, name)
+    return out
 
 
 def as_real_scalar(x, name: str, finite: bool = False) -> float:
@@ -208,10 +219,8 @@ def require_hermitian(a) -> np.ndarray:
     measurement. That is all exactly Hermitian input but one with a zero whose
     sign the sum flips, which is measured and passes; the symmetrized matrix is
     returned either way, which fixes the signs of the zero entries. Input that
-    :func:`as_complex_matrix` refuses is refused first; the largest entry is
-    the one the gate takes. Finite entries so large that H +- H^dag could
-    overflow (twice the largest modulus is inf) are refused as well, since
-    neither the asymmetry nor the symmetrized matrix can be formed.
+    :func:`as_complex_matrix` refuses is refused first, entries above
+    ``ENTRY_LIMIT`` included; the largest entry is the one the gate takes.
     """
     m = _as_array(a, "matrix", np.complex128)
     return _hermitian_part(m, m.tobytes())
@@ -220,9 +229,6 @@ def require_hermitian(a) -> np.ndarray:
 def _hermitian_part(m: np.ndarray, data: bytes) -> np.ndarray:
     """:func:`require_hermitian` of a complex128 array ``m`` whose bytes are ``data``."""
     top = _gate(m, "matrix")
-    if not math.isfinite(2.0 * top):
-        raise ValueError(f"matrix entries overflow: max |H_jk| = {top:.3e} leaves "
-                         "H +- H^dagger no finite value")
     mh = m.conj().T
     h = m + mh
     h /= 2  # (m + mh)/2 in place: the same complex division, the same bytes

@@ -129,7 +129,7 @@ def werner(kind: str, p: float) -> np.ndarray:
     """
     p = matcore.as_real_scalar(p, "p")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing probability must lie in [0, 1], got {p}")
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     return _werner(kind, p)
 
 

@@ -399,8 +399,8 @@ class TestSolveG:
                               "--xdot=" + ",".join(["1e308"] * 8)], capsys)
         assert code == 2
         assert out == ""
-        assert err == ("error: --xdot is too large: the generator overflows "
-                       "(overflow encountered in multiply)\n")
+        assert err == ("error: --xdot entries overflow: max |entry| = 1.000e+308 "
+                       "exceeds 1e+100\n")
 
     @pytest.mark.parametrize("dim, x", [("1", "0.1"), ("17", "0")], ids=["1", "17"])
     def test_bad_dimension_is_blamed_on_dim(self, capsys, dim, x):

@@ -54,11 +54,12 @@ def test_non_finite_upper_triangle_is_named(entry, value, index):
         MATRIX_GATES[entry](rho)
 
 
-def test_an_overflowing_maximum_of_finite_entries_passes_the_gate():
+def test_an_overflowing_maximum_of_finite_entries_is_refused_by_name():
     m = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])
     assert np.isinf(np.abs(m).max())
-    out = matcore.as_complex_matrix(m, "m")
-    assert out.tobytes() == m.astype(np.complex128).tobytes()
+    with pytest.raises(ValueError, match=r"^m entries overflow: max \|entry\| = inf "
+                                         r"exceeds 1e\+100$"):
+        matcore.as_complex_matrix(m, "m")
 
 
 @pytest.mark.parametrize("f", [np.sqrt, lambda w: 1.0 / np.sqrt(w), np.log],

@@ -257,9 +257,7 @@ OVERFLOWING = np.array([[1.5e308 + 1.5e308j, 1e308], [-1e308, 1.0]])
     lambda m: geodesy.hubner_metric(MIXED, m),
 ])
 def test_overflowing_entries_are_refused_before_any_eigensolve(entry, solver_counts):
-    # The entries are finite, so the gate passes them; their moduli overflow,
-    # and with them H - H^dag and (H + H^dag)/2.
-    assert matcore.as_complex_matrix(OVERFLOWING) is not None
+    # The entries are finite, but their moduli exceed ENTRY_LIMIT (one overflows).
     states.admit(MIXED)  # the metric's state, decomposed before the count
     solver_counts.update(dict.fromkeys(solver_counts, 0))
     with pytest.raises(ValueError, match="overflow"):
@@ -335,24 +333,35 @@ def test_a_square_root_refusal_names_the_argument(entry, position):
         assert abs(out.bures_angle - ANGLE_BELOW_CLAMP) <= 1e-15
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda: sun.characteristic_invariants(1e100 * np.eye(4)), "rho"),
-    (lambda: sun.characteristic_invariants(1e20 * np.eye(16)), "rho"),
+# Refused at the gate: each argument has entries above ENTRY_LIMIT, and the
+# gate names it before its result could overflow.
+REFUSED_AT_THE_GATE = [
     (lambda: sun.hamiltonian_from_Y(1e200 * np.ones(8), 1e200 * np.ones(8),
-                                    sun.generator_basis(3)), "x and y"),
-    (lambda: geodesy.hubner_metric(MIXED, np.diag([1e154, -1e154])), "drho"),
+                                    sun.generator_basis(3)), "^x entries overflow"),
+    (lambda: geodesy.hubner_metric(MIXED, np.diag([1e154, -1e154])), "^drho entries overflow"),
     (lambda: sun.unitary_tangent(1e200 * np.ones(8), 1e200 * np.ones(8),
-                                 sun.generator_basis(3)), "x and y"),
+                                 sun.generator_basis(3)), "^x entries overflow"),
     (lambda: sun.expand(1e308, 1e308 * np.ones(8), sun.generator_basis(3)),
-     "coeff0 and coeffs"),
-    (lambda: sun.coefficients(1e308 * np.ones((3, 3)), sun.generator_basis(3)), "m"),
+     "^coeffs entries overflow"),
+    (lambda: sun.coefficients(1e308 * np.ones((3, 3)), sun.generator_basis(3)),
+     "^m entries overflow"),
     (lambda: sun.solve_tangent_G([0.1, 0.2, 0, 0.1, 0, 0, 0.2, 0.1], 1e308 * np.ones(8),
-                                 sun.generator_basis(3)), "xdot is too large:"),
-], ids=["invariants-matmul", "invariants-newton", "hamiltonian", "metric",
-        "unitary-tangent", "expand", "coefficients", "solve-tangent"])
-def test_overflowing_results_are_refused(call, name):
-    # Each input passes the gate; its result has no finite value.
-    with pytest.raises(ValueError, match=f"^{name} .*overflow"):
+                                 sun.generator_basis(3)), "^xdot entries overflow"),
+]
+# The result overflows from admitted input: the invariants, of degree N in rho.
+RESULT_OVERFLOWS = [
+    (lambda: sun.characteristic_invariants(1e100 * np.eye(4)),
+     "^rho is too large: its invariants overflow$"),
+    (lambda: sun.characteristic_invariants(1e20 * np.eye(16)),
+     "^rho is too large: its invariants overflow$"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSED_AT_THE_GATE + RESULT_OVERFLOWS, ids=[
+    "hamiltonian", "metric", "unitary-tangent", "expand", "coefficients", "solve-tangent",
+    "invariants-matmul", "invariants-newton"])
+def test_overflowing_results_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 
