@@ -227,7 +227,7 @@ def cmd_qubit_orbit(args) -> int:
 
 
 def cmd_solve_g(args) -> int:
-    basis = matcore._named(sun.generator_basis, args.dim, "--dim")  # sizes --x and --xdot
+    basis = sun.generator_basis(matcore.as_dimension(args.dim, "--dim", 2, sun.MAX_DIM))
     x = _parse_vector(args.x, basis.size, "--x")
     xdot = _parse_vector(args.xdot, basis.size, "--xdot")
     gen = sun.solve_tangent_G(x, xdot, basis)
@@ -281,7 +281,7 @@ def _sun_residuals(basis: sun.GeneratorBasis) -> dict:
 def cmd_sun_check(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    basis = matcore._named(sun.generator_basis, args.dim, "--dim")
+    basis = sun.generator_basis(matcore.as_dimension(args.dim, "--dim", 2, sun.MAX_DIM))
     residuals = _sun_residuals(basis)
     payload = {"dim": args.dim, **residuals}
     if args.dim == 2:

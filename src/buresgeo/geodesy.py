@@ -157,7 +157,7 @@ def _admit_pair(rho1, rho2) -> tuple[matcore.SpectralDecomposition,
                                      matcore.SpectralDecomposition]:
     st1 = matcore._named(states.admit, rho1, "rho1")
     st2 = matcore._named(states.admit, rho2, "rho2")
-    matcore.require_same_shape(st1.matrix, st2.matrix)
+    matcore.require_same_shape(st1.matrix, st2.matrix, "rho1", "rho2")
     return st1, st2
 
 
@@ -464,7 +464,7 @@ def hlc_residual(a, adot) -> float:
     Hermitian always satisfy this, while vertical tangents i A H do not.
     """
     am, dm = matcore.as_complex_matrix(a, "a"), matcore.as_complex_matrix(adot, "adot")
-    matcore.require_same_shape(am, dm)
+    matcore.require_same_shape(am, dm, "a", "adot")
     k = dm.conj().T @ am
     return matcore._max_modulus(k - k.conj().T)
 
@@ -481,7 +481,7 @@ def hubner_metric(rho, drho) -> float:
     """
     st = matcore._named(states.admit, rho, "rho")
     d = matcore._named(matcore.require_hermitian, drho, "drho")
-    matcore.require_same_shape(st.matrix, d)
+    matcore.require_same_shape(st.matrix, d, "rho", "drho")
     tr = float(d.trace().real)
     if not abs(tr) <= matcore.ADMIT_TOL:  # the scale is at least 1: only then can it matter
         scale = max(matcore._max_modulus(d), 1.0)

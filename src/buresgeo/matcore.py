@@ -31,9 +31,11 @@ Input contract: outside input enters through one coercion per kind,
 :func:`as_complex_matrix` (square, non-empty, bounded), :func:`as_vector`
 (1-D and bounded, real or complex), :func:`as_real_scalar` and
 :func:`as_dimension` (an integer in a range); :func:`require_same_shape`
-refuses a dimension mismatch. Bounded, |entry| <= ``ENTRY_LIMIT``, is the one
-overflow rule. Each refusal is a ``ValueError`` that names the argument, and
-a NaN or inf entry is named with its value and position.
+refuses a dimension mismatch under both names. Bounded, |entry| <=
+``ENTRY_LIMIT``, is the one overflow rule. Each refusal is a ``ValueError``
+that names the argument where it is raised, a NaN or inf entry with its value
+and position; a check of an unnamed matrix says "matrix", which :func:`_named`
+swaps for the caller's name.
 """
 
 from __future__ import annotations
@@ -189,24 +191,21 @@ def _lapack(routine: str, a: np.ndarray):
 
 
 def _named(check: Callable, a, name: str):
-    """``check(a)``, with a refusal re-raised, of the same type, under the name the
-    caller gives ``a``: "matrix has ..." becomes "name has ...", "not a state: ..."
-    "name is not a state: ...", and any other message follows "name: "."""
+    """``check(a)``, with a refusal that starts with "matrix", the gate's name for a
+    matrix argument, re-raised, of the same type, under the caller's ``name``; any
+    other refusal names its argument already and passes through unchanged."""
     try:
         return check(a)
     except ValueError as exc:
-        msg = str(exc)
-        if msg.startswith("matrix"):
-            msg = name + msg.removeprefix("matrix")
-        else:
-            msg = f"{name} is {msg}" if msg.startswith("not ") else f"{name}: {msg}"
-        raise type(exc)(msg) from None
+        if not str(exc).startswith("matrix"):
+            raise
+        raise type(exc)(name + str(exc).removeprefix("matrix")) from None
 
 
-def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    """Refuse two arrays of different shapes."""
+def require_same_shape(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> None:
+    """Refuse two arrays of different shapes, naming both."""
     if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+        raise ValueError(f"{name_a} and {name_b}: dimension mismatch: {a.shape} vs {b.shape}")
 
 
 def require_hermitian(a) -> np.ndarray:

@@ -26,16 +26,27 @@ def admit(rho, trace_tol: float = matcore.TRACE_TOL,
     """The memoised decomposition of a density matrix (or of a decomposition), checked.
 
     Rejects non-Hermitian input, a trace away from 1 by more than
-    ``trace_tol``, or an eigenvalue below ``-psd_tol``.
+    ``trace_tol``, or an eigenvalue below ``-psd_tol``, calling it "matrix". A
+    tolerance is a real number >= 0, inf included.
     """
+    if not (type(trace_tol) is type(psd_tol) is float and trace_tol >= 0.0 and psd_tol >= 0.0):
+        trace_tol, psd_tol = _tolerance(trace_tol, "trace_tol"), _tolerance(psd_tol, "psd_tol")
     st = matcore.spectral_decompose(rho)
     if not abs(st.trace - 1.0) <= trace_tol:
-        raise ValueError(f"not normalized: trace = {st.trace!r} differs from 1 "
+        raise ValueError(f"matrix is not normalized: trace = {st.trace!r} differs from 1 "
                          f"by {abs(st.trace - 1.0):.3e}")
     low = st.eigenvalues.item(0)
     if not low >= -psd_tol:
-        raise ValueError(f"not a state: most negative eigenvalue {low:.6e}")
+        raise ValueError(f"matrix is not a state: most negative eigenvalue {low:.6e}")
     return st
+
+
+def _tolerance(value, name: str) -> float:
+    """A tolerance of :func:`admit`: a real number >= 0, inf included."""
+    value = matcore.as_real_scalar(value, name)
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
 
 
 def _admit_stack(ms: np.ndarray) -> matcore.SpectralDecomposition:
@@ -81,7 +92,8 @@ def _snap_to_state(rho) -> np.ndarray:
     r = (v * np.maximum(w, 0.0)) @ v.conj().T if clipped else st.matrix
     tr = float(np.trace(r).real)
     if not tr > 0.0:
-        raise ValueError(f"not a state: the trace to renormalize by, {tr!r}, is not positive")
+        raise ValueError(f"matrix is not a state: the trace to renormalize by, {tr!r}, "
+                         f"is not positive")
     r = r / tr
     return (r + r.conj().T) / 2
 
@@ -146,12 +158,14 @@ def _werner(kind: str, p):
 def density_from_bloch(x, basis: sun.GeneratorBasis) -> np.ndarray:
     """State rho = (1/N)(I + x . sigma) for a coordinate vector inside the body.
 
-    Coordinates that leave the positive cone are rejected with the most
-    negative eigenvalue reported; coordinates admitted inside the boundary
-    tolerance band are snapped onto the cone.
+    Coordinates that leave the positive cone are rejected as "x is not a state",
+    with the most negative eigenvalue reported; coordinates admitted inside the
+    boundary tolerance band are snapped onto the cone.
     """
-    rho = sun.expand(1.0, x, basis)
-    return _snap_to_state(admit(rho, trace_tol=matcore.ADMIT_TOL))
+    sun._require_basis(basis)
+    x = matcore.as_vector(x, "x", basis.size)
+    return matcore._named(lambda m: _snap_to_state(admit(m, trace_tol=matcore.ADMIT_TOL)),
+                          sun._assemble(1.0, x, basis.dim), "x")
 
 
 @dataclass(frozen=True)
@@ -165,7 +179,7 @@ class Purification:
     def __post_init__(self):
         a = matcore.as_complex_matrix(self.matrix)
         target = matcore._as_array(self.target, "target", np.complex128)
-        matcore.require_same_shape(a, target)
+        matcore.require_same_shape(a, target, "matrix", "target")
         defect = matcore._max_modulus(a @ a.conj().T - target)
         if not defect <= matcore.ADMIT_TOL:
             matcore._finite(target, "target")
@@ -186,7 +200,7 @@ def canonical_purification(rho, gauge=None) -> Purification:
     r, a = st.matrix, st.sqrt
     if gauge is not None:
         u = matcore.as_complex_matrix(gauge, "gauge")
-        matcore.require_same_shape(u, r)
+        matcore.require_same_shape(u, r, "gauge", "rho")
         defect = matcore._max_modulus(u.conj().T @ u - np.eye(r.shape[0]))
         if not defect <= matcore.ADMIT_TOL:
             raise ValueError(f"gauge is not unitary: max |U^dag U - I| = {defect:.3e}")

@@ -198,7 +198,8 @@ def solve_tangent_G(x, xdot, basis: GeneratorBasis) -> TangentGenerator:
     _require_basis(basis)
     x = matcore.as_vector(x, "x", basis.size)
     xdot = matcore.as_vector(xdot, "xdot", basis.size)
-    dec = states.admit(_assemble(1.0, x, basis.dim), trace_tol=np.inf)  # Tr = 1 by construction
+    dec = matcore._named(lambda m: states.admit(m, trace_tol=np.inf),  # Tr = 1 by construction
+                         _assemble(1.0, x, basis.dim), "x")
     lam = dec.eigenvalues
     cond = float(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
     if not cond <= matcore.CONDITION_LIMIT:

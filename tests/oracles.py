@@ -267,7 +267,7 @@ def checked_horizontal_lift(a0, path, s):
     takes the great circle f A1 + g A2, every other a0 M(s) a0."""
     a0m = (a0.matrix if isinstance(a0, states.Purification)
            else matcore.as_complex_matrix(a0, "a0"))
-    matcore.require_same_shape(a0m, path.rho1)
+    matcore.require_same_shape(a0m, path.rho1, "a0", "target")
     defect = float(np.max(np.abs(a0m @ a0m.conj().T - path.rho1)))
     if not defect <= matcore.ADMIT_TOL:
         raise ValueError(f"purification does not project to the initial state: max "

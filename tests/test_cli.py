@@ -408,8 +408,7 @@ class TestSolveG:
         code, out, err = run(["solve-g", "--dim", dim, f"--x={x}", "--xdot=0"], capsys)
         assert code == 2
         assert out == ""
-        assert err == (f"error: --dim: dimension must be an integer between 2 and 16, "
-                       f"got {dim}\n")
+        assert err == f"error: --dim must be an integer between 2 and 16, got {dim}\n"
 
 
 class TestInvariantsAndSunCheck:
@@ -460,8 +459,7 @@ class TestInvariantsAndSunCheck:
         code, out, err = run(["sun-check", "--dim", dim], capsys)
         assert code == 2
         assert out == ""
-        assert err == (f"error: --dim: dimension must be an integer between 2 and 16, "
-                       f"got {dim}\n")
+        assert err == f"error: --dim must be an integer between 2 and 16, got {dim}\n"
 
     @pytest.mark.parametrize("tol, expected", [("nan", 3), ("inf", 0)])
     def test_sun_check_echoes_a_non_finite_gate_as_null(self, capsys, tol, expected):

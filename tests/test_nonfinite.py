@@ -229,12 +229,16 @@ def test_bool_is_not_a_number(entry):
         call()
 
 
-@pytest.mark.parametrize("rho, kwargs, message", [
+@pytest.mark.parametrize("rho, kwargs, defect", [
     (np.diag([0.9, 0.6]), {"trace_tol": np.nan}, "not normalized"),
     (np.diag([1.1, -0.1]), {"psd_tol": np.nan}, "not a state"),
 ])
-def test_nan_admission_tolerance_refuses(rho, kwargs, message):
-    with pytest.raises(ValueError, match=message):
+def test_nan_admission_tolerance_refuses(rho, kwargs, defect):
+    # The matrix has its defect, but a NaN tolerance is refused by its own name.
+    with pytest.raises(ValueError, match=f"^matrix is {defect}"):
+        states.admit(rho)
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got nan$"):
         states.admit(rho, **kwargs)
 
 

@@ -41,7 +41,7 @@ class TestBlochConversions:
 
     def test_outside_body_rejected_with_eigenvalue(self):
         basis = sun.generator_basis(2)
-        with pytest.raises(ValueError, match="not a state: most negative"):
+        with pytest.raises(ValueError, match="^x is not a state: most negative"):
             states.density_from_bloch(np.array([0.0, 0.0, 2.0]), basis)
 
 

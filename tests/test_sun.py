@@ -235,7 +235,7 @@ class TestSolveTangentG:
         # The solve admits expand(1, x) through states.admit without its trace
         # bound: the trace is 1 by construction, but off by far more than
         # TRACE_TOL at large |x| from N = 4 on, and a non-state is still named
-        # by its eigenvalue, never as "not normalized". Exactly the x whose
+        # as x by its eigenvalue, never as "not normalized". Exactly the x whose
         # state has an eigenvalue below -ADMIT_TOL are refused.
         rng = np.random.default_rng(3201 + n)
         basis = sun.generator_basis(n)
@@ -256,7 +256,7 @@ class TestSolveTangentG:
             refused += 1
             with pytest.raises(ValueError) as info:
                 sun.solve_tangent_G(x, np.zeros(basis.size), basis)
-            assert str(info.value) == f"not a state: most negative eigenvalue {low:.6e}"
+            assert str(info.value) == f"x is not a state: most negative eigenvalue {low:.6e}"
         assert refused >= 10
         assert n < 4 or trace_defect > matcore.TRACE_TOL
 
