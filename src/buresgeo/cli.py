@@ -118,12 +118,10 @@ def _admission_tol(text: str) -> float:
 
 def _parse_vector(text: str, length: int, name: str) -> np.ndarray:
     try:
-        vec = np.array([float(tok) for tok in text.split(",")])
+        vec = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"{name} must be comma-separated reals: {exc}") from exc
-    if vec.shape != (length,):
-        raise ValueError(f"{name} must have {length} components, got {vec.size}")
-    return matcore.as_vector(vec, name)
+    return matcore.as_vector(vec, name, length)
 
 
 def cmd_fidelity(args) -> int:
@@ -166,8 +164,7 @@ def _geodesic_rows(path: geodesy.GeodesicPath, samples: int):
 
 
 def cmd_geodesic(args) -> int:
-    if args.samples < 2:
-        raise ValueError(f"--samples must be at least 2, got {args.samples}")
+    matcore.as_dimension(args.samples, "--samples", 2)
     rho1 = load_state(args.state1, args.tol)
     rho2 = load_state(args.state2, args.tol)
     path = geodesy.geometric_mean_operator(rho1, rho2)
@@ -181,8 +178,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_werner_sweep(args) -> int:
-    if args.steps < 2:
-        raise ValueError(f"--steps must be at least 2, got {args.steps}")
+    matcore.as_dimension(args.steps, "--steps", 2)
     rows = []
     worst = 0.0
     for p in _blocks(np.linspace(0.0, 1.0, args.steps), 8):
@@ -203,8 +199,7 @@ def cmd_werner_sweep(args) -> int:
 def cmd_qubit_orbit(args) -> int:
     """The closed form against the pipeline on the pipeline's grid of s, read at
     min(s, its own s*): the two s* part near a pure endpoint, and the gate judges that."""
-    if args.samples < 2:
-        raise ValueError(f"--samples must be at least 2, got {args.samples}")
+    matcore.as_dimension(args.samples, "--samples", 2)
     x = _parse_vector(args.x, 3, "--x")
     y = _parse_vector(args.y, 3, "--y")
     basis = sun.generator_basis(2)
@@ -279,8 +274,7 @@ def _sun_residuals(basis: sun.GeneratorBasis) -> dict:
 
 
 def cmd_sun_check(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    matcore.as_dimension(args.trials, "--trials", 1)
     basis = sun.generator_basis(matcore.as_dimension(args.dim, "--dim", 2, sun.MAX_DIM))
     residuals = _sun_residuals(basis)
     payload = {"dim": args.dim, **residuals}

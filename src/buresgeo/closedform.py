@@ -32,9 +32,7 @@ def maxmixed_to_pure(n: int, psi, s: float) -> np.ndarray:
         rho(s) = f(s)^2 I/N + (g(s)^2 + 2 f(s) g(s)/sqrt(N)) |psi><psi|.
     """
     n = matcore.as_dimension(n, "dimension", 2)
-    proj = states.pure_density(psi)
-    if proj.shape[0] != n:
-        raise ValueError(f"psi has dimension {proj.shape[0]}, expected {n}")
+    proj = states.pure_density(matcore.as_vector(psi, "psi", n, np.complex128))
     f, g = geodesy.transport_coefficients(s, float(np.arccos(1.0 / np.sqrt(n))))
     return (f * f / n) * np.eye(n, dtype=np.complex128) + \
         (g * g + 2.0 * f * g / np.sqrt(n)) * proj
@@ -47,11 +45,7 @@ def werner_root_fidelity(p: float, q: float) -> float:
 
     which at q = p reduces to (1/4)(3(1-p) + sqrt((1-p)(1+7p))).
     """
-    p, q = matcore.as_real_scalar(p, "p"), matcore.as_real_scalar(q, "q")
-    for name, val in (("p", p), ("q", q)):
-        if not 0.0 <= val <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {val}")
-    return _werner_root_fidelity(p, q)
+    return _werner_root_fidelity(states._probability(p, "p"), states._probability(q, "q"))
 
 
 def _werner_root_fidelity(p, q):
@@ -62,17 +56,14 @@ def _werner_root_fidelity(p, q):
             + np.sqrt((1.0 - q) * (1.0 + 7.0 * p))) / 8.0
 
 
-def _flip() -> np.ndarray:
-    m = np.zeros((8, 8), dtype=np.complex128)
-    m[0, 7] = m[7, 0] = 1.0
-    return m
-
-
-def _middle_projectors() -> np.ndarray:
-    m = np.zeros((8, 8), dtype=np.complex128)
-    for idx in range(1, 7):
-        m[idx, idx] = 1.0
-    return m
+def _ghz_w_form(c1, c2, c3, c4) -> np.ndarray:
+    """c1 |GHZ><GHZ| - c2 (|000><111| + |111><000|) + c3 |W><W| + c4 (the six
+    middle projectors |001><001| .. |110><110|), summed in this order."""
+    g, w = states.ghz_state(), states.w_state()
+    flip = np.zeros((8, 8), dtype=np.complex128)
+    flip[0, 7] = flip[7, 0] = 1.0
+    middle = np.diag([0, 1, 1, 1, 1, 1, 1, 0]).astype(np.complex128)
+    return c1 * np.outer(g, g.conj()) - c2 * flip + c3 * np.outer(w, w.conj()) + c4 * middle
 
 
 def werner_mean_operator(p: float) -> np.ndarray:
@@ -90,12 +81,8 @@ def werner_mean_operator(p: float) -> np.ndarray:
     p = matcore.as_real_scalar(p, "p")
     if not 0.0 <= p < 1.0:
         raise ValueError(f"M singular at p=1; p must lie in [0, 1), got {p}")
-    g = states.ghz_state()
-    w = states.w_state()
-    return ((1.0 + np.sqrt((1.0 - p) / (1.0 + 7.0 * p))) * np.outer(g, g.conj())
-            - _flip()
-            + (-1.0 + np.sqrt((1.0 + 7.0 * p) / (1.0 - p))) * np.outer(w, w.conj())
-            + _middle_projectors())
+    return _ghz_w_form(1.0 + np.sqrt((1.0 - p) / (1.0 + 7.0 * p)), 1.0,
+                       -1.0 + np.sqrt((1.0 + 7.0 * p) / (1.0 - p)), 1.0)
 
 
 def werner_cross_term(p: float) -> np.ndarray:
@@ -114,19 +101,13 @@ def werner_cross_term(p: float) -> np.ndarray:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"cross term is built from M*, singular at p=1; got {p}")
     u = np.sqrt((1.0 - p) * (1.0 + 7.0 * p))
-    g = states.ghz_state()
-    w = states.w_state()
-    return 0.25 * (((1.0 - p) + u) * np.outer(g, g.conj())
-                   - (1.0 - p) * _flip()
-                   + (u - (1.0 - p)) * np.outer(w, w.conj())
-                   + (1.0 - p) * _middle_projectors())
+    return 0.25 * _ghz_w_form((1.0 - p) + u, 1.0 - p, u - (1.0 - p), 1.0 - p)
 
 
 def _orthonormal_pair(psi1, psi2) -> tuple[np.ndarray, np.ndarray]:
     """psi1 and psi2 as state vectors of one length, orthogonal within ``ADMIT_TOL``."""
     v1, v2 = states.unit_vector(psi1, "psi1"), states.unit_vector(psi2, "psi2")
-    if v1.shape != v2.shape:
-        raise ValueError(f"psi1 has length {v1.size}, psi2 has length {v2.size}")
+    matcore.require_same_shape(v1, v2, "psi1", "psi2")
     overlap = abs(np.vdot(v1, v2))
     if not overlap <= matcore.ADMIT_TOL:
         raise ValueError(f"states are not orthogonal: |<psi1|psi2>| = {overlap:.3e}")
@@ -162,14 +143,6 @@ def orthogonal_pure_geodesic(psi1, psi2, s: float) -> tuple[np.ndarray, np.ndarr
 # Qubit closed forms
 # ---------------------------------------------------------------------------
 
-def _direction(x: np.ndarray) -> np.ndarray:
-    """Unit vector along x; an ill-defined direction falls back to z-hat."""
-    norm = float(np.linalg.norm(x))
-    if norm >= matcore.ROUNDOFF:
-        return x / norm
-    return np.array([0.0, 0.0, 1.0])
-
-
 def qubit_root(x) -> tuple[np.ndarray, np.ndarray]:
     """Principal square root and inverse root of rho = (I + x.sigma)/2.
 
@@ -190,7 +163,9 @@ def qubit_root(x) -> tuple[np.ndarray, np.ndarray]:
     det = 0.25 * (1.0 - r2)
     a_plus = np.sqrt(0.5 + np.sqrt(det))
     a_minus = np.sqrt(max(0.5 - np.sqrt(det), 0.0))
-    xhat_sigma = 2.0 * sun.expand(0.0, _direction(x), sun.generator_basis(2))
+    norm = float(np.linalg.norm(x))  # an ill-defined direction falls back to z-hat
+    xhat = x / norm if norm >= matcore.ROUNDOFF else np.array([0.0, 0.0, 1.0])
+    xhat_sigma = 2.0 * sun.expand(0.0, xhat, sun.generator_basis(2))
     root = (a_plus * np.eye(2, dtype=np.complex128) + a_minus * xhat_sigma) / np.sqrt(2.0)
     return root, np.linalg.inv(root)
 

@@ -337,8 +337,10 @@ def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
 
     f(0) = g(s*) = 1, f(s*) = g(0) = 0, and s* = 0 gives (1, 0). s is clamped
     onto [0, s*] within matcore.ROUNDOFF and refused farther out, or when
-    :func:`matcore.as_real_scalar` refuses it. s* must be finite and >= 0.
+    :func:`matcore.as_real_scalar` refuses it. s* goes through the same coercion
+    and must be finite and >= 0.
     """
+    s_star = matcore.as_real_scalar(s_star, "s_star")
     if not 0.0 <= s_star < math.inf:  # NaN fails too
         raise ValueError(f"s_star = {s_star!r} is not a finite angle >= 0")
     s = matcore.as_real_scalar(s, "s")

@@ -139,10 +139,16 @@ def werner(kind: str, p: float) -> np.ndarray:
     The spectrum is {(1 + 7p)/8 once, (1 - p)/8 sevenfold} for either kind;
     only the eigenvectors differ.
     """
-    p = matcore.as_real_scalar(p, "p")
+    return _werner(kind, _probability(p, "p"))
+
+
+def _probability(p, name: str) -> float:
+    """A probability of :func:`werner` and ``closedform.werner_root_fidelity``: a
+    real number in [0, 1]."""
+    p = matcore.as_real_scalar(p, name)
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return _werner(kind, p)
+        raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    return p
 
 
 def _werner(kind: str, p):
@@ -182,7 +188,7 @@ class Purification:
         matcore.require_same_shape(a, target, "matrix", "target")
         defect = matcore._max_modulus(a @ a.conj().T - target)
         if not defect <= matcore.ADMIT_TOL:
-            matcore._finite(target, "target")
+            matcore._gate(target, "target")
             raise ValueError(f"matrix does not purify the target state: max entry defect "
                              f"{defect:.3e}")
         if a is not self.matrix or target is not self.target:  # coercion made a new array

@@ -438,8 +438,7 @@ def retired_geodesic_rows(path, samples: int):
 
 def retired_werner_sweep(args) -> int:
     """``cli.cmd_werner_sweep``, one p at a time."""
-    if args.steps < 2:
-        raise ValueError(f"--steps must be at least 2, got {args.steps}")
+    matcore.as_dimension(args.steps, "--steps", 2)
     rows = []
     worst = 0.0
     for p in np.linspace(0.0, 1.0, args.steps):
@@ -462,8 +461,7 @@ def retired_werner_sweep(args) -> int:
 
 def retired_qubit_orbit(args) -> int:
     """``cli.cmd_qubit_orbit``, one s at a time."""
-    if args.samples < 2:
-        raise ValueError(f"--samples must be at least 2, got {args.samples}")
+    matcore.as_dimension(args.samples, "--samples", 2)
     x = cli._parse_vector(args.x, 3, "--x")
     y = cli._parse_vector(args.y, 3, "--y")
     basis = sun.generator_basis(2)

@@ -114,6 +114,12 @@ class TestGeodesic:
         assert abs(middle["root_fidelity_to_start"] - 0.9238795325112867) < 1e-12
         assert abs(middle["trace"] - 1.0) < 1e-10
 
+    def test_sample_count_validated_before_the_files_are_read(self, capsys):
+        code, out, err = run(["geodesic", "missing1.json", "missing2.json",
+                              "--samples", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --samples must be an integer of at least 2, got 1\n"
+
     def test_identical_endpoints_constant_rows(self, state_file, capsys):
         f = state_file("mm.json", states.maximally_mixed(2))
         code, out, _ = run(["geodesic", f, f, "--samples", "4"], capsys)
@@ -225,7 +231,7 @@ class TestWernerSweep:
     def test_step_count_validated(self, capsys):
         code, out, err = run(["werner-sweep", "--steps", "1"], capsys)
         assert code == 2 and out == ""
-        assert err == "error: --steps must be at least 2, got 1\n"
+        assert err == "error: --steps must be an integer of at least 2, got 1\n"
 
     def test_json_output(self, capsys):
         _, csv_out, _ = run(["werner-sweep", "--steps", "5"], capsys)
@@ -321,7 +327,7 @@ class TestQubitOrbit:
         code, out, err = run(["qubit-orbit", "--x=0.1,0.2,0.3", "--y=0.3,0.2,0.1",
                               "--samples", "1"], capsys)
         assert code == 2 and out == ""
-        assert err == "error: --samples must be at least 2, got 1\n"
+        assert err == "error: --samples must be an integer of at least 2, got 1\n"
 
     def test_vector_that_does_not_parse_names_the_flag(self, capsys):
         code, out, err = run(["qubit-orbit", "--x=0.1,zero,0.3", "--y=0,0,0"], capsys)
@@ -345,7 +351,7 @@ class TestQubitOrbit:
     def test_bad_vector_exits_2(self, capsys):
         code, _, err = run(["qubit-orbit", "--x", "0,0", "--y", "0,0,0"], capsys)
         assert code == 2
-        assert "3 components" in err
+        assert err == "error: --x must be a vector of length 3, got shape (2,)\n"
 
     @pytest.mark.parametrize("argv, flag", [
         (["qubit-orbit", "--x=0,0,0", "--y=nan,0,0"], "--y"),
@@ -402,6 +408,15 @@ class TestSolveG:
         assert err == ("error: --xdot entries overflow: max |entry| = 1.000e+308 "
                        "exceeds 1e+100\n")
 
+    @pytest.mark.parametrize("vectors, flag", [
+        (["--x=0.1,0.2", "--xdot=0,0,0"], "--x"),
+        (["--x=0.1,0.2,0", "--xdot=0,0"], "--xdot"),
+    ], ids=["x", "xdot"])
+    def test_vector_of_the_wrong_length_names_the_flag(self, capsys, vectors, flag):
+        code, out, err = run(["solve-g", "--dim", "2", *vectors], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be a vector of length 3, got shape (2,)\n"
+
     @pytest.mark.parametrize("dim, x", [("1", "0.1"), ("17", "0")], ids=["1", "17"])
     def test_bad_dimension_is_blamed_on_dim(self, capsys, dim, x):
         # The vectors are sized by the basis, so --dim is checked before them.
@@ -448,7 +463,7 @@ class TestInvariantsAndSunCheck:
         code, out, err = run(["sun-check", "--dim", "3", "--trials", trials], capsys)
         assert code == 2
         assert out == ""
-        assert "--trials must be at least 1" in err
+        assert err == f"error: --trials must be an integer of at least 1, got {trials}\n"
 
     def test_impossible_gate_exits_3(self, capsys):
         code, _, err = run(["sun-check", "--dim", "4", "--tol", "0"], capsys)

@@ -166,7 +166,8 @@ class TestOrthogonalPureGeodesic:
     @pytest.mark.parametrize("entry", ["orthogonal_mean_operator", "orthogonal_pure_geodesic"])
     def test_length_mismatch_rejected(self, entry):
         extra = (0.1,) if entry == "orthogonal_pure_geodesic" else ()
-        with pytest.raises(ValueError, match="psi1 has length 2, psi2 has length 3"):
+        with pytest.raises(ValueError,
+                           match=r"^psi1 and psi2: dimension mismatch: \(2,\) vs \(3,\)$"):
             getattr(closedform, entry)([1.0, 0.0], [0.0, 0.0, 1.0], *extra)
 
 
@@ -407,7 +408,7 @@ class TestErrata:
 class TestRefusalsNameTheArgument:
     def test_maxmixed_to_pure_psi_of_another_dimension(self):
         psi = random_state_vector(np.random.default_rng(116), 3)
-        with pytest.raises(ValueError, match=r"^psi has dimension 3, expected 2$"):
+        with pytest.raises(ValueError, match=r"^psi must be a vector of length 2, got shape \(3,\)$"):
             closedform.maxmixed_to_pure(2, psi, 0.1)
 
     def test_werner_cross_term_at_p_one(self):

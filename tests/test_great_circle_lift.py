@@ -127,3 +127,12 @@ def test_transport_coefficients_refuse_an_s_star_that_is_no_angle(s_star):
     # math.sin(inf) would raise "math domain error", which names nothing.
     with pytest.raises(ValueError, match=r"^s_star = .* is not a finite angle >= 0$"):
         geodesy.transport_coefficients(0.0, s_star)
+
+
+@pytest.mark.parametrize("s_star", ["x", None, True, np.array([0.1, 0.2])],
+                         ids=["string", "none", "bool", "vector"])
+def test_transport_coefficients_refuse_an_s_star_that_is_no_real_scalar(s_star):
+    # s* is coerced as s is: by name, not as a TypeError, numpy's truth-value
+    # error, or a bool read as the angle 1.
+    with pytest.raises(ValueError, match=r"^s_star = .* is not a real scalar$"):
+        geodesy.transport_coefficients(0.0, s_star)

@@ -1,6 +1,8 @@
-"""The refusal contract of every public entry point, generated from ``buresgeo.__all__``.
+"""The refusal contract of every public entry point, generated from ``buresgeo.__all__``
+and the module-public functions that the closed forms and the CLI call beside it
+(``EXTRA``).
 
-Each parameter of each public callable has a kind (matrix, vector, scalar,
+Each parameter of each walked callable has a kind (matrix, vector, scalar,
 dimension, path, basis, a0, tolerance or choice), found from its name. Each
 kind has a table of malformed values: NaN or inf at a drawn position, the
 wrong number of dimensions, an empty or mismatched size, a string, ``None``, a
@@ -57,6 +59,7 @@ VALID = {
     "psi": PSI, "psi1": PSI, "psi2": PSI2, "x": X, "xdot": Y, "y": Y,
     "basis": BASIS, "path": PATH, "a0": A0, "s": PATH.s_star / 3,
     "n": N, "dim": N, "p": 0.5, "q": 0.3, "kind": "GHZ",
+    "s_star": PATH.s_star, "coeff0": 1.0, "coeffs": X, "m": RHO1,
     "trace_tol": matcore.TRACE_TOL, "psd_tol": matcore.ADMIT_TOL,
 }
 QUBIT = {"x": np.array([0.1, -0.2, 0.3]), "y": np.array([-0.4, 0.1, 0.2]), "s": 0.05}
@@ -65,9 +68,9 @@ OVERRIDES = {"qubit_fidelity": QUBIT, "qubit_orbit": QUBIT, "maxmixed_to_pure": 
 
 KIND = {
     **dict.fromkeys(("rho", "rho1", "rho2", "h", "drho", "a", "adot", "gauge", "matrix",
-                     "target"), "matrix"),
-    **dict.fromkeys(("psi", "psi1", "psi2", "x", "xdot", "y"), "vector"),
-    **dict.fromkeys(("s", "p", "q"), "scalar"),
+                     "target", "m"), "matrix"),
+    **dict.fromkeys(("psi", "psi1", "psi2", "x", "xdot", "y", "coeffs"), "vector"),
+    **dict.fromkeys(("s", "p", "q", "s_star", "coeff0"), "scalar"),
     **dict.fromkeys(("n", "dim"), "dimension"),
     **dict.fromkeys(("trace_tol", "psd_tol"), "tolerance"),
     "basis": "basis", "path": "path", "a0": "a0", "kind": "choice",
@@ -78,6 +81,13 @@ ALIASES = {"n": "dimension", "dim": "dimension"}  # the name the library's messa
 # constructors check nothing.
 RECORDS = {"SpectralDecomposition", "BuresSummary", "GeodesicPath", "TangentGenerator",
            "GeodesicUndefinedError"}
+# Public in their modules but not exported: the closed forms take their f and g
+# from transport_coefficients, and the CLI converts coordinates with expand and
+# coefficients.
+EXTRA = {"transport_coefficients": geodesy.transport_coefficients,
+         "expand": sun.expand, "coefficients": sun.coefficients}
+ENTRIES = {**{name: getattr(buresgeo, name) for name in buresgeo.__all__
+              if name not in RECORDS}, **EXTRA}
 
 
 def _at(rng, shape):
@@ -179,11 +189,9 @@ TABLES = {
 
 
 def _entries():
-    """(name, callable, parameter names) of each public callable but the records."""
-    for name in buresgeo.__all__:
-        obj = getattr(buresgeo, name)
-        if name not in RECORDS:
-            yield name, obj, list(inspect.signature(obj).parameters)
+    """(name, callable, parameter names) of each walked callable."""
+    for name, obj in ENTRIES.items():
+        yield name, obj, list(inspect.signature(obj).parameters)
 
 
 def _valid(name, params):
@@ -206,7 +214,7 @@ BROKEN = set().union(*BREAKS.values())
 def _refusal(name, param, value_id):
     """The call's refusal and its parameter names; the refusal is None when the
     call returns, and any other exception or an escaping warning propagates."""
-    entry = getattr(buresgeo, name)
+    entry = ENTRIES[name]
     params = list(inspect.signature(entry).parameters)
     args = _valid(name, params)
     rng = np.random.default_rng(zlib.crc32(f"{name}/{param}/{value_id}".encode()))
@@ -267,7 +275,7 @@ def test_every_public_parameter_has_a_kind_and_a_valid_call():
             warnings.simplefilter("error")
             entry(**_valid(name, params))
         walked += 1
-    assert walked == len(buresgeo.__all__) - len(RECORDS)
+    assert walked == len(buresgeo.__all__) - len(RECORDS) + len(EXTRA)
     assert BROKEN <= {(n, p, v) for n, p in PARAMETERS for v in TABLES[KIND[p]]}
 
 
@@ -296,7 +304,7 @@ def _list_cases():
 
 @pytest.mark.parametrize("name, param, form", list(_list_cases()))
 def test_nested_lists_give_the_bytes_of_arrays(name, param, form):
-    entry = getattr(buresgeo, name)
+    entry = ENTRIES[name]
     args = _valid(name, list(inspect.signature(entry).parameters))
     want = _bytes(entry(**args))
     value = args[param]

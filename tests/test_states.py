@@ -142,6 +142,13 @@ class TestPurifications:
                                              r"at \(0, 0\)$"):
             states.Purification(matrix=np.eye(2) / np.sqrt(2), target=[[value, 0], [0, 0.5]])
 
+    @pytest.mark.parametrize("value", [1e308 + 1e308j, 1e101])
+    def test_purification_names_an_overflowing_target(self, value):
+        # A target above the entry limit is refused by the gate, not as a defect.
+        want = f"target entries overflow: max |entry| = {abs(value):.3e} exceeds 1e+100"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            states.Purification(matrix=np.eye(2) / np.sqrt(2), target=np.full((2, 2), value))
+
     def test_purification_keeps_the_arrays_it_checked(self):
         rho = states.maximally_mixed(2)
         root = np.eye(2) / np.sqrt(2)
