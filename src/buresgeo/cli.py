@@ -151,7 +151,7 @@ def _geodesic_rows(path: geodesy.GeodesicPath, samples: int):
     rows = []
     for s in _blocks(np.linspace(0.0, path.s_star, samples), path.dim):
         rho = geodesy._points(path, s)
-        st = states._admit_stack(rho)
+        st = states._admit_stack(rho, f"rho(s)[{len(rows)}:]" if rows else "rho(s)")
         columns = {"s": s,
                    "root_fidelity_to_start": geodesy._root_fidelities(path.start, st),
                    "trace": np.trace(rho, axis1=-2, axis2=-1).real,

@@ -131,7 +131,7 @@ class GeodesicPath:
         if (slot is not None and slot[0] == s
                 and math.copysign(1.0, slot[0]) == math.copysign(1.0, s)):
             return slot[1]
-        f, g = transport_coefficients(s, self.s_star)
+        f, g = _path_coefficients(s, self.s_star)
         rho = _point(self, f, g)
         rho.setflags(write=False)
         self.__dict__["_last_sample"] = (s, (f, g, rho))
@@ -155,8 +155,8 @@ def _require_path(path) -> None:
 
 def _admit_pair(rho1, rho2) -> tuple[matcore.SpectralDecomposition,
                                      matcore.SpectralDecomposition]:
-    st1 = matcore._named(states.admit, rho1, "rho1")
-    st2 = matcore._named(states.admit, rho2, "rho2")
+    st1 = states.admit(rho1, name="rho1")
+    st2 = states.admit(rho2, name="rho2")
     matcore.require_same_shape(st1.matrix, st2.matrix, "rho1", "rho2")
     return st1, st2
 
@@ -338,11 +338,16 @@ def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
     f(0) = g(s*) = 1, f(s*) = g(0) = 0, and s* = 0 gives (1, 0). s is clamped
     onto [0, s*] within matcore.ROUNDOFF and refused farther out, or when
     :func:`matcore.as_real_scalar` refuses it. s* goes through the same coercion
-    and must be finite and >= 0.
+    and must be a Bures angle, in [0, pi/2] within matcore.ROUNDOFF.
     """
     s_star = matcore.as_real_scalar(s_star, "s_star")
-    if not 0.0 <= s_star < math.inf:  # NaN fails too
-        raise ValueError(f"s_star = {s_star!r} is not a finite angle >= 0")
+    if not 0.0 <= s_star <= math.pi / 2 + matcore.ROUNDOFF:  # NaN fails too
+        raise ValueError(f"s_star = {s_star!r} is not a Bures angle in [0, pi/2]")
+    return _path_coefficients(s, s_star)
+
+
+def _path_coefficients(s, s_star: float) -> tuple[float, float]:
+    """:func:`transport_coefficients` at a path's s*, which clipped roots can take past pi/2."""
     s = matcore.as_real_scalar(s, "s")
     if not -matcore.ROUNDOFF <= s <= s_star + matcore.ROUNDOFF:
         raise ValueError(f"s = {s!r} outside the geodesic range [0, {s_star!r}]")
@@ -354,9 +359,9 @@ def transport_coefficients(s: float, s_star: float) -> tuple[float, float]:
 
 
 def _coefficients(s, s_star: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`transport_coefficients` at each s of a grid, as the arrays f and g;
+    """:func:`_path_coefficients` at each s of a grid, as the arrays f and g;
     the grid is refused at its first refused s."""
-    fg = np.array([transport_coefficients(t, s_star) for t in s]).reshape(-1, 2)
+    fg = np.array([_path_coefficients(t, s_star) for t in s]).reshape(-1, 2)
     return fg[:, 0], fg[:, 1]
 
 
@@ -400,7 +405,7 @@ def transport_operator(path: GeodesicPath, s: float) -> np.ndarray:
     A path with rank rho1 < rank rho2 has no M* and is refused.
     """
     _require_path(path)
-    return _transport(_m_star(path), *transport_coefficients(s, path.s_star))
+    return _transport(_m_star(path), *_path_coefficients(s, path.s_star))
 
 
 def geodesic_point(path: GeodesicPath, s: float) -> np.ndarray:
@@ -437,8 +442,8 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
     with M(s) A1 to a few ulps. That root is not checked: its defect
     |sqrt(rho1) sqrt(rho1)^dag - rho1| is the eigenvalues counted as zero, at
     most ``CLAMP`` * l_max above 0 and ``ADMIT_TOL`` below, plus roundoff. Any
-    other a0 is checked by :class:`states.Purification` against rho1 ("a0 does
-    not purify ..."), lifted as M(s) A(0), and refused on a path with no M*. The
+    other a0 is checked by ``states._purifies`` against rho1 ("a0 does not
+    purify ..."), lifted as M(s) A(0), and refused on a path with no M*. The
     lift takes f(s) and g(s), and its target rho(s), from the path's sample at
     s, which :func:`geodesic_point` at that s also reads; the target is that
     shared read-only array. The result keeps its own Purification check.
@@ -451,7 +456,7 @@ def horizontal_lift(a0: states.Purification, path: GeodesicPath,
         lift = path.a2 * g
         lift += path.start.sqrt * f  # f A1 + g A2: addition is commutative to the bit
     else:
-        matcore._named(lambda a: states.Purification(matrix=a, target=path.rho1), a0m, "a0")
+        states._purifies(a0m, path.rho1, "a0")
         m_star = _m_star(path)
         f, g, rho = path._sample(s)
         lift = _transport(m_star, f, g) @ a0m
@@ -481,8 +486,8 @@ def hubner_metric(rho, drho) -> float:
     within ``matcore.ENTRY_LIMIT`` keep the sum finite (at most N^4 L^2 over the
     spectral cut).
     """
-    st = matcore._named(states.admit, rho, "rho")
-    d = matcore._named(matcore.require_hermitian, drho, "drho")
+    st = states.admit(rho)
+    d = matcore.require_hermitian(drho, "drho")
     matcore.require_same_shape(st.matrix, d, "rho", "drho")
     tr = float(d.trace().real)
     if not abs(tr) <= matcore.ADMIT_TOL:  # the scale is at least 1: only then can it matter

@@ -34,8 +34,8 @@ Input contract: outside input enters through one coercion per kind,
 refuses a dimension mismatch under both names. Bounded, |entry| <=
 ``ENTRY_LIMIT``, is the one overflow rule. Each refusal is a ``ValueError``
 that names the argument where it is raised, a NaN or inf entry with its value
-and position; a check of an unnamed matrix says "matrix", which :func:`_named`
-swaps for the caller's name.
+and position: each check takes the name it refuses under, and a refusal of the
+memo, keyed on bytes alone, is renamed from "matrix" by :func:`spectral_decompose`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -190,25 +189,13 @@ def _lapack(routine: str, a: np.ndarray):
     return out
 
 
-def _named(check: Callable, a, name: str):
-    """``check(a)``, with a refusal that starts with "matrix", the gate's name for a
-    matrix argument, re-raised, of the same type, under the caller's ``name``; any
-    other refusal names its argument already and passes through unchanged."""
-    try:
-        return check(a)
-    except ValueError as exc:
-        if not str(exc).startswith("matrix"):
-            raise
-        raise type(exc)(name + str(exc).removeprefix("matrix")) from None
-
-
 def require_same_shape(a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> None:
     """Refuse two arrays of different shapes, naming both."""
     if a.shape != b.shape:
         raise ValueError(f"{name_a} and {name_b}: dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def require_hermitian(a) -> np.ndarray:
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity and return the symmetrized matrix (H + H^dag)/2.
 
     Symmetrization absorbs the roundoff asymmetry accumulated by repeated
@@ -221,13 +208,13 @@ def require_hermitian(a) -> np.ndarray:
     :func:`as_complex_matrix` refuses is refused first, entries above
     ``ENTRY_LIMIT`` included; the largest entry is the one the gate takes.
     """
-    m = _as_array(a, "matrix", np.complex128)
-    return _hermitian_part(m, m.tobytes())
+    m = _as_array(a, name, np.complex128)
+    return _hermitian_part(m, m.tobytes(), name)
 
 
-def _hermitian_part(m: np.ndarray, data: bytes) -> np.ndarray:
+def _hermitian_part(m: np.ndarray, data: bytes, name: str) -> np.ndarray:
     """:func:`require_hermitian` of a complex128 array ``m`` whose bytes are ``data``."""
-    top = _gate(m, "matrix")
+    top = _gate(m, name)
     mh = m.conj().T
     h = m + mh
     h /= 2  # (m + mh)/2 in place: the same complex division, the same bytes
@@ -236,7 +223,7 @@ def _hermitian_part(m: np.ndarray, data: bytes) -> np.ndarray:
         defect = _max_modulus(m - mh)
         if not defect <= ADMIT_TOL * scale:
             raise NotHermitianError(
-                f"matrix is not Hermitian: max |H - H^dagger| = {defect:.3e} "
+                f"{name} is not Hermitian: max |H - H^dagger| = {defect:.3e} "
                 f"exceeds tolerance {ADMIT_TOL:.1e} (scale {scale:.3e})")
     return h
 
@@ -321,24 +308,29 @@ def _spectral_zero(st1: SpectralDecomposition, st2: SpectralDecomposition | None
 @functools.lru_cache(maxsize=32)  # distinct decomposed matrices one process keeps
 def _decompose(data: bytes, shape: tuple[int, int]) -> SpectralDecomposition:
     """The decomposition of the matrix with the given complex128 bytes; a
-    refusal raises and so is not cached."""
-    m = _hermitian_part(np.ndarray(shape, np.complex128, data), data)
+    refusal, which calls it "matrix", raises and so is not cached."""
+    m = _hermitian_part(np.ndarray(shape, np.complex128, data), data, "matrix")
     w, v = _lapack("eigh_lo", m)
     # The reduction ``m.trace()`` makes, without its method call.
     return SpectralDecomposition(m, float(np.add.reduce(m.diagonal()).real), w, v)
 
 
-def spectral_decompose(h) -> SpectralDecomposition:
+def spectral_decompose(h, name: str = "h") -> SpectralDecomposition:
     """The memoised eigendecomposition of a Hermitian matrix (or ``h`` itself,
     if it is already one), with ascending eigenvalues.
 
-    ``h`` must be Hermitian within ``ADMIT_TOL``; other input is rejected
-    with the measured asymmetry in the message.
+    ``h`` must be Hermitian within ``ADMIT_TOL``; other input is rejected,
+    as ``name``, with the measured asymmetry in the message.
     """
     if isinstance(h, SpectralDecomposition):
         return h
-    m = _as_array(h, "matrix", np.complex128)  # the full gate runs on a memo miss
-    return _decompose(m.tobytes(), m.shape)
+    m = _as_array(h, name, np.complex128)  # the full gate runs on a memo miss
+    try:
+        return _decompose(m.tobytes(), m.shape)
+    except ValueError as exc:  # the memo's "matrix" is the caller's name
+        if not str(exc).startswith("matrix"):
+            raise
+        raise type(exc)(name + str(exc).removeprefix("matrix")) from None
 
 
 def lyapunov_eigenbasis(dec: SpectralDecomposition, h) -> tuple[np.ndarray, np.ndarray]:

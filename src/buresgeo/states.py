@@ -21,23 +21,23 @@ import numpy as np
 from . import matcore, sun
 
 
-def admit(rho, trace_tol: float = matcore.TRACE_TOL,
-          psd_tol: float = matcore.ADMIT_TOL) -> matcore.SpectralDecomposition:
+def admit(rho, trace_tol: float = matcore.TRACE_TOL, psd_tol: float = matcore.ADMIT_TOL,
+          name: str = "rho") -> matcore.SpectralDecomposition:
     """The memoised decomposition of a density matrix (or of a decomposition), checked.
 
     Rejects non-Hermitian input, a trace away from 1 by more than
-    ``trace_tol``, or an eigenvalue below ``-psd_tol``, calling it "matrix". A
+    ``trace_tol``, or an eigenvalue below ``-psd_tol``, calling it ``name``. A
     tolerance is a real number >= 0, inf included.
     """
     if not (type(trace_tol) is type(psd_tol) is float and trace_tol >= 0.0 and psd_tol >= 0.0):
         trace_tol, psd_tol = _tolerance(trace_tol, "trace_tol"), _tolerance(psd_tol, "psd_tol")
-    st = matcore.spectral_decompose(rho)
+    st = matcore.spectral_decompose(rho, name)
     if not abs(st.trace - 1.0) <= trace_tol:
-        raise ValueError(f"matrix is not normalized: trace = {st.trace!r} differs from 1 "
+        raise ValueError(f"{name} is not normalized: trace = {st.trace!r} differs from 1 "
                          f"by {abs(st.trace - 1.0):.3e}")
     low = st.eigenvalues.item(0)
     if not low >= -psd_tol:
-        raise ValueError(f"matrix is not a state: most negative eigenvalue {low:.6e}")
+        raise ValueError(f"{name} is not a state: most negative eigenvalue {low:.6e}")
     return st
 
 
@@ -49,16 +49,16 @@ def _tolerance(value, name: str) -> float:
     return value
 
 
-def _admit_stack(ms: np.ndarray) -> matcore.SpectralDecomposition:
+def _admit_stack(ms: np.ndarray, name: str = "rho") -> matcore.SpectralDecomposition:
     """:func:`admit` at its default tolerances of each member of a stack (S, N, N),
     decomposed by one stacked ``eigh`` outside the memo.
 
     The stack copies only admit's trace and PSD bounds: a member that is not
     exactly its own symmetrization (H + H^dag)/2 or whose trace is off goes to
     :func:`admit` before the ``eigh``, one with an eigenvalue below
-    ``-ADMIT_TOL`` after it. So every refusal is admit's own, word for word:
-    that of the first member refused before the ``eigh``, else of the first
-    with a negative eigenvalue.
+    ``-ADMIT_TOL`` after it. So every refusal is admit's own, word for word,
+    under the member's name ``name[k]``: that of the first member refused
+    before the ``eigh``, else of the first with a negative eigenvalue.
     """
     with np.errstate(all="ignore"):  # a non-finite member is named by admit below
         h = ms + ms.conj().mT
@@ -67,14 +67,14 @@ def _admit_stack(ms: np.ndarray) -> matcore.SpectralDecomposition:
         # h - m == 0 is h == m for finite entries; an inf entry gives NaN.
         ok = (h - ms == 0).all(axis=(-2, -1)) & (abs(trace - 1.0) <= matcore.TRACE_TOL)
     for k in np.flatnonzero(~ok):
-        admit(ms[k])
+        admit(ms[k], name=f"{name}[{k}]")
     w, v = matcore._lapack("eigh_lo", h)
     for k in np.flatnonzero(~(w[:, 0] >= -matcore.ADMIT_TOL)):
-        admit(ms[k])
+        admit(ms[k], name=f"{name}[{k}]")
     return matcore.SpectralDecomposition(h, trace, w, v)
 
 
-def _snap_to_state(rho) -> np.ndarray:
+def _snap_to_state(rho, name: str = "rho") -> np.ndarray:
     """Canonicalize a matrix or decomposition admitted near the boundary of the state space.
 
     Eigenvalues below minus the spectral zero (the cut of ``rank``) are clipped
@@ -84,7 +84,7 @@ def _snap_to_state(rho) -> np.ndarray:
     for loosely validated entry points (user Bloch vectors, files), where
     admission is more forgiving than the downstream clamp policy.
     """
-    st = matcore.spectral_decompose(rho)
+    st = matcore.spectral_decompose(rho, name)
     w, v = st.eigenvalues, st.eigenvectors
     clipped = w[0] < -matcore._spectral_zero(st)
     if not clipped and abs(st.trace - 1.0) <= matcore.TRACE_TOL:
@@ -92,7 +92,7 @@ def _snap_to_state(rho) -> np.ndarray:
     r = (v * np.maximum(w, 0.0)) @ v.conj().T if clipped else st.matrix
     tr = float(np.trace(r).real)
     if not tr > 0.0:
-        raise ValueError(f"matrix is not a state: the trace to renormalize by, {tr!r}, "
+        raise ValueError(f"{name} is not a state: the trace to renormalize by, {tr!r}, "
                          f"is not positive")
     r = r / tr
     return (r + r.conj().T) / 2
@@ -170,30 +170,36 @@ def density_from_bloch(x, basis: sun.GeneratorBasis) -> np.ndarray:
     """
     sun._require_basis(basis)
     x = matcore.as_vector(x, "x", basis.size)
-    return matcore._named(lambda m: _snap_to_state(admit(m, trace_tol=matcore.ADMIT_TOL)),
-                          sun._assemble(1.0, x, basis.dim), "x")
+    st = admit(sun._assemble(1.0, x, basis.dim), trace_tol=matcore.ADMIT_TOL, name="x")
+    return _snap_to_state(st, name="x")
+
+
+def _purifies(matrix, target, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The one purification check: ``matrix`` and ``target`` as complex128 arrays,
+    refused, the matrix as ``name``, unless A A^dag equals target within ``ADMIT_TOL``."""
+    a = matcore.as_complex_matrix(matrix, name)
+    target = matcore._as_array(target, "target", np.complex128)
+    matcore.require_same_shape(a, target, name, "target")
+    defect = matcore._max_modulus(a @ a.conj().T - target)
+    if not defect <= matcore.ADMIT_TOL:
+        matcore._gate(target, "target")
+        raise ValueError(f"{name} does not purify the target state: max entry defect "
+                         f"{defect:.3e}")
+    return a, target
 
 
 @dataclass(frozen=True)
 class Purification:
-    """A bundle-space representative, the one purification check: A A^dag equals target
-    within ``ADMIT_TOL``. It keeps the complex128 ``matrix`` and ``target`` it checked."""
+    """A bundle-space representative: A A^dag equals target within ``ADMIT_TOL``
+    (:func:`_purifies`). It keeps the complex128 ``matrix`` and ``target`` it checked."""
 
     matrix: np.ndarray
     target: np.ndarray
 
     def __post_init__(self):
-        a = matcore.as_complex_matrix(self.matrix)
-        target = matcore._as_array(self.target, "target", np.complex128)
-        matcore.require_same_shape(a, target, "matrix", "target")
-        defect = matcore._max_modulus(a @ a.conj().T - target)
-        if not defect <= matcore.ADMIT_TOL:
-            matcore._gate(target, "target")
-            raise ValueError(f"matrix does not purify the target state: max entry defect "
-                             f"{defect:.3e}")
-        if a is not self.matrix or target is not self.target:  # coercion made a new array
-            object.__setattr__(self, "matrix", a)
-            object.__setattr__(self, "target", target)
+        a, target = _purifies(self.matrix, self.target, "matrix")
+        object.__setattr__(self, "matrix", a)  # the input itself if it was complex128
+        object.__setattr__(self, "target", target)
 
 
 def canonical_purification(rho, gauge=None) -> Purification:

@@ -170,9 +170,7 @@ def coefficients(m, basis: GeneratorBasis) -> tuple[float, np.ndarray]:
     """Project a matrix onto (coeff0, coeffs) with coeff_i = (N/2) Tr[m sigma_i]."""
     _require_basis(basis)
     a = matcore.as_complex_matrix(m, "m")
-    if a.shape[0] != basis.dim:
-        raise ValueError(f"m: matrix dimension {a.shape[0]} does not match basis "
-                         f"dimension {basis.dim}")
+    matcore.require_same_shape(a, np.empty((basis.dim, basis.dim)), "m", "basis")
     return float(np.trace(a).real), _project(a, basis.dim)
 
 
@@ -198,8 +196,8 @@ def solve_tangent_G(x, xdot, basis: GeneratorBasis) -> TangentGenerator:
     _require_basis(basis)
     x = matcore.as_vector(x, "x", basis.size)
     xdot = matcore.as_vector(xdot, "xdot", basis.size)
-    dec = matcore._named(lambda m: states.admit(m, trace_tol=np.inf),  # Tr = 1 by construction
-                         _assemble(1.0, x, basis.dim), "x")
+    dec = states.admit(_assemble(1.0, x, basis.dim), trace_tol=np.inf,  # Tr = 1 by construction
+                       name="x")
     lam = dec.eigenvalues
     cond = float(lam[-1] / lam[0]) if lam[0] > 0 else np.inf
     if not cond <= matcore.CONDITION_LIMIT:
@@ -262,7 +260,7 @@ def characteristic_invariants(rho) -> np.ndarray:
     Tr[rho] = 1, and S_N = det(rho). Of degree N, S can overflow from gated input
     and is then refused.
     """
-    w = matcore._named(matcore.spectral_decompose, rho, "rho").eigenvalues
+    w = matcore.spectral_decompose(rho, "rho").eigenvalues
     s = np.zeros(w.size + 1)
     s[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -232,13 +232,13 @@ def test_horizontal_lift_evaluates_the_coefficients_once(monkeypatch):
                                            random_density(rng, 4, floor=0.1))
     a0 = states.canonical_purification(path.rho1)
     calls = []
-    original = geodesy.transport_coefficients
+    original = geodesy._path_coefficients  # transport_coefficients at the path's s*
 
     def counted(s, s_star):
         calls.append(s)
         return original(s, s_star)
 
-    monkeypatch.setattr(geodesy, "transport_coefficients", counted)
+    monkeypatch.setattr(geodesy, "_path_coefficients", counted)
     for s in np.linspace(0.0, path.s_star, 7):
         calls.clear()
         lift = geodesy.horizontal_lift(a0, path, s)

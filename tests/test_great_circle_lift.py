@@ -19,7 +19,7 @@ per N, 5 points each):
 import numpy as np
 import pytest
 
-from buresgeo import geodesy, states
+from buresgeo import geodesy, matcore, states
 import oracles
 from conftest import random_density, random_unitary
 
@@ -122,11 +122,28 @@ def test_transport_coefficients_have_the_bytes_of_numpy_sin():
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
-@pytest.mark.parametrize("s_star", [np.inf, np.nan, -0.5])
+@pytest.mark.parametrize("s_star", [np.inf, np.nan, -0.5, np.pi / 2 + 1e-9, 4.0, np.pi])
 def test_transport_coefficients_refuse_an_s_star_that_is_no_angle(s_star):
-    # math.sin(inf) would raise "math domain error", which names nothing.
-    with pytest.raises(ValueError, match=r"^s_star = .* is not a finite angle >= 0$"):
-        geodesy.transport_coefficients(0.0, s_star)
+    # math.sin(inf) would raise "math domain error", which names nothing. Past
+    # pi/2 no s* is a Bures angle: 4.0 gave f, g = (-0.186, -1.112) at s = 1, and
+    # pi, whose sine is roundoff, gave 6.87e15 twice.
+    with pytest.raises(ValueError, match=r"^s_star = .* is not a Bures angle in \[0, pi/2\]$"):
+        geodesy.transport_coefficients(1.0, s_star)
+
+
+def test_a_path_whose_angle_passes_pi_over_2_samples():
+    # admit takes eigenvalues down to -ADMIT_TOL. The roots clip them, so the
+    # angle of this nearly orthogonal pair is 9e-11 past pi/2, and the path
+    # samples at that s* as it is; only a direct call refuses it.
+    t = 1e-11
+    u = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    rho2 = u @ np.diag([-1e-10, 1 + 1e-10]) @ u.T
+    path = geodesy.geometric_mean_operator(np.diag([1 + 1e-10, -1e-10]), (rho2 + rho2.T) / 2)
+    assert path.s_star > np.pi / 2 + matcore.ROUNDOFF
+    assert np.array_equal(geodesy.geodesic_point(path, path.s_star), path.rho2)
+    assert geodesy._points(path, [0.0, path.s_star / 2]).shape == (2, 2, 2)
+    with pytest.raises(ValueError, match=r"is not a Bures angle"):
+        geodesy.transport_coefficients(0.0, path.s_star)
 
 
 @pytest.mark.parametrize("s_star", ["x", None, True, np.array([0.1, 0.2])],

@@ -235,7 +235,7 @@ def test_bool_is_not_a_number(entry):
 ])
 def test_nan_admission_tolerance_refuses(rho, kwargs, defect):
     # The matrix has its defect, but a NaN tolerance is refused by its own name.
-    with pytest.raises(ValueError, match=f"^matrix is {defect}"):
+    with pytest.raises(ValueError, match=f"^rho is {defect}"):
         states.admit(rho)
     (name,) = kwargs
     with pytest.raises(ValueError, match=f"^{name} must be >= 0, got nan$"):

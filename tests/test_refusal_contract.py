@@ -3,7 +3,7 @@ and the module-public functions that the closed forms and the CLI call beside it
 (``EXTRA``).
 
 Each parameter of each walked callable has a kind (matrix, vector, scalar,
-dimension, path, basis, a0, tolerance or choice), found from its name. Each
+dimension, path, basis, a0, tolerance, choice or name), found from its name. Each
 kind has a table of malformed values: NaN or inf at a drawn position, the
 wrong number of dimensions, an empty or mismatched size, a string, ``None``, a
 ``bool``, an object array, +-1e308, and an object of the wrong type. With every
@@ -16,7 +16,7 @@ argument given as nested lists gives the bytes of the ndarray call.
 A public callable with a parameter of no known kind fails the walk, so a new
 entry point is covered once its parameter names are. The known breaks are
 listed in ``BREAKS``, one strict xfail per cause; a case that is mended fails
-that test until it is taken out of the list. The per-entry tables in
+that test until it is taken out of the list. None is known. The per-entry tables in
 ``tests/test_nonfinite.py`` stay beside this walk, with their exact messages.
 """
 
@@ -60,11 +60,11 @@ VALID = {
     "basis": BASIS, "path": PATH, "a0": A0, "s": PATH.s_star / 3,
     "n": N, "dim": N, "p": 0.5, "q": 0.3, "kind": "GHZ",
     "s_star": PATH.s_star, "coeff0": 1.0, "coeffs": X, "m": RHO1,
-    "trace_tol": matcore.TRACE_TOL, "psd_tol": matcore.ADMIT_TOL,
+    "trace_tol": matcore.TRACE_TOL, "psd_tol": matcore.ADMIT_TOL, "name": "rho",
 }
 QUBIT = {"x": np.array([0.1, -0.2, 0.3]), "y": np.array([-0.4, 0.1, 0.2]), "s": 0.05}
 OVERRIDES = {"qubit_fidelity": QUBIT, "qubit_orbit": QUBIT, "maxmixed_to_pure": {"s": 0.1},
-             "orthogonal_pure_geodesic": {"s": 0.1}}
+             "orthogonal_pure_geodesic": {"s": 0.1}, "spectral_decompose": {"name": "h"}}
 
 KIND = {
     **dict.fromkeys(("rho", "rho1", "rho2", "h", "drho", "a", "adot", "gauge", "matrix",
@@ -73,7 +73,7 @@ KIND = {
     **dict.fromkeys(("s", "p", "q", "s_star", "coeff0"), "scalar"),
     **dict.fromkeys(("n", "dim"), "dimension"),
     **dict.fromkeys(("trace_tol", "psd_tol"), "tolerance"),
-    "basis": "basis", "path": "path", "a0": "a0", "kind": "choice",
+    "basis": "basis", "path": "path", "a0": "a0", "kind": "choice", "name": "name",
 }
 ALIASES = {"n": "dimension", "dim": "dimension"}  # the name the library's messages use
 
@@ -185,6 +185,12 @@ TABLES = {
         "unknown": lambda c, rng: "BELL",
         "bytes": lambda c, rng: c.encode(),
     },
+    # A name is only the first word of a refusal, so with valid input every one returns.
+    "name": {
+        "none": lambda c, rng: None,
+        "number": lambda c, rng: 3,
+        "empty": lambda c, rng: "",
+    },
 }
 
 
@@ -198,16 +204,9 @@ def _valid(name, params):
     return {p: OVERRIDES.get(name, {}).get(p, VALID[p]) for p in params}
 
 
-ARRAY_VALUES = ("nonfinite", "string", "none", "bool", "object", "huge")
 # Known breaks of the contract, one strict xfail each: the reason, and the
 # (entry, parameter, value) cases it covers.
-BREAKS = {
-    "admit, spectral_decompose and canonical_purification refuse their one matrix as "
-    "'matrix', not by its parameter name": {
-        (e, p, v) for e, p in (("admit", "rho"), ("spectral_decompose", "h"),
-                               ("canonical_purification", "rho"))
-        for v in (*ARRAY_VALUES, "vector", "stack", "empty")},
-}
+BREAKS: dict[str, set[tuple[str, str, str]]] = {}
 BROKEN = set().union(*BREAKS.values())
 
 
@@ -316,25 +315,28 @@ def test_nested_lists_give_the_bytes_of_arrays(name, param, form):
     assert _bytes(entry(**args)) == want
 
 
-def test_named_swaps_only_the_matrix_name():
-    # A refusal that starts with "matrix" is re-raised, of its type, under the
-    # caller's name; any other names its own argument and passes through as it is.
-    def refuse(exc):
-        def check(a):
-            raise exc
-        return check
+def test_the_memo_refuses_under_each_callers_name(monkeypatch):
+    # The memo is keyed on the bytes alone and refuses as "matrix": spectral_decompose
+    # renames that at its one memo call. No refusal is cached, so each call looks
+    # the one matrix up afresh, a miss, and refuses it under its own name.
+    bad = RHO1.copy()
+    bad[0, 1] += 1e-3
+    states.admit(RHO2)  # in the memo: below, only the refused matrix misses
+    for call, name in ((lambda: geodesy.bures(bad, RHO2), "rho1"),
+                       (lambda: geodesy.bures(RHO2, bad), "rho2"),
+                       (lambda: geodesy.hubner_metric(bad, DRHO), "rho"),
+                       (lambda: sun.characteristic_invariants(bad), "rho"),
+                       (lambda: geodesy.bures(bad, RHO2), "rho1")):
+        misses = matcore._decompose.cache_info().misses
+        with pytest.raises(matcore.NotHermitianError, match=rf"^{name} is not Hermitian: "):
+            call()
+        assert matcore._decompose.cache_info().misses == misses + 1
+    # numpy's own refusal names no matrix, and passes through as it is.
+    failed = np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    swapped = matcore.NotHermitianError("matrix is not Hermitian: 1")
-    with pytest.raises(matcore.NotHermitianError, match=r"^a0 is not Hermitian: 1$"):
-        matcore._named(refuse(swapped), RHO1, "a0")
-    for message in ("target has non-finite entries", "not a state",
-                    "Eigenvalues did not converge"):
-        exc = ValueError(message)
-        with pytest.raises(ValueError) as info:
-            matcore._named(refuse(exc), RHO1, "a0")
-        assert info.value is exc and str(exc) == message
-    # A target with a NaN entry is the lift's check refusing the target, not a0.
-    target = RHO1.copy()
-    target[1, 2] = np.nan
-    with pytest.raises(ValueError, match=r"^target has non-finite entries .* at \(1, 2\)$"):
-        matcore._named(lambda a: states.Purification(matrix=a, target=target), A0.matrix, "a0")
+    def fail(routine, a):
+        raise failed
+    monkeypatch.setattr(matcore, "_lapack", fail)
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        matcore.spectral_decompose(random_density(np.random.default_rng(3201), N))  # a miss
+    assert info.value is failed

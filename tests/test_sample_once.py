@@ -88,9 +88,9 @@ def test_the_sampling_sequence_evaluates_the_point_once(solver_counts, monkeypat
     trusted = states.canonical_purification(rho1)
     gauged = states.canonical_purification(rho1, gauge=random_unitary(rng, 4))
     points, coefficients = [], []
-    point, coeffs = geodesy._point, geodesy.transport_coefficients
+    point, coeffs = geodesy._point, geodesy._path_coefficients
     monkeypatch.setattr(geodesy, "_point", lambda *a: points.append(a) or point(*a))
-    monkeypatch.setattr(geodesy, "transport_coefficients",
+    monkeypatch.setattr(geodesy, "_path_coefficients",
                         lambda *a: coefficients.append(a) or coeffs(*a))
     for k, a0 in enumerate((trusted, gauged, trusted)):
         s = path.s_star * (k + 1) / 4

@@ -273,7 +273,7 @@ class TestStackRefusals:
     def test_a_refused_member_gets_the_scalar_refusal(self, bad):
         stack = self._stack_with(bad.astype(np.complex128))
         with pytest.raises(ValueError) as scalar:
-            states.admit(bad)
+            states.admit(bad, name="rho[2]")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(type(scalar.value)) as stacked:
@@ -284,7 +284,7 @@ class TestStackRefusals:
     def test_the_first_refused_member_is_named(self):
         stack = self._stack_with(np.array([[0.6, 0.0], [0.0, 0.6]]), at=1)
         stack[3] = np.array([[0.7, 0.0], [0.0, 0.7]])
-        with pytest.raises(ValueError, match=r"trace = 1\.2 differs"):
+        with pytest.raises(ValueError, match=r"^rho\[1\] is not normalized: trace = 1\.2 "):
             states._admit_stack(stack)
 
     def test_a_near_hermitian_member_has_the_bytes_of_admit(self):
@@ -308,8 +308,29 @@ class TestStackRefusals:
         # member at a lower index that only the eigh finds negative.
         stack = self._stack_with(np.diag([1.2, -0.2]).astype(np.complex128), at=1)
         stack[3] = np.array([[1.1, 1e-11], [0.0, -0.1]])
-        with pytest.raises(ValueError, match=r"most negative eigenvalue -1\.000000e-01$"):
+        with pytest.raises(ValueError, match=r"^rho\[3\] is not a state: most negative "
+                                             r"eigenvalue -1\.000000e-01$"):
             states._admit_stack(stack)
+
+    @pytest.mark.parametrize("at, name", [(14, r"rho\(s\)\[14\]"),
+                                          (300, r"rho\(s\)\[256:\]\[44\]")])
+    def test_a_refused_geodesic_point_is_named_by_its_sample(self, monkeypatch, at, name):
+        # At N = 4 a block holds 256 points, so sample 300 is member 44 of the
+        # block from sample 256 on. The point is made refusable by scaling it.
+        rng = np.random.default_rng(9)
+        path = geodesy.geometric_mean_operator(random_density(rng, 4, 0.1),
+                                               random_density(rng, 4, 0.1))
+        points, done = geodesy._points, []
+
+        def scaled(p, s):
+            rho = points(p, s)
+            if len(done) <= at < len(done) + len(s):
+                rho[at - len(done)] *= 1.2
+            done.extend(s)
+            return rho
+        monkeypatch.setattr(geodesy, "_points", scaled)
+        with pytest.raises(ValueError, match=rf"^{name} is not normalized: trace = 1\.2"):
+            cli._geodesic_rows(path, 401)
 
     def test_library_built_stacks_hand_no_member_to_admit(self, monkeypatch):
         # Points built by the library are exactly Hermitian with unit trace

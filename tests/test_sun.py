@@ -401,6 +401,6 @@ class TestCharacteristicInvariants:
 
 
 def test_coefficients_of_a_matrix_of_another_dimension_name_m():
-    with pytest.raises(ValueError, match=r"^m: matrix dimension 3 does not match basis "
-                                         r"dimension 2$"):
+    with pytest.raises(ValueError, match=r"^m and basis: dimension mismatch: \(3, 3\) "
+                                         r"vs \(2, 2\)$"):
         sun.coefficients(np.eye(3) / 3, sun.generator_basis(2))
